@@ -2,9 +2,8 @@
 //!
 //! The line rules (pass 2a) see one tokenized line at a time; the
 //! semantic rules (pass 2b, [`crate::semantic`]) need *cross-file* facts:
-//! which enum variants exist, which qualified paths are called where,
-//! which string literals name scenarios, and which committed baselines
-//! cover them. This module derives those facts from the same
+//! which qualified paths are called where, which string literals name
+//! scenarios, and which committed baselines cover them. This module derives those facts from the same
 //! [`mod@crate::scan`] tokenizer — it is an index, not an AST: just enough
 //! structure for the rules, tolerant of code it does not understand.
 //!
@@ -13,20 +12,8 @@
 //! run to run.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use crate::scan::{tokens, ScannedLine, Token};
-
-/// An `enum` item with its variants.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: usize,
-    /// Variant names with their 1-based lines, in source order.
-    pub variants: Vec<(String, usize)>,
-}
 
 /// A `Base::member` qualified-path occurrence.
 #[derive(Debug, Clone)]
@@ -61,20 +48,10 @@ pub struct FieldString {
 pub struct FileIndex {
     /// Workspace-relative path, forward-slash separated.
     pub rel_path: String,
-    /// `enum` items.
-    pub enums: Vec<EnumDef>,
-    /// `struct` items as (name, line).
-    pub structs: Vec<(String, usize)>,
-    /// `fn` items as (name, line).
-    pub fns: Vec<(String, usize)>,
     /// `Base::member` occurrences.
     pub qual_paths: Vec<QualPath>,
     /// `field: "literal"` struct-literal members.
     pub field_strings: Vec<FieldString>,
-    /// Every identifier appearing in code position.
-    pub idents: BTreeSet<String>,
-    /// Every string literal as (line, contents).
-    pub strings: Vec<(usize, String)>,
 }
 
 /// The whole-workspace index consumed by [`crate::semantic`].
@@ -85,22 +62,6 @@ pub struct WorkspaceIndex {
     /// Scenario names found in committed baseline sweeps, mapped to the
     /// baseline names (`smoke`, `extended`, ...) that cover them.
     pub baseline_scenarios: BTreeMap<String, Vec<String>>,
-}
-
-impl WorkspaceIndex {
-    /// The first file whose index defines an enum named `name`.
-    pub fn enum_def(&self, name: &str) -> Option<(&FileIndex, &EnumDef)> {
-        self.files
-            .iter()
-            .find_map(|f| f.enums.iter().find(|e| e.name == name).map(|e| (f, e)))
-    }
-
-    /// The first file whose index defines a struct named `name`.
-    pub fn struct_file(&self, name: &str) -> Option<&FileIndex> {
-        self.files
-            .iter()
-            .find(|f| f.structs.iter().any(|(s, _)| s == name))
-    }
 }
 
 /// Build a [`FileIndex`] from already-scanned lines (so the engine scans
@@ -118,108 +79,11 @@ pub fn index_file(rel_path: &str, lines: &[ScannedLine]) -> FileIndex {
         for t in tokens(&line.code) {
             stream.push((t, li + 1));
         }
-        for s in &line.strings {
-            idx.strings.push((li + 1, s.clone()));
-        }
     }
 
-    for (t, _) in &stream {
-        if let Token::Ident(id) = t {
-            idx.idents.insert(id.clone());
-        }
-    }
-
-    index_items(&stream, &mut idx);
     index_qual_paths(&stream, &mut idx);
     index_field_strings(lines, &stream, &mut idx);
     idx
-}
-
-/// Extract `enum`/`struct`/`fn` items, including enum variants.
-fn index_items(stream: &[(Token, usize)], idx: &mut FileIndex) {
-    let mut i = 0;
-    while i < stream.len() {
-        let (Token::Ident(kw), line) = (&stream[i].0, stream[i].1) else {
-            i += 1;
-            continue;
-        };
-        let name = stream.get(i + 1).and_then(|(t, _)| t.ident());
-        match (kw.as_str(), name) {
-            ("enum", Some(name)) => {
-                let (variants, consumed) = enum_variants(&stream[i + 2..]);
-                idx.enums.push(EnumDef {
-                    name: name.to_string(),
-                    line,
-                    variants,
-                });
-                i += 2 + consumed;
-            }
-            ("struct", Some(name)) => {
-                idx.structs.push((name.to_string(), line));
-                i += 2;
-            }
-            ("fn", Some(name)) => {
-                idx.fns.push((name.to_string(), line));
-                i += 2;
-            }
-            _ => i += 1,
-        }
-    }
-}
-
-/// Parse the variant list of an enum whose name token just ended.
-/// `rest` starts right after the enum name (possibly generics, then the
-/// body). Returns the variants and how many tokens were consumed.
-fn enum_variants(rest: &[(Token, usize)]) -> (Vec<(String, usize)>, usize) {
-    let mut variants = Vec::new();
-    // Skip to the opening `{` (over generics / where clauses).
-    let Some(open) = rest
-        .iter()
-        .position(|(t, _)| matches!(t, Token::Punct(p) if p == "{"))
-    else {
-        return (variants, rest.len());
-    };
-    let mut depth = 1u32; // brace depth relative to the enum body
-    let mut paren = 0u32; // payload parens `Variant(T, U)`
-    let mut brack = 0u32; // attribute brackets `#[serde(..)]`
-                          // A variant name is an identifier at body depth 1, outside payload
-                          // parens and attributes, directly after `{` or `,`.
-    let mut at_arm_start = true;
-    let mut j = open + 1;
-    while j < rest.len() {
-        let (t, line) = (&rest[j].0, rest[j].1);
-        match t {
-            Token::Punct(p) => match p.as_str() {
-                "{" => {
-                    depth += 1;
-                    at_arm_start = false;
-                }
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return (variants, j + 1);
-                    }
-                    // Leaving a `Variant { .. }` payload: next comes `,`.
-                    at_arm_start = false;
-                }
-                "(" => paren += 1,
-                ")" => paren = paren.saturating_sub(1),
-                "[" => brack += 1,
-                "]" => brack = brack.saturating_sub(1),
-                "," if depth == 1 && paren == 0 && brack == 0 => at_arm_start = true,
-                _ => {}
-            },
-            Token::Ident(id) => {
-                if at_arm_start && depth == 1 && paren == 0 && brack == 0 {
-                    variants.push((id.clone(), line));
-                    at_arm_start = false;
-                }
-            }
-            Token::Number(_) => {}
-        }
-        j += 1;
-    }
-    (variants, rest.len())
 }
 
 /// Extract `Base::member` pairs and whether each is called.
@@ -326,35 +190,6 @@ mod tests {
 
     fn idx(src: &str) -> FileIndex {
         index_file("crates/x/src/lib.rs", &scan(src))
-    }
-
-    #[test]
-    fn items_and_enum_variants_are_indexed() {
-        let i = idx("pub enum DropCause {\n    Taildrop,\n    RedNonEct,\n    \
-                     Shaper(u32),\n    Odd { x: u64 },\n}\n\
-                     pub struct StatsHub { n: u64 }\n\
-                     fn account(c: DropCause) {}\n");
-        assert_eq!(i.enums.len(), 1);
-        let e = &i.enums[0];
-        assert_eq!(e.name, "DropCause");
-        let names: Vec<&str> = e.variants.iter().map(|(v, _)| v.as_str()).collect();
-        assert_eq!(names, ["Taildrop", "RedNonEct", "Shaper", "Odd"]);
-        assert_eq!(e.variants[1].1, 3);
-        assert_eq!(i.structs, vec![("StatsHub".to_string(), 7)]);
-        assert_eq!(i.fns, vec![("account".to_string(), 8)]);
-        assert!(i.idents.contains("DropCause"));
-    }
-
-    #[test]
-    fn enum_variant_payloads_and_attributes_do_not_leak_variants() {
-        let i = idx("enum E {\n    #[cfg(test)]\n    A(Inner, Other),\n    \
-                     B { field: Nested },\n}\n");
-        let names: Vec<&str> = i.enums[0]
-            .variants
-            .iter()
-            .map(|(v, _)| v.as_str())
-            .collect();
-        assert_eq!(names, ["A", "B"]);
     }
 
     #[test]

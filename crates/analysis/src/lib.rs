@@ -7,16 +7,16 @@
 //! checks it in two passes:
 //!
 //! 1. **Pass 1** ([`index`]) scans every source file once and builds a
-//!    lightweight [`index::WorkspaceIndex`] — items, enum variants,
-//!    qualified paths, struct-literal string fields, and the per-file
+//!    lightweight [`index::WorkspaceIndex`] — qualified paths,
+//!    struct-literal string fields, and the per-file
 //!    `aq-lint: allow(...)` ledger.
 //! 2. **Pass 2** runs two rule classes (see [`rules::RULES`]):
 //!    *line rules*, token heuristics over one line at a time (hash-ordered
 //!    collections in simulator state, wall-clock reads, OS entropy, float
 //!    equality, narrowing casts on 64-bit counters, threads in sim
 //!    crates); and *semantic rules* ([`semantic`]), cross-file checks over
-//!    the index (RNG seed provenance, `DropCause` accounting
-//!    exhaustiveness, scenario-registry coverage, stale allows).
+//!    the index (RNG seed provenance, scenario-registry coverage, stale
+//!    allows).
 //!
 //! Diagnostics carry `file:line` positions and come back in a stable
 //! (path, line, rule, message) order; [`output`] renders them as text,

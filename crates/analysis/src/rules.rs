@@ -95,13 +95,6 @@ pub const RULES: &[RuleInfo] = &[
                   (default/new/from_rng) still break (scenario, seed) purity",
     },
     RuleInfo {
-        name: "dropcause-exhaustive",
-        kind: RuleKind::Semantic,
-        summary: "every aq_netsim DropCause variant must have an accounting arm \
-                  in StatsHub and a mapped counter serialized by RunReport, so \
-                  a new drop cause cannot silently vanish from reports",
-    },
-    RuleInfo {
         name: "registry-coverage",
         kind: RuleKind::Semantic,
         summary: "every scenario in aq_workloads::registry must be named by at \

@@ -3,9 +3,10 @@
 //! Line rules ([`crate::rules::check_line`]) can only see one tokenized
 //! line; these rules see the whole [`WorkspaceIndex`] and catch the
 //! cross-file invariants that actually break reproduction runs: an RNG
-//! constructed off the seed path, a `DropCause` variant that silently
-//! vanishes from reports, a registry scenario no trend rule or baseline
-//! watches. Each rule returns [`Candidate`]s; the engine in
+//! constructed off the seed path, a registry scenario no trend rule or
+//! baseline watches. (Invariants the compiler can hold are not lints: the
+//! `DropCause` → counter → report-column chain is an exhaustive `match`
+//! in `aq-netsim` plus two unit tests.) Each rule returns [`Candidate`]s; the engine in
 //! [`crate::lint_workspace`] applies `aq-lint: allow(...)` suppression and
 //! final ordering.
 
@@ -30,7 +31,6 @@ pub struct Candidate {
 pub fn check_workspace(index: &WorkspaceIndex) -> Vec<Candidate> {
     let mut out = Vec::new();
     rng_provenance(index, &mut out);
-    dropcause_exhaustive(index, &mut out);
     registry_coverage(index, &mut out);
     out
 }
@@ -76,110 +76,6 @@ fn rng_provenance(index: &WorkspaceIndex, out: &mut Vec<Candidate>) {
                     "`{}::{}` constructs an RNG off the seed path; derive it \
                      with seed_from_u64/from_seed from a propagated seed",
                     q.base, q.member
-                ),
-            });
-        }
-    }
-}
-
-/// `DropCause` variant → the counter identifier that must account for it
-/// in `StatsHub` and appear in `RunReport` serialization. A new variant
-/// must extend this map *and* wire both sides — the rule fires on the
-/// variant until it does, so a new drop cause cannot silently vanish from
-/// reports.
-const DROPCAUSE_COUNTERS: &[(&str, &str)] = &[
-    ("Taildrop", "taildrops"),
-    ("RedNonEct", "red_drops"),
-    ("Shaper", "shaper_drops"),
-    ("AqLimit", "aq_drops"),
-    ("LinkDown", "link_drops"),
-    ("Corrupt", "corrupt_drops"),
-    ("SharedBufferReject", "shared_rejects"),
-    ("AqTableOverflow", "overflow_drops"),
-];
-
-fn dropcause_exhaustive(index: &WorkspaceIndex, out: &mut Vec<Candidate>) {
-    // Silent when the tree has no DropCause enum or no StatsHub — fixture
-    // trees and partial checkouts are not this rule's business.
-    let Some((enum_file, dropcause)) = index.enum_def("DropCause") else {
-        return;
-    };
-    let Some(stats) = index.struct_file("StatsHub") else {
-        return;
-    };
-    let report = index.struct_file("RunReport");
-
-    for (variant, vline) in &dropcause.variants {
-        let Some((_, counter)) = DROPCAUSE_COUNTERS.iter().find(|(v, _)| v == variant) else {
-            out.push(Candidate {
-                path: enum_file.rel_path.clone(),
-                line: *vline,
-                rule: "dropcause-exhaustive",
-                message: format!(
-                    "DropCause::{variant} has no counter mapping; add it to \
-                     DROPCAUSE_COUNTERS in aq-analysis and wire the StatsHub \
-                     arm and RunReport field it names"
-                ),
-            });
-            continue;
-        };
-        let has_arm = stats
-            .qual_paths
-            .iter()
-            .any(|q| q.base == "DropCause" && q.member == *variant);
-        if !has_arm {
-            out.push(Candidate {
-                path: enum_file.rel_path.clone(),
-                line: *vline,
-                rule: "dropcause-exhaustive",
-                message: format!(
-                    "DropCause::{variant} has no accounting arm in StatsHub \
-                     ({})",
-                    stats.rel_path
-                ),
-            });
-        }
-        if !stats.idents.contains(*counter) {
-            out.push(Candidate {
-                path: enum_file.rel_path.clone(),
-                line: *vline,
-                rule: "dropcause-exhaustive",
-                message: format!(
-                    "counter `{counter}` for DropCause::{variant} is not \
-                     maintained by StatsHub ({})",
-                    stats.rel_path
-                ),
-            });
-        }
-        if let Some(report) = report {
-            let serialized = report.idents.contains(*counter)
-                || report.strings.iter().any(|(_, s)| s.contains(counter));
-            if !serialized {
-                out.push(Candidate {
-                    path: enum_file.rel_path.clone(),
-                    line: *vline,
-                    rule: "dropcause-exhaustive",
-                    message: format!(
-                        "counter `{counter}` for DropCause::{variant} never \
-                         appears in RunReport serialization ({})",
-                        report.rel_path
-                    ),
-                });
-            }
-        }
-    }
-
-    // The reverse direction: a mapping whose variant no longer exists
-    // means the map (and likely a counter) is stale.
-    for (variant, counter) in DROPCAUSE_COUNTERS {
-        if !dropcause.variants.iter().any(|(v, _)| v == variant) {
-            out.push(Candidate {
-                path: enum_file.rel_path.clone(),
-                line: dropcause.line,
-                rule: "dropcause-exhaustive",
-                message: format!(
-                    "DROPCAUSE_COUNTERS maps `{variant}` -> `{counter}` but \
-                     DropCause has no such variant; the mapping is stale"
                 ),
             });
         }
@@ -307,70 +203,6 @@ mod tests {
     #[test]
     fn rng_provenance_skips_vendor() {
         let idx = ws(&[("vendor/rand/src/lib.rs", "let r = SmallRng::from_rng(x);\n")]);
-        assert!(check_workspace(&idx).is_empty());
-    }
-
-    const GOOD_ENUM: &str = "pub enum DropCause { Taildrop, RedNonEct, Shaper, \
-                             AqLimit, LinkDown, Corrupt, SharedBufferReject, \
-                             AqTableOverflow }\n";
-    const GOOD_STATS: &str = "pub struct StatsHub { taildrops: u64, red_drops: u64, \
-         shaper_drops: u64, aq_drops: u64, link_drops: u64, corrupt_drops: u64, \
-         shared_rejects: u64, overflow_drops: u64 }\n\
-         fn account(c: DropCause) { match c { DropCause::Taildrop => (), \
-         DropCause::RedNonEct => (), DropCause::Shaper => (), DropCause::AqLimit => (), \
-         DropCause::LinkDown => (), DropCause::Corrupt => (), \
-         DropCause::SharedBufferReject => (), DropCause::AqTableOverflow => () } }\n";
-    const GOOD_REPORT: &str = "pub struct RunReport { taildrops: u64, red_drops: u64, \
-         shaper_drops: u64, aq_drops: u64, link_drops: u64, corrupt_drops: u64, \
-         shared_rejects: u64, overflow_drops: u64 }\n";
-
-    #[test]
-    fn dropcause_clean_tree_is_silent() {
-        let idx = ws(&[
-            ("crates/netsim/src/queue.rs", GOOD_ENUM),
-            ("crates/netsim/src/stats.rs", GOOD_STATS),
-            ("crates/bench/src/report.rs", GOOD_REPORT),
-        ]);
-        assert!(check_workspace(&idx).is_empty());
-    }
-
-    #[test]
-    fn dropcause_flags_unmapped_variant_and_missing_arm() {
-        let enum_src = "pub enum DropCause { Taildrop, RedNonEct, Shaper, \
-                        AqLimit, LinkDown, Corrupt, SharedBufferReject, \
-                        AqTableOverflow, Evicted }\n";
-        let idx = ws(&[
-            ("crates/netsim/src/queue.rs", enum_src),
-            ("crates/netsim/src/stats.rs", GOOD_STATS),
-            ("crates/bench/src/report.rs", GOOD_REPORT),
-        ]);
-        let fired = check_workspace(&idx);
-        assert_eq!(fired.len(), 1, "{fired:?}");
-        assert_eq!(fired[0].rule, "dropcause-exhaustive");
-        assert!(fired[0].message.contains("Evicted"));
-
-        // Remove one accounting arm: the variant fires at its line.
-        let stats_missing = GOOD_STATS.replace("DropCause::LinkDown => (), ", "");
-        let idx = ws(&[
-            ("crates/netsim/src/queue.rs", GOOD_ENUM),
-            ("crates/netsim/src/stats.rs", stats_missing.as_str()),
-            ("crates/bench/src/report.rs", GOOD_REPORT),
-        ]);
-        let fired = check_workspace(&idx);
-        assert_eq!(fired.len(), 1, "{fired:?}");
-        assert!(fired[0].message.contains("no accounting arm"));
-    }
-
-    #[test]
-    fn dropcause_counter_may_hide_in_report_strings() {
-        let report = "pub struct RunReport { x: u64 }\n\
-             fn ser() { let s = \"taildrops,red_drops,shaper_drops,aq_drops,\
-             link_drops,corrupt_drops,shared_rejects,overflow_drops\"; }\n";
-        let idx = ws(&[
-            ("crates/netsim/src/queue.rs", GOOD_ENUM),
-            ("crates/netsim/src/stats.rs", GOOD_STATS),
-            ("crates/bench/src/report.rs", report),
-        ]);
         assert!(check_workspace(&idx).is_empty());
     }
 

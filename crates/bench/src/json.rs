@@ -89,6 +89,109 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Member `key`, or an error naming `ctx` (the enclosing record).
+    pub fn member(&self, key: &str, ctx: &str) -> Result<&Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("{ctx}: missing `{key}`"))
+    }
+
+    /// Member `key` converted to `T`; the error names `ctx`, the key and
+    /// what was expected there.
+    pub fn field<T: FromJson>(&self, key: &str, ctx: &str) -> Result<T, String> {
+        T::from_json(self.member(key, ctx)?)
+            .ok_or_else(|| format!("{ctx}: `{key}` is not {}", T::expected()))
+    }
+
+    /// Member `key` as an array slice.
+    pub fn arr_field(&self, key: &str, ctx: &str) -> Result<&[Json], String> {
+        self.member(key, ctx)?
+            .as_arr()
+            .ok_or_else(|| format!("{ctx}: `{key}` is not an array"))
+    }
+
+    /// Member `key` as object members in document order.
+    pub fn obj_field(&self, key: &str, ctx: &str) -> Result<&[(String, Json)], String> {
+        self.member(key, ctx)?
+            .as_obj()
+            .ok_or_else(|| format!("{ctx}: `{key}` is not an object"))
+    }
+}
+
+/// A type [`Json::field`] can read out of one JSON value.
+pub trait FromJson: Sized {
+    /// What the value must be, for the error message (`an unsigned integer`).
+    fn expected() -> String;
+    /// The value as `Self`, `None` when it has another shape.
+    fn from_json(v: &Json) -> Option<Self>;
+}
+
+macro_rules! from_json {
+    ($($t:ty, $expected:literal, $conv:expr;)*) => {$(
+        impl FromJson for $t {
+            fn expected() -> String {
+                $expected.to_string()
+            }
+            fn from_json(v: &Json) -> Option<Self> {
+                $conv(v)
+            }
+        }
+    )*};
+}
+from_json! {
+    u64, "an unsigned integer", Json::as_u64;
+    u32, "an unsigned 32-bit integer", |v: &Json| u32::try_from(v.as_u64()?).ok();
+    f64, "a number", Json::as_f64;
+    bool, "a bool", Json::as_bool;
+    String, "a string", |v: &Json| v.as_str().map(str::to_string);
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn expected() -> String {
+        format!("null or {}", T::expected())
+    }
+    fn from_json(v: &Json) -> Option<Self> {
+        match v {
+            Json::Null => Some(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn expected() -> String {
+        format!("an array (each item {})", T::expected())
+    }
+    fn from_json(v: &Json) -> Option<Self> {
+        v.as_arr()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// `s` as a quoted JSON string literal, escaped while it is written —
+/// the one string writer behind every artifact serializer.
+pub fn escape(s: &str) -> impl fmt::Display + '_ {
+    Escaped(s)
+}
+
+struct Escaped<'a>(&'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use fmt::Write as _;
+        f.write_char('"')?;
+        for c in self.0.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_char(c)?,
+            }
+        }
+        f.write_char('"')
+    }
 }
 
 /// A parse failure at a byte offset.
@@ -111,20 +214,31 @@ impl std::error::Error for JsonError {}
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(text: &str) -> Result<Json, JsonError> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(value)
 }
 
+/// Deepest array/object nesting [`parse`] follows. The artifacts nest at
+/// most 5 deep; the cap turns a hostile `[[[[...` into an error before the
+/// recursion can exhaust the stack.
+const MAX_DEPTH: u32 = 64;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: u32,
 }
 
 impl Parser<'_> {
@@ -156,8 +270,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than 64 levels"));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -249,15 +374,17 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("empty string tail"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next delimiter in one piece.
+                    // `pos` only ever steps over ASCII bytes or whole runs,
+                    // and both delimiters are ASCII, so the slice starts
+                    // and ends on char boundaries.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -353,6 +480,83 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}1{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(64)).is_ok());
+        let err = parse(&deep(65)).expect_err("65 levels");
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.at, 64);
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
+        // Depth is nesting, not a count of containers.
+        assert!(parse(&format!("[{}]", "[[1]],".repeat(100) + "0")).is_ok());
+    }
+
+    #[test]
+    fn typed_accessors_name_the_context_the_key_and_the_expectation() {
+        let doc =
+            parse(r#"{"n":3,"f":-0.5,"s":"x","o":null,"a":[1,2],"m":{"k":1}}"#).expect("parse");
+        assert_eq!(doc.field::<u64>("n", "rec"), Ok(3));
+        assert_eq!(doc.field::<u32>("n", "rec"), Ok(3));
+        assert_eq!(doc.field::<f64>("f", "rec"), Ok(-0.5));
+        assert_eq!(doc.field::<String>("s", "rec"), Ok("x".to_string()));
+        assert_eq!(doc.field::<Option<u64>>("o", "rec"), Ok(None));
+        assert_eq!(doc.field::<Option<u64>>("n", "rec"), Ok(Some(3)));
+        assert_eq!(doc.field::<Vec<u64>>("a", "rec"), Ok(vec![1, 2]));
+        assert_eq!(doc.arr_field("a", "rec").map(<[Json]>::len), Ok(2));
+        assert_eq!(
+            doc.obj_field("m", "rec").map(<[(String, Json)]>::len),
+            Ok(1)
+        );
+        let err = |r: Result<u64, String>| r.expect_err("must fail");
+        assert_eq!(err(doc.field("zz", "rec")), "rec: missing `zz`");
+        assert_eq!(
+            err(doc.field("f", "rec")),
+            "rec: `f` is not an unsigned integer"
+        );
+        assert_eq!(
+            doc.field::<Vec<f64>>("s", "rec"),
+            Err("rec: `s` is not an array (each item a number)".to_string())
+        );
+        assert_eq!(
+            doc.arr_field("m", "rec").expect_err("object"),
+            "rec: `m` is not an array"
+        );
+    }
+
+    #[test]
+    fn escape_round_trips_through_the_parser() {
+        for s in [
+            "plain",
+            "q\"uote\\slash",
+            "line\nbreak\ttab\rcr",
+            "\u{1}ctl",
+            "π — ü",
+        ] {
+            let lit = escape(s).to_string();
+            assert_eq!(
+                parse(&lit).expect("parses"),
+                Json::Str(s.to_string()),
+                "{lit}"
+            );
+        }
+        assert_eq!(escape("a\"b\n\u{2}").to_string(), r#""a\"b\n\u0002""#);
+    }
+
+    #[test]
+    fn string_runs_stop_at_escapes_and_quotes() {
+        let doc = parse(r#"["", "ab\\cd\"ef", "π\u0041π", "tail\\"]"#).expect("parse");
+        let arr = doc.as_arr().expect("array");
+        assert_eq!(arr[0].as_str(), Some(""));
+        assert_eq!(arr[1].as_str(), Some("ab\\cd\"ef"));
+        assert_eq!(arr[2].as_str(), Some("πAπ"));
+        assert_eq!(arr[3].as_str(), Some("tail\\"));
+        assert!(parse(r#""open"#).is_err());
+        assert!(parse("\"bad \\q escape\"").is_err());
+        assert!(parse("\"cut \\u00").is_err());
     }
 
     #[test]

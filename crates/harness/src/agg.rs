@@ -132,7 +132,7 @@ impl Sweep {
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        let _ = writeln!(out, "  \"sweep\": {},", json_escape(&self.name));
+        let _ = writeln!(out, "  \"sweep\": {},", json::escape(&self.name));
         out.push_str("  \"configs\": [\n");
         let n_configs = self.configs.len();
         for (ci, (config, metrics)) in self.configs.iter().enumerate() {
@@ -140,21 +140,21 @@ impl Sweep {
             let _ = writeln!(
                 out,
                 "      \"scenario\": {},",
-                json_escape(&config.scenario)
+                json::escape(&config.scenario)
             );
             let _ = writeln!(
                 out,
                 "      \"approach\": {},",
-                json_escape(&config.approach)
+                json::escape(&config.approach)
             );
-            let _ = writeln!(out, "      \"params\": {},", json_escape(&config.params));
+            let _ = writeln!(out, "      \"params\": {},", json::escape(&config.params));
             out.push_str("      \"metrics\": {\n");
             let n_metrics = metrics.len();
             for (mi, (metric, a)) in metrics.iter().enumerate() {
                 let _ = write!(
                     out,
                     "        {}: {{\"n\": {}, \"min\": {:.6}, \"mean\": {:.6}, \"max\": {:.6}, \"ci95\": {:.6}}}",
-                    json_escape(metric),
+                    json::escape(metric),
                     a.n,
                     a.min,
                     a.mean,
@@ -175,14 +175,14 @@ impl Sweep {
         let n_runs = self.runs.len();
         for (ri, (key, metrics)) in self.runs.iter().enumerate() {
             out.push_str("    {\n");
-            let _ = writeln!(out, "      \"scenario\": {},", json_escape(&key.scenario));
-            let _ = writeln!(out, "      \"approach\": {},", json_escape(&key.approach));
-            let _ = writeln!(out, "      \"params\": {},", json_escape(&key.params));
+            let _ = writeln!(out, "      \"scenario\": {},", json::escape(&key.scenario));
+            let _ = writeln!(out, "      \"approach\": {},", json::escape(&key.approach));
+            let _ = writeln!(out, "      \"params\": {},", json::escape(&key.params));
             let _ = writeln!(out, "      \"seed\": {},", key.seed);
             out.push_str("      \"metrics\": {");
             let n_metrics = metrics.len();
             for (mi, (metric, value)) in metrics.iter().enumerate() {
-                let _ = write!(out, "{}: {:.6}", json_escape(metric), value);
+                let _ = write!(out, "{}: {:.6}", json::escape(metric), value);
                 if mi + 1 < n_metrics {
                     out.push_str(", ");
                 }
@@ -199,16 +199,16 @@ impl Sweep {
         let n_failures = self.failures.len();
         for (fi, (key, failure)) in self.failures.iter().enumerate() {
             out.push_str("    {\n");
-            let _ = writeln!(out, "      \"scenario\": {},", json_escape(&key.scenario));
-            let _ = writeln!(out, "      \"approach\": {},", json_escape(&key.approach));
-            let _ = writeln!(out, "      \"params\": {},", json_escape(&key.params));
+            let _ = writeln!(out, "      \"scenario\": {},", json::escape(&key.scenario));
+            let _ = writeln!(out, "      \"approach\": {},", json::escape(&key.approach));
+            let _ = writeln!(out, "      \"params\": {},", json::escape(&key.params));
             let _ = writeln!(out, "      \"seed\": {},", key.seed);
             let _ = writeln!(
                 out,
                 "      \"kind\": {},",
-                json_escape(failure.kind.as_str())
+                json::escape(failure.kind.as_str())
             );
-            let _ = writeln!(out, "      \"error\": {}", json_escape(&failure.message));
+            let _ = writeln!(out, "      \"error\": {}", json::escape(&failure.message));
             out.push_str(if fi + 1 < n_failures {
                 "    },\n"
             } else {
@@ -255,43 +255,42 @@ impl Sweep {
     /// Parse counterpart of [`Sweep::render_json`].
     pub fn parse_json(text: &str) -> Result<Sweep, String> {
         let doc = json::parse(text).map_err(|e| format!("sweep.json: {e}"))?;
-        let name = jstr(&doc, "sweep")?;
+        let name = doc.field("sweep", "sweep.json")?;
         let mut configs = BTreeMap::new();
-        for (i, c) in jarr(&doc, "configs")?.iter().enumerate() {
+        for (i, c) in doc.arr_field("configs", "sweep.json")?.iter().enumerate() {
+            let ctx = &format!("configs[{i}]");
             let config = ConfigKey {
-                scenario: jstr(c, "scenario").map_err(|e| format!("configs[{i}]: {e}"))?,
-                approach: jstr(c, "approach").map_err(|e| format!("configs[{i}]: {e}"))?,
-                params: jstr(c, "params").map_err(|e| format!("configs[{i}]: {e}"))?,
+                scenario: c.field("scenario", ctx)?,
+                approach: c.field("approach", ctx)?,
+                params: c.field("params", ctx)?,
             };
             let mut metrics = BTreeMap::new();
-            for (metric, a) in jobj(c, "metrics").map_err(|e| format!("configs[{i}]: {e}"))? {
+            for (metric, a) in c.obj_field("metrics", ctx)? {
                 let agg = Aggregate {
-                    n: jnum(a, "n")? as u64,
-                    min: jnum(a, "min")?,
-                    mean: jnum(a, "mean")?,
-                    max: jnum(a, "max")?,
-                    ci95: jnum(a, "ci95")?,
+                    n: a.field("n", metric)?,
+                    min: a.field("min", metric)?,
+                    mean: a.field("mean", metric)?,
+                    max: a.field("max", metric)?,
+                    ci95: a.field("ci95", metric)?,
                 };
                 metrics.insert(metric.clone(), agg);
             }
             configs.insert(config, metrics);
         }
         let mut runs = BTreeMap::new();
-        for (i, r) in jarr(&doc, "runs")?.iter().enumerate() {
+        for (i, r) in doc.arr_field("runs", "sweep.json")?.iter().enumerate() {
+            let ctx = &format!("runs[{i}]");
             let key = RunKey {
-                scenario: jstr(r, "scenario").map_err(|e| format!("runs[{i}]: {e}"))?,
-                approach: jstr(r, "approach").map_err(|e| format!("runs[{i}]: {e}"))?,
-                params: jstr(r, "params").map_err(|e| format!("runs[{i}]: {e}"))?,
-                seed: r
-                    .get("seed")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("runs[{i}]: missing numeric `seed`"))?,
+                scenario: r.field("scenario", ctx)?,
+                approach: r.field("approach", ctx)?,
+                params: r.field("params", ctx)?,
+                seed: r.field("seed", ctx)?,
             };
             let mut metrics = BTreeMap::new();
-            for (metric, v) in jobj(r, "metrics").map_err(|e| format!("runs[{i}]: {e}"))? {
+            for (metric, v) in r.obj_field("metrics", ctx)? {
                 let value = v
                     .as_f64()
-                    .ok_or_else(|| format!("runs[{i}]: metric `{metric}` is not a number"))?;
+                    .ok_or_else(|| format!("{ctx}: metric `{metric}` is not a number"))?;
                 metrics.insert(metric.clone(), value);
             }
             runs.insert(key, metrics);
@@ -300,27 +299,26 @@ impl Sweep {
         // Absent in sweeps written before failure tracking existed.
         if let Some(list) = doc.get("failures").and_then(Json::as_arr) {
             for (i, f) in list.iter().enumerate() {
+                let ctx = &format!("failures[{i}]");
                 let key = RunKey {
-                    scenario: jstr(f, "scenario").map_err(|e| format!("failures[{i}]: {e}"))?,
-                    approach: jstr(f, "approach").map_err(|e| format!("failures[{i}]: {e}"))?,
-                    params: jstr(f, "params").map_err(|e| format!("failures[{i}]: {e}"))?,
-                    seed: f
-                        .get("seed")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("failures[{i}]: missing numeric `seed`"))?,
+                    scenario: f.field("scenario", ctx)?,
+                    approach: f.field("approach", ctx)?,
+                    params: f.field("params", ctx)?,
+                    seed: f.field("seed", ctx)?,
                 };
                 // Sweeps written before kinds existed carry only the
                 // message; classify those as plain errors.
                 let kind = match f.get("kind").and_then(Json::as_str) {
-                    Some(s) => FailureKind::parse(s)
-                        .ok_or_else(|| format!("failures[{i}]: unknown kind `{s}`"))?,
+                    Some(s) => {
+                        FailureKind::parse(s).ok_or_else(|| format!("{ctx}: unknown kind `{s}`"))?
+                    }
                     None => FailureKind::Error,
                 };
                 failures.insert(
                     key,
                     RunFailure {
                         kind,
-                        message: jstr(f, "error").map_err(|e| format!("failures[{i}]: {e}"))?,
+                        message: f.field("error", ctx)?,
                     },
                 );
             }
@@ -408,46 +406,6 @@ impl Sweep {
         }
         Ok(sweep)
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn jstr(j: &Json, key: &str) -> Result<String, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing string `{key}`"))
-}
-
-fn jnum(j: &Json, key: &str) -> Result<f64, String> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing number `{key}`"))
-}
-
-fn jarr<'a>(j: &'a Json, key: &str) -> Result<&'a [Json], String> {
-    j.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array `{key}`"))
-}
-
-fn jobj<'a>(j: &'a Json, key: &str) -> Result<&'a [(String, Json)], String> {
-    j.get(key)
-        .and_then(Json::as_obj)
-        .ok_or_else(|| format!("missing object `{key}`"))
 }
 
 #[cfg(test)]

@@ -42,16 +42,11 @@ impl Default for Tolerances {
             ],
             default: 0.02,
             // Count metrics whose near-zero values make relative deltas
-            // meaningless: a couple of packets either way is noise.
+            // meaningless: a couple of packets either way is noise. (The
+            // per-run report columns declare their own slack, next to the
+            // column, in `aq_bench::report`.)
             abs_slack: vec![
                 ("drops".to_string(), 2.0),
-                ("taildrops".to_string(), 2.0),
-                ("red_drops".to_string(), 2.0),
-                ("shaper_drops".to_string(), 2.0),
-                ("aq_drops".to_string(), 2.0),
-                ("limit_drops".to_string(), 2.0),
-                ("ecn_marks".to_string(), 2.0),
-                ("marks".to_string(), 2.0),
                 ("flows_completed".to_string(), 1.0),
             ],
         }
@@ -81,8 +76,15 @@ impl Tolerances {
     /// the relative delta must exceed the budget AND the absolute delta
     /// must exceed the metric's slack floor.
     pub fn violates(&self, metric: &str, baseline: f64, current: f64) -> bool {
+        self.violates_beyond(metric, 0.0, baseline, current)
+    }
+
+    /// [`violates`](Tolerances::violates) for an observable that declares
+    /// an absolute slack of its own (report columns do): the larger of the
+    /// declared and the by-prefix slack applies.
+    pub fn violates_beyond(&self, metric: &str, slack: f64, baseline: f64, current: f64) -> bool {
         rel_delta(baseline, current) > self.for_metric(metric)
-            && (baseline - current).abs() > self.slack_for_metric(metric)
+            && (baseline - current).abs() > slack.max(self.slack_for_metric(metric))
     }
 }
 
@@ -298,8 +300,10 @@ mod tests {
         // 0 → 1 drop: rel Δ = 1.0 blows the 25% budget, but the absolute
         // delta is within the 2-packet slack — the gate must stay quiet.
         assert!(!tol.violates("drops_e1", 0.0, 1.0));
-        assert!(!tol.violates("taildrops", 1.0, 0.0));
-        assert!(!tol.violates("ecn_marks", 2.0, 0.0));
+        // A report column brings its slack with it.
+        assert!(!tol.violates_beyond("taildrops", 2.0, 1.0, 0.0));
+        assert!(!tol.violates_beyond("ecn_marks", 2.0, 2.0, 0.0));
+        assert!(tol.violates_beyond("ecn_marks", 2.0, 3.0, 0.0));
         assert!(!tol.violates("flows_completed_total", 8.0, 9.0));
         // Just past the slack AND past the relative budget: violation.
         assert!(tol.violates("drops_e1", 0.0, 3.0));

@@ -5,15 +5,15 @@
 //! the next question is always *which run, which row, which counter*. Both
 //! sweep directories carry every run's full `report.json` under `runs/`,
 //! so the drill-down loads the run pairs both sides share and compares
-//! them field by field — entity rows by entity id, port rows by
-//! `(node, port)`, AQ rows by `(tag, position)`, scalar metrics by key,
-//! and windowed series bucket by bucket (first differing bucket only, to
-//! keep the table readable). Numeric fields reuse the same [`Tolerances`]
-//! as the aggregate gate — including the absolute-slack floor, so a 0 → 1
-//! drop count is noise here exactly as it is there.
+//! them field by field. Which tables a section has, which columns a row
+//! has, what keys a row and how each cell type compares is declared once,
+//! with the report schema ([`aq_bench::report`]); this module pairs the
+//! runs and sections up and judges numeric cells by the same
+//! [`Tolerances`] as the aggregate gate — including the absolute-slack
+//! floor, so a 0 → 1 drop count is noise here exactly as it is there.
 
 use crate::diff::Tolerances;
-use aq_bench::report::{RunReport, Section};
+use aq_bench::report::{DiffSink, RunReport};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -87,226 +87,54 @@ pub fn diff_reports(
     current: &RunReport,
     tol: &Tolerances,
 ) -> Vec<FieldDiff> {
-    let mut out = Vec::new();
+    let mut sink = Sink {
+        run,
+        section: "",
+        tol,
+        out: Vec::new(),
+    };
     for bs in baseline.sections() {
+        sink.section = &bs.label;
         match current.sections().iter().find(|s| s.label == bs.label) {
-            Some(cs) => diff_sections(run, bs, cs, tol, &mut out),
-            None => out.push(FieldDiff {
-                run: run.to_string(),
-                section: bs.label.clone(),
-                row: String::new(),
-                field: "<section>".to_string(),
-                baseline: "present".to_string(),
-                current: "absent".to_string(),
-            }),
+            Some(cs) => bs.diff(cs, &mut sink),
+            None => sink.differs("", "<section>", "present".into(), "absent".into()),
         }
     }
     for cs in current.sections() {
         if !baseline.sections().iter().any(|s| s.label == cs.label) {
-            out.push(FieldDiff {
-                run: run.to_string(),
-                section: cs.label.clone(),
-                row: String::new(),
-                field: "<section>".to_string(),
-                baseline: "absent".to_string(),
-                current: "present".to_string(),
-            });
+            sink.section = &cs.label;
+            sink.differs("", "<section>", "absent".into(), "present".into());
         }
     }
-    out
+    sink.out
 }
 
-fn f6(v: f64) -> String {
-    format!("{v:.6}")
+/// Turns the cell-level differences [`Section::diff`] walks into
+/// [`FieldDiff`]s of one run, judging numeric cells by the gate's
+/// tolerances.
+///
+/// [`Section::diff`]: aq_bench::report::Section::diff
+struct Sink<'a> {
+    run: &'a str,
+    section: &'a str,
+    tol: &'a Tolerances,
+    out: Vec<FieldDiff>,
 }
 
-fn diff_sections(run: &str, b: &Section, c: &Section, tol: &Tolerances, out: &mut Vec<FieldDiff>) {
-    let mut push = |row: &str, field: &str, baseline: String, current: String| {
-        out.push(FieldDiff {
-            run: run.to_string(),
-            section: b.label.clone(),
+impl DiffSink for Sink<'_> {
+    fn violates(&self, field: &str, slack: f64, baseline: f64, current: f64) -> bool {
+        self.tol.violates_beyond(field, slack, baseline, current)
+    }
+
+    fn differs(&mut self, row: &str, field: &str, baseline: String, current: String) {
+        self.out.push(FieldDiff {
+            run: self.run.to_string(),
+            section: self.section.to_string(),
             row: row.to_string(),
             field: field.to_string(),
             baseline,
             current,
         });
-    };
-    macro_rules! num {
-        ($row:expr, $field:expr, $b:expr, $c:expr) => {
-            if tol.violates($field, $b as f64, $c as f64) {
-                push($row, $field, f6($b as f64), f6($c as f64));
-            }
-        };
-    }
-    macro_rules! opt {
-        ($row:expr, $field:expr, $b:expr, $c:expr) => {
-            match ($b, $c) {
-                (None, None) => {}
-                (Some(bv), Some(cv)) => num!($row, $field, bv as f64, cv as f64),
-                (bv, cv) => push(
-                    $row,
-                    $field,
-                    bv.map(|v| f6(v as f64)).unwrap_or_else(|| "absent".into()),
-                    cv.map(|v| f6(v as f64)).unwrap_or_else(|| "absent".into()),
-                ),
-            }
-        };
-    }
-    // First differing bucket only: series regressions are almost always a
-    // shift from one point onward, and one coordinate names it.
-    macro_rules! series {
-        ($row:expr, $field:expr, $b:expr, $c:expr) => {
-            if $b.len() != $c.len() {
-                push(
-                    $row,
-                    concat!($field, ".len"),
-                    $b.len().to_string(),
-                    $c.len().to_string(),
-                );
-            } else if let Some(i) =
-                (0..$b.len()).find(|&i| tol.violates($field, $b[i] as f64, $c[i] as f64))
-            {
-                push(
-                    $row,
-                    &format!(concat!($field, "[{}]"), i),
-                    f6($b[i] as f64),
-                    f6($c[i] as f64),
-                );
-            }
-        };
-    }
-
-    if b.now_ns != c.now_ns {
-        push("", "now_ns", b.now_ns.to_string(), c.now_ns.to_string());
-    }
-    num!("", "events", b.events, c.events);
-    num!("", "jain_goodput", b.jain_goodput, c.jain_goodput);
-
-    for be in &b.entities {
-        let row = format!("entity {}", be.entity);
-        let Some(ce) = c.entities.iter().find(|e| e.entity == be.entity) else {
-            push(&row, "<row>", "present".into(), "absent".into());
-            continue;
-        };
-        num!(&row, "rx_bytes", be.rx_bytes, ce.rx_bytes);
-        num!(&row, "goodput_gbps", be.goodput_gbps, ce.goodput_gbps);
-        num!(&row, "drops", be.drops, ce.drops);
-        opt!(&row, "pq_p50_ns", be.pq_p50_ns, ce.pq_p50_ns);
-        opt!(&row, "pq_p99_ns", be.pq_p99_ns, ce.pq_p99_ns);
-        opt!(&row, "vq_p50_ns", be.vq_p50_ns, ce.vq_p50_ns);
-        opt!(&row, "vq_p99_ns", be.vq_p99_ns, ce.vq_p99_ns);
-        num!(&row, "flows", be.flows, ce.flows);
-        num!(
-            &row,
-            "flows_completed",
-            be.flows_completed,
-            ce.flows_completed
-        );
-        opt!(&row, "completion_s", be.completion_s, ce.completion_s);
-        series!(
-            &row,
-            "rate_series_bps",
-            be.rate_series_bps,
-            ce.rate_series_bps
-        );
-    }
-    for ce in &c.entities {
-        if !b.entities.iter().any(|e| e.entity == ce.entity) {
-            let row = format!("entity {}", ce.entity);
-            push(&row, "<row>", "absent".into(), "present".into());
-        }
-    }
-
-    for bp in &b.ports {
-        let row = format!("port {}/{}", bp.node, bp.port);
-        let Some(cp) = c
-            .ports
-            .iter()
-            .find(|p| p.node == bp.node && p.port == bp.port)
-        else {
-            push(&row, "<row>", "present".into(), "absent".into());
-            continue;
-        };
-        num!(&row, "enqueued_bytes", bp.enqueued_bytes, cp.enqueued_bytes);
-        num!(&row, "dequeued_bytes", bp.dequeued_bytes, cp.dequeued_bytes);
-        num!(&row, "dropped_bytes", bp.dropped_bytes, cp.dropped_bytes);
-        num!(&row, "resident_bytes", bp.resident_bytes, cp.resident_bytes);
-        if bp.conserves != cp.conserves {
-            push(
-                &row,
-                "conserves",
-                bp.conserves.to_string(),
-                cp.conserves.to_string(),
-            );
-        }
-        num!(&row, "taildrops", bp.taildrops, cp.taildrops);
-        num!(&row, "red_drops", bp.red_drops, cp.red_drops);
-        num!(&row, "shaper_drops", bp.shaper_drops, cp.shaper_drops);
-        num!(&row, "aq_drops", bp.aq_drops, cp.aq_drops);
-        num!(&row, "ecn_marks", bp.ecn_marks, cp.ecn_marks);
-        num!(&row, "tx_pkts", bp.tx_pkts, cp.tx_pkts);
-        num!(&row, "tx_bytes", bp.tx_bytes, cp.tx_bytes);
-        num!(
-            &row,
-            "peak_occupancy_bytes",
-            bp.peak_occupancy_bytes,
-            cp.peak_occupancy_bytes
-        );
-        series!(&row, "occupancy", bp.occupancy, cp.occupancy);
-    }
-    for cp in &c.ports {
-        if !b
-            .ports
-            .iter()
-            .any(|p| p.node == cp.node && p.port == cp.port)
-        {
-            let row = format!("port {}/{}", cp.node, cp.port);
-            push(&row, "<row>", "absent".into(), "present".into());
-        }
-    }
-
-    for ba in &b.aqs {
-        let row = format!("aq {}/{}", ba.tag, ba.position);
-        let Some(ca) = c
-            .aqs
-            .iter()
-            .find(|a| a.tag == ba.tag && a.position == ba.position)
-        else {
-            push(&row, "<row>", "present".into(), "absent".into());
-            continue;
-        };
-        num!(&row, "rate_bps", ba.rate_bps, ca.rate_bps);
-        num!(&row, "limit_bytes", ba.limit_bytes, ca.limit_bytes);
-        num!(&row, "arrived_bytes", ba.arrived_bytes, ca.arrived_bytes);
-        num!(&row, "limit_drops", ba.limit_drops, ca.limit_drops);
-        num!(&row, "marks", ba.marks, ca.marks);
-        num!(&row, "gap_samples", ba.gap_samples, ca.gap_samples);
-        num!(&row, "max_gap_bytes", ba.max_gap_bytes, ca.max_gap_bytes);
-        num!(&row, "mean_gap_bytes", ba.mean_gap_bytes, ca.mean_gap_bytes);
-    }
-    for ca in &c.aqs {
-        if !b
-            .aqs
-            .iter()
-            .any(|a| a.tag == ca.tag && a.position == ca.position)
-        {
-            let row = format!("aq {}/{}", ca.tag, ca.position);
-            push(&row, "<row>", "absent".into(), "present".into());
-        }
-    }
-
-    for (k, bv) in &b.metrics {
-        let row = format!("metric {k}");
-        match c.metrics.iter().find(|(ck, _)| ck == k) {
-            Some((_, cv)) => num!(&row, k.as_str(), *bv, *cv),
-            None => push(&row, "<row>", f6(*bv), "absent".into()),
-        }
-    }
-    for (k, cv) in &c.metrics {
-        if !b.metrics.iter().any(|(bk, _)| bk == k) {
-            let row = format!("metric {k}");
-            push(&row, "<row>", "absent".into(), f6(*cv));
-        }
     }
 }
 

@@ -22,8 +22,9 @@
 //! byte-identical for same-seed runs. Perf numbers live only in the
 //! `BENCH_*.json` written here.
 
+use crate::diff::rel_delta;
 use crate::sweep::RunPoint;
-use aq_bench::json::{self, Json};
+use aq_bench::json;
 use aq_bench::{
     build_experiment, pq_ecn_for, run_sharded_until, run_workload, run_workload_sharded, ExpConfig,
 };
@@ -233,48 +234,26 @@ pub fn render_json(bench: &PerfBench) -> String {
     out
 }
 
-fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("record is missing integer field `{key}`"))
-}
-
-fn field_f64(obj: &Json, key: &str) -> Result<f64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("record is missing number field `{key}`"))
-}
-
-fn field_str(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("record is missing string field `{key}`"))
-}
-
 /// Parse a `BENCH_*.json` document (inverse of [`render_json`]).
 pub fn parse_bench(text: &str) -> Result<PerfBench, String> {
     let doc = json::parse(text).map_err(|e| format!("BENCH json: {e}"))?;
-    let spec = field_str(&doc, "bench")?;
-    let scheduler = field_str(&doc, "scheduler")?;
-    let arr = doc
-        .get("records")
-        .and_then(Json::as_arr)
-        .ok_or("BENCH json: missing `records` array")?;
+    let spec = doc.field("bench", "BENCH json")?;
+    let scheduler = doc.field("scheduler", "BENCH json")?;
+    let arr = doc.arr_field("records", "BENCH json")?;
     let mut records = Vec::with_capacity(arr.len());
     for rec in arr {
         records.push(PerfRecord {
-            scenario: field_str(rec, "scenario")?,
-            approach: field_str(rec, "approach")?,
-            params: field_str(rec, "params")?,
-            seed: field_u64(rec, "seed")?,
-            jobs: field_u64(rec, "jobs")?,
-            events: field_u64(rec, "events")?,
-            tx_pkts: field_u64(rec, "tx_pkts")?,
-            sim_ns: field_u64(rec, "sim_ns")?,
-            wall_ns: field_u64(rec, "wall_ns")?,
-            events_per_sec: field_f64(rec, "events_per_sec")?,
-            pkts_per_sec: field_f64(rec, "pkts_per_sec")?,
+            scenario: rec.field("scenario", "record")?,
+            approach: rec.field("approach", "record")?,
+            params: rec.field("params", "record")?,
+            seed: rec.field("seed", "record")?,
+            jobs: rec.field("jobs", "record")?,
+            events: rec.field("events", "record")?,
+            tx_pkts: rec.field("tx_pkts", "record")?,
+            sim_ns: rec.field("sim_ns", "record")?,
+            wall_ns: rec.field("wall_ns", "record")?,
+            events_per_sec: rec.field("events_per_sec", "record")?,
+            pkts_per_sec: rec.field("pkts_per_sec", "record")?,
         });
     }
     Ok(PerfBench {
@@ -282,15 +261,6 @@ pub fn parse_bench(text: &str) -> Result<PerfBench, String> {
         scheduler,
         records,
     })
-}
-
-fn rel_delta(baseline: f64, current: f64) -> f64 {
-    let denom = baseline.abs().max(current.abs());
-    if denom == 0.0 {
-        0.0
-    } else {
-        (current - baseline).abs() / denom
-    }
 }
 
 /// Compare a current bench against the committed baseline.

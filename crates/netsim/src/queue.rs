@@ -20,50 +20,90 @@ use crate::packet::Packet;
 use crate::time::Time;
 use std::collections::VecDeque;
 
-/// Why a packet was rejected at (or in front of) an output port.
-///
-/// Disciplines report the first three causes through
-/// [`Enqueued::Dropped`]; [`DropCause::AqLimit`] is used by the simulator
-/// when attributing switch-pipeline (AQ limit) drops to the output port
-/// the packet would have taken, so per-port telemetry in
-/// [`crate::stats::StatsHub`] can separate buffer pressure from policy
-/// drops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DropCause {
-    /// Buffer full: accepting the packet would exceed the byte limit.
-    Taildrop,
-    /// Non-ECT packet arriving at or above the ECN threshold (RED
-    /// semantics: mark the capable, drop the incapable).
-    RedNonEct,
-    /// Rejected by a shaper (e.g. a packet larger than its token-bucket
-    /// burst, which could never be released).
-    Shaper,
-    /// Dropped by an AQ pipeline limit before reaching the port queue.
-    /// Never produced by a [`QueueDiscipline`]; only used for stats
-    /// attribution.
-    AqLimit,
-    /// Lost on the wire because the link went down while the packet was
-    /// serializing or propagating (fault injection). Never produced by a
-    /// [`QueueDiscipline`]; the bytes already left the queue, so this
-    /// cause is attribution-only in the port byte identity.
-    LinkDown,
-    /// Lost to stochastic corruption on a faulted link. Like
-    /// [`DropCause::LinkDown`], attribution-only: the bytes already left
-    /// the queue.
-    Corrupt,
-    /// Refused by the switch's shared-buffer admission policy
-    /// ([`crate::buffer::SharedBufferPool`]) before reaching the queue
-    /// discipline. Accounted like a taildrop in the port byte identity:
-    /// the bytes were offered to the port but never buffered.
-    SharedBufferReject,
-    /// Dropped by a switch pipeline because the flow's per-tenant state
-    /// could not be admitted — the pipeline's state table is at its
-    /// register budget and the stage polices unadmitted traffic
-    /// ([`crate::node::PipelineVerdict::DropOverflow`]). Like
-    /// [`DropCause::AqLimit`], never produced by a [`QueueDiscipline`]
-    /// and attribution-only in the port byte identity: the bytes never
-    /// entered the queue.
-    AqTableOverflow,
+// Declares `DropCause` together with everything that must stay in step
+// with its variant list: `DropCause::ALL`, the per-port counter each cause
+// moves (`DropCause::counter`) and the read side of that counter
+// (`PortStats::drop_count`). The counter is named by the `PortStats` field
+// itself, so a cause without a counter does not compile.
+macro_rules! drop_causes {
+    ($(#[$enum_doc:meta])* pub enum DropCause {
+        $($(#[$doc:meta])* $variant:ident => $counter:ident,)*
+    }) => {
+        $(#[$enum_doc])*
+        pub enum DropCause {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl DropCause {
+            /// Every cause, in declaration order.
+            pub const ALL: &'static [DropCause] = &[$(DropCause::$variant,)*];
+
+            /// Name of the [`PortStats`](crate::stats::PortStats) counter
+            /// (and report column) that accounts for this cause.
+            pub const fn counter(self) -> &'static str {
+                match self {
+                    $(DropCause::$variant => stringify!($counter),)*
+                }
+            }
+        }
+
+        impl crate::stats::PortStats {
+            /// Packets this port lost to `cause`.
+            pub fn drop_count(&self, cause: DropCause) -> u64 {
+                match cause {
+                    $(DropCause::$variant => self.$counter,)*
+                }
+            }
+        }
+    };
+}
+
+drop_causes! {
+    /// Why a packet was rejected at (or in front of) an output port.
+    ///
+    /// Disciplines report the first three causes through
+    /// [`Enqueued::Dropped`]; [`DropCause::AqLimit`] is used by the simulator
+    /// when attributing switch-pipeline (AQ limit) drops to the output port
+    /// the packet would have taken, so per-port telemetry in
+    /// [`crate::stats::StatsHub`] can separate buffer pressure from policy
+    /// drops.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum DropCause {
+        /// Buffer full: accepting the packet would exceed the byte limit.
+        Taildrop => taildrops,
+        /// Non-ECT packet arriving at or above the ECN threshold (RED
+        /// semantics: mark the capable, drop the incapable).
+        RedNonEct => red_drops,
+        /// Rejected by a shaper (e.g. a packet larger than its token-bucket
+        /// burst, which could never be released).
+        Shaper => shaper_drops,
+        /// Dropped by an AQ pipeline limit before reaching the port queue.
+        /// Never produced by a [`QueueDiscipline`]; only used for stats
+        /// attribution.
+        AqLimit => aq_drops,
+        /// Lost on the wire because the link went down while the packet was
+        /// serializing or propagating (fault injection). Never produced by a
+        /// [`QueueDiscipline`]; the bytes already left the queue, so this
+        /// cause is attribution-only in the port byte identity.
+        LinkDown => link_drops,
+        /// Lost to stochastic corruption on a faulted link. Like
+        /// [`DropCause::LinkDown`], attribution-only: the bytes already left
+        /// the queue.
+        Corrupt => corrupt_drops,
+        /// Refused by the switch's shared-buffer admission policy
+        /// ([`crate::buffer::SharedBufferPool`]) before reaching the queue
+        /// discipline. Accounted like a taildrop in the port byte identity:
+        /// the bytes were offered to the port but never buffered.
+        SharedBufferReject => shared_rejects,
+        /// Dropped by a switch pipeline because the flow's per-tenant state
+        /// could not be admitted — the pipeline's state table is at its
+        /// register budget and the stage polices unadmitted traffic
+        /// ([`crate::node::PipelineVerdict::DropOverflow`]). Like
+        /// [`DropCause::AqLimit`], never produced by a [`QueueDiscipline`]
+        /// and attribution-only in the port byte identity: the bytes never
+        /// entered the queue.
+        AqTableOverflow => overflow_drops,
+    }
 }
 
 /// Outcome of offering a packet to a queue discipline.

@@ -1423,6 +1423,34 @@ mod tests {
     }
 
     #[test]
+    fn one_drop_of_each_cause_moves_exactly_its_named_counter() {
+        let (n, p) = (NodeId(0), PortId(7));
+        for &cause in DropCause::ALL {
+            let mut s = StatsHub::new();
+            match cause {
+                DropCause::LinkDown | DropCause::Corrupt => s.on_wire_drop(n, p, 100, cause, false),
+                _ => s.on_port_queue_drop(n, p, 100, cause),
+            }
+            let ps = s.port(p).expect("port was fed");
+            for &other in DropCause::ALL {
+                assert_eq!(
+                    ps.drop_count(other),
+                    u64::from(other == cause),
+                    "one {cause:?} drop, reading `{}`",
+                    other.counter()
+                );
+            }
+        }
+        let names: std::collections::BTreeSet<_> =
+            DropCause::ALL.iter().map(|c| c.counter()).collect();
+        assert_eq!(
+            names.len(),
+            DropCause::ALL.len(),
+            "two causes share a counter"
+        );
+    }
+
+    #[test]
     fn pool_samples_mirror_counters_and_keep_windowed_peaks() {
         let mut s = StatsHub::new();
         let n = NodeId(2);
