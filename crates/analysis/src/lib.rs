@@ -7,16 +7,14 @@
 //! checks it in two passes:
 //!
 //! 1. **Pass 1** ([`index`]) scans every source file once and builds a
-//!    lightweight [`index::WorkspaceIndex`] — qualified paths,
-//!    struct-literal string fields, and the per-file
-//!    `aq-lint: allow(...)` ledger.
+//!    lightweight [`index::WorkspaceIndex`] — qualified paths and the
+//!    per-file `aq-lint: allow(...)` ledger.
 //! 2. **Pass 2** runs two rule classes (see [`rules::RULES`]):
 //!    *line rules*, token heuristics over one line at a time (hash-ordered
 //!    collections in simulator state, wall-clock reads, OS entropy, float
 //!    equality, narrowing casts on 64-bit counters, threads in sim
 //!    crates); and *semantic rules* ([`semantic`]), cross-file checks over
-//!    the index (RNG seed provenance, scenario-registry coverage, stale
-//!    allows).
+//!    the index (RNG seed provenance, stale allows).
 //!
 //! Diagnostics carry `file:line` positions and come back in a stable
 //! (path, line, rule, message) order; [`output`] renders them as text,
@@ -185,61 +183,6 @@ fn walk(abs: &Path, rel: &Path, files: &mut Vec<PathBuf>) -> std::io::Result<()>
     Ok(())
 }
 
-/// Scenario names present in committed baseline sweeps, scanned from
-/// `baselines/expected/<name>/sweep.json`. A missing baselines directory
-/// yields an empty map (and `registry-coverage` then reports every
-/// registered scenario as uncovered, which is the truth of such a tree).
-fn baseline_scenarios(root: &Path) -> std::io::Result<index::WorkspaceIndex> {
-    let mut idx = index::WorkspaceIndex::default();
-    let expected = root.join("baselines").join("expected");
-    let Ok(dir) = std::fs::read_dir(&expected) else {
-        return Ok(idx);
-    };
-    let mut names: Vec<_> = dir
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .filter(|e| e.path().is_dir())
-        .filter_map(|e| e.file_name().to_str().map(str::to_string))
-        .collect();
-    names.sort();
-    for baseline in names {
-        let sweep = expected.join(&baseline).join("sweep.json");
-        let Ok(text) = std::fs::read_to_string(&sweep) else {
-            continue;
-        };
-        for scenario in scenario_names_in(&text) {
-            let entry = idx.baseline_scenarios.entry(scenario).or_default();
-            if !entry.contains(&baseline) {
-                entry.push(baseline.clone());
-            }
-        }
-    }
-    Ok(idx)
-}
-
-/// Every distinct value of a `"scenario": "..."` key in a JSON text. A
-/// text scan, not a parse: the sweep documents are machine-written and
-/// the analyzer is dependency-free by design.
-fn scenario_names_in(text: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    let mut rest = text;
-    while let Some(at) = rest.find("\"scenario\"") {
-        rest = &rest[at + "\"scenario\"".len()..];
-        let Some(colon) = rest.find(':') else { break };
-        let tail = rest[colon + 1..].trim_start();
-        if let Some(value) = tail.strip_prefix('"') {
-            if let Some(close) = value.find('"') {
-                let name = value[..close].to_string();
-                if !out.contains(&name) {
-                    out.push(name);
-                }
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
 /// Lint every source file in the workspace rooted at `root`: line rules,
 /// then the index-based semantic rules, then the `unused-allow` audit
 /// over what the first two left unconsumed. Diagnostics come back in
@@ -257,11 +200,13 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
         files.push((rel_str, lines, allowed));
     }
 
-    // Pass 1: the workspace index (plus committed-baseline coverage).
-    let mut index = baseline_scenarios(root)?;
-    for (rel_str, lines, _) in &files {
-        index.files.push(index::index_file(rel_str, lines));
-    }
+    // Pass 1: the workspace index.
+    let index = index::WorkspaceIndex {
+        files: files
+            .iter()
+            .map(|(rel_str, lines, _)| index::index_file(rel_str, lines))
+            .collect(),
+    };
 
     // Pass 2a: line rules, tracking which allows each file consumed.
     let mut used: Vec<UsedAllows> = Vec::with_capacity(files.len());
@@ -406,13 +351,5 @@ mod tests {
             "let a = r#\"HashMap thread_rng\"#;\nlet b = b\"x\\\"HashMap\\\"y\";\n",
         );
         assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn scenario_names_are_scanned_from_sweep_text() {
-        let text = "{\"cells\": [\n  {\"scenario\": \"fairness_flows\", \"seed\": 1},\n  \
-                    {\"scenario\": \"cc_mix\"},\n  {\"scenario\": \"fairness_flows\"}\n]}\n";
-        assert_eq!(scenario_names_in(text), ["cc_mix", "fairness_flows"]);
-        assert!(scenario_names_in("{\"scenario\": 3}").is_empty());
     }
 }

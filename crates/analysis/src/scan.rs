@@ -19,13 +19,6 @@ pub struct ScannedLine {
     pub code: String,
     /// Concatenated text of every comment on the line.
     pub comment: String,
-    /// Contents of string literals on this line, in order of appearance.
-    /// Escape sequences are kept raw (`\"` stays two characters); a string
-    /// spanning lines contributes one entry per line it touches. The
-    /// workspace index (pass 1 of the semantic rules) reads these to see
-    /// registry scenario names and trend-rule targets that the blanked
-    /// `code` text deliberately hides.
-    pub strings: Vec<String>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,10 +39,6 @@ pub fn scan(text: &str) -> Vec<ScannedLine> {
     for line in text.lines() {
         let mut code = String::with_capacity(line.len());
         let mut comment = String::new();
-        let mut strings: Vec<String> = Vec::new();
-        // Contents of the string literal currently open on this line (the
-        // segment on *this* line for multi-line strings).
-        let mut cur = String::new();
         let chars: Vec<char> = line.chars().collect();
         let mut i = 0;
         while i < chars.len() {
@@ -128,21 +117,15 @@ pub fn scan(text: &str) -> Vec<ScannedLine> {
                 State::Str => match c {
                     '\\' => {
                         code.push_str("  ");
-                        cur.push('\\');
-                        if let Some(n) = next {
-                            cur.push(n);
-                        }
                         i += 2;
                     }
                     '"' => {
                         state = State::Code;
                         code.push('"');
-                        strings.push(std::mem::take(&mut cur));
                         i += 1;
                     }
                     _ => {
                         code.push(' ');
-                        cur.push(c);
                         i += 1;
                     }
                 },
@@ -153,26 +136,17 @@ pub fn scan(text: &str) -> Vec<ScannedLine> {
                         for _ in 0..hashes {
                             code.push(' ');
                         }
-                        strings.push(std::mem::take(&mut cur));
                         i += 1 + hashes as usize;
                     } else {
                         code.push(' ');
-                        cur.push(c);
                         i += 1;
                     }
                 }
             }
         }
-        // A string continuing past the end of line keeps its state (its
-        // partial contents stay with this line); a line comment never does.
-        if !cur.is_empty() {
-            strings.push(std::mem::take(&mut cur));
-        }
-        out.push(ScannedLine {
-            code,
-            comment,
-            strings,
-        });
+        // A string continuing past the end of line keeps its state; a
+        // line comment never does.
+        out.push(ScannedLine { code, comment });
     }
     out
 }
@@ -395,20 +369,6 @@ mod tests {
         // Raw byte strings stay raw: `\"` is a backslash then a real close.
         let c = code_of(r##"let s = br"x\"; HashMap"##);
         assert!(c[0].contains("HashMap"), "raw byte string over-blanked");
-    }
-
-    #[test]
-    fn string_contents_are_captured_for_the_index() {
-        let lines = scan("let name = \"aq_state_loss\"; let r = r#\"x\"y\"#;\n");
-        assert_eq!(
-            lines[0].strings,
-            vec!["aq_state_loss".to_string(), "x\"y".to_string()]
-        );
-        // Escapes stay raw, multi-line strings contribute per-line parts.
-        let lines = scan("let a = \"p\\\"q\nrest\"; done\n");
-        assert_eq!(lines[0].strings, vec!["p\\\"q".to_string()]);
-        assert_eq!(lines[1].strings, vec!["rest".to_string()]);
-        assert!(lines[1].code.contains("done"));
     }
 
     #[test]

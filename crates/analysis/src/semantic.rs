@@ -3,10 +3,12 @@
 //! Line rules ([`crate::rules::check_line`]) can only see one tokenized
 //! line; these rules see the whole [`WorkspaceIndex`] and catch the
 //! cross-file invariants that actually break reproduction runs: an RNG
-//! constructed off the seed path, a registry scenario no trend rule or
-//! baseline watches. (Invariants the compiler can hold are not lints: the
-//! `DropCause` → counter → report-column chain is an exhaustive `match`
-//! in `aq-netsim` plus two unit tests.) Each rule returns [`Candidate`]s; the engine in
+//! constructed off the seed path. (Invariants the compiler or a unit test
+//! can hold are not lints: the `DropCause` → counter → report-column chain
+//! is an exhaustive `match` in `aq-netsim` plus two unit tests, and
+//! scenario-registry ↔ trend-rule ↔ committed-baseline coverage is
+//! `trends::tests::default_rules_cover_every_registered_scenario` in
+//! `aq-harness`.) Each rule returns [`Candidate`]s; the engine in
 //! [`crate::lint_workspace`] applies `aq-lint: allow(...)` suppression and
 //! final ordering.
 
@@ -31,7 +33,6 @@ pub struct Candidate {
 pub fn check_workspace(index: &WorkspaceIndex) -> Vec<Candidate> {
     let mut out = Vec::new();
     rng_provenance(index, &mut out);
-    registry_coverage(index, &mut out);
     out
 }
 
@@ -82,84 +83,6 @@ fn rng_provenance(index: &WorkspaceIndex, out: &mut Vec<Candidate>) {
     }
 }
 
-fn registry_coverage(index: &WorkspaceIndex, out: &mut Vec<Candidate>) {
-    // The scenario registry: `name: "..."` fields of ScenarioDef literals
-    // in a `src/registry.rs`. Silent when the tree has none.
-    let Some(registry) = index
-        .files
-        .iter()
-        .find(|f| f.rel_path.ends_with("src/registry.rs"))
-    else {
-        return;
-    };
-    let scenarios: Vec<(&str, usize)> = registry
-        .field_strings
-        .iter()
-        .filter(|f| f.field == "name" && f.in_literal.as_deref() == Some("ScenarioDef"))
-        .map(|f| (f.value.as_str(), f.line))
-        .collect();
-    if scenarios.is_empty() {
-        return;
-    }
-
-    // Trend rules: `scenario: "..."` fields in a `src/trends.rs`.
-    let trend_file = index
-        .files
-        .iter()
-        .find(|f| f.rel_path.ends_with("src/trends.rs"));
-    let trends: Vec<(&str, usize)> = trend_file
-        .map(|f| {
-            f.field_strings
-                .iter()
-                .filter(|fs| fs.field == "scenario")
-                .map(|fs| (fs.value.as_str(), fs.line))
-                .collect()
-        })
-        .unwrap_or_default();
-
-    for (scenario, line) in &scenarios {
-        if !trends.iter().any(|(t, _)| t == scenario) {
-            out.push(Candidate {
-                path: registry.rel_path.clone(),
-                line: *line,
-                rule: "registry-coverage",
-                message: format!(
-                    "scenario `{scenario}` has no trend rule in {}",
-                    trend_file.map_or("crates/harness/src/trends.rs", |f| f.rel_path.as_str())
-                ),
-            });
-        }
-        if !index.baseline_scenarios.contains_key(*scenario) {
-            out.push(Candidate {
-                path: registry.rel_path.clone(),
-                line: *line,
-                rule: "registry-coverage",
-                message: format!(
-                    "scenario `{scenario}` has no committed baseline sweep \
-                     under baselines/expected/"
-                ),
-            });
-        }
-    }
-
-    if let Some(trend_file) = trend_file {
-        for (scenario, line) in &trends {
-            if !scenarios.iter().any(|(s, _)| s == scenario) {
-                out.push(Candidate {
-                    path: trend_file.rel_path.clone(),
-                    line: *line,
-                    rule: "registry-coverage",
-                    message: format!(
-                        "trend rule names scenario `{scenario}`, which is not \
-                         in {}; the rule is dangling",
-                        registry.rel_path
-                    ),
-                });
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,42 +126,6 @@ mod tests {
     #[test]
     fn rng_provenance_skips_vendor() {
         let idx = ws(&[("vendor/rand/src/lib.rs", "let r = SmallRng::from_rng(x);\n")]);
-        assert!(check_workspace(&idx).is_empty());
-    }
-
-    #[test]
-    fn registry_coverage_cross_checks_trends_and_baselines() {
-        let registry = "pub const SCENARIOS: &[ScenarioDef] = &[\n\
-             ScenarioDef { name: \"covered\", params: &[ParamDef { name: \"n\" }] },\n\
-             ScenarioDef { name: \"orphan\", params: &[] },\n];\n";
-        let trends = "pub const DEFAULT_RULES: &[TrendRule] = &[\n\
-             TrendRule::AtLeast { scenario: \"covered\", min: 1 },\n\
-             TrendRule::AtLeast { scenario: \"ghost\", min: 1 },\n];\n";
-        let mut idx = ws(&[
-            ("crates/workloads/src/registry.rs", registry),
-            ("crates/harness/src/trends.rs", trends),
-        ]);
-        idx.baseline_scenarios
-            .insert("covered".to_string(), vec!["smoke".to_string()]);
-        let fired = check_workspace(&idx);
-        let got = rules_fired(&fired);
-        // `orphan`: no trend rule + no baseline; `ghost`: dangling.
-        assert_eq!(
-            got,
-            vec![
-                ("registry-coverage", "crates/workloads/src/registry.rs", 3),
-                ("registry-coverage", "crates/workloads/src/registry.rs", 3),
-                ("registry-coverage", "crates/harness/src/trends.rs", 3),
-            ],
-            "{fired:?}"
-        );
-        // ParamDef names never masquerade as scenarios.
-        assert!(!fired.iter().any(|c| c.message.contains("`n`")));
-    }
-
-    #[test]
-    fn registry_coverage_silent_without_a_registry() {
-        let idx = ws(&[("crates/harness/src/trends.rs", "fn f() {}\n")]);
         assert!(check_workspace(&idx).is_empty());
     }
 }

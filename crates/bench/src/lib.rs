@@ -695,45 +695,6 @@ pub fn run_sharded_until(sim: Simulator, plan: &ShardPlan, jobs: usize, until: T
     }
 }
 
-/// Sharded twin of [`run_workload`]: drive the experiment's simulator on
-/// `jobs` workers until every entity's workload completes (or `deadline`),
-/// polling completion every 10 ms exactly like the reference path, then
-/// merge and report per-entity completion times in seconds.
-pub fn run_workload_sharded(
-    sim: Simulator,
-    plan: &ShardPlan,
-    jobs: usize,
-    entities: &[EntityId],
-    deadline: Time,
-) -> (Simulator, Vec<Option<f64>>) {
-    let check_every = Duration::from_millis(10);
-    let merged = match ShardedSim::partition(sim, plan, jobs) {
-        Ok(mut sharded) => {
-            let mut t = sharded.now();
-            loop {
-                t = (t + check_every).min(deadline);
-                sharded.run_until(t);
-                let done = entities
-                    .iter()
-                    .all(|e| sharded.entity_completed_fraction(*e) >= 1.0);
-                if done || t >= deadline {
-                    break;
-                }
-            }
-            sharded.finish()
-        }
-        Err(mut sim) => {
-            aq_workloads::run_until_complete(&mut sim, entities, deadline, check_every);
-            sim
-        }
-    };
-    let times = entities
-        .iter()
-        .map(|e| merged.stats.entity_completion(*e).map(|d| d.as_secs_f64()))
-        .collect();
-    (merged, times)
-}
-
 /// Run until all entities' workloads complete (or `deadline`); returns
 /// per-entity completion time in seconds (`None` if unfinished).
 pub fn run_workload(

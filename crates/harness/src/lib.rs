@@ -28,7 +28,6 @@ pub mod agg;
 pub mod diff;
 pub mod drill;
 pub mod oracle;
-pub mod perf;
 pub mod pool;
 pub mod sweep;
 pub mod trends;

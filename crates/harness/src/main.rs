@@ -16,11 +16,9 @@ use aq_harness::agg::Sweep;
 use aq_harness::diff::{diff_sweeps, render_violations, Tolerances};
 use aq_harness::drill;
 use aq_harness::oracle;
-use aq_harness::perf;
 use aq_harness::sweep::{expand, run_points};
 use aq_harness::trends::{check_trends, DEFAULT_RULES};
 use aq_harness::{find_spec, named_specs, soak_round_spec};
-use aq_netsim::SchedulerKind;
 use aq_workloads::registry;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -59,20 +57,6 @@ USAGE:
       invariant oracle (byte conservation, pool and AQ-table budget
       bounds, degradation accounting); any violation or failed run exits
       1. Same --seed and --minutes replay byte-identical artifacts.
-  aq-sweep perf [--spec NAME] [--repeat N] [--out FILE] [--baseline FILE]
-                [--update] [--tolerance F] [--counter-tolerance F]
-                [--scheduler wheel|heap] [--jobs LIST]
-      Measure engine throughput (events/sec, packets/sec) on one
-      representative run per scenario of a named sweep (default: smoke;
-      default repeat: 3, fastest repeat wins) and write a BENCH json
-      (default out: target/perf/BENCH_<spec>.json). --jobs takes a comma
-      list of engine parallelism levels and measures every scenario at
-      each one: 0 (the default) is the single-threaded reference engine,
-      N > 0 the sharded engine with N worker threads. With --baseline,
-      diff against a committed BENCH json: deterministic counters are
-      gated two-sided (default 5%), wall-clock throughput one-sided
-      (default 50% — only slowdowns fail; improvements always pass).
-      --update rewrites the baseline file from this run (the ratchet).
 
 EXIT CODES: 0 ok, 1 gate violation, 2 usage/I-O error.";
 
@@ -88,7 +72,6 @@ fn main() -> ExitCode {
         "diff" => cmd_diff(&args[1..]),
         "check" => cmd_check(&args[1..]),
         "soak" => cmd_soak(&args[1..]),
-        "perf" => cmd_perf(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             ExitCode::SUCCESS
@@ -222,7 +205,10 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     for arg in args {
         match arg.as_str() {
             "--drill-down" => force_drill = true,
-            other => dirs.push(PathBuf::from(other)),
+            flag if flag.starts_with("--") => {
+                return usage_err(&format!("unknown flag `{flag}`"));
+            }
+            dir => dirs.push(PathBuf::from(dir)),
         }
     }
     let [baseline_dir, current_dir] = dirs.as_slice() else {
@@ -396,166 +382,6 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         }
         ExitCode::from(1)
     }
-}
-
-fn cmd_perf(args: &[String]) -> ExitCode {
-    let mut spec_name = "smoke".to_string();
-    let mut repeat = 3usize;
-    let mut out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut update = false;
-    let mut wall_tol = perf::WALL_TOLERANCE;
-    let mut counter_tol = perf::COUNTER_TOLERANCE;
-    let mut scheduler = SchedulerKind::default();
-    let mut jobs_axis: Vec<u64> = vec![0];
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--spec" => match it.next() {
-                Some(v) => spec_name = v.clone(),
-                None => return usage_err("--spec needs a value"),
-            },
-            "--jobs" => match it.next().map(|v| parse_jobs_axis(v)) {
-                Some(Ok(list)) => jobs_axis = list,
-                _ => {
-                    return usage_err(
-                        "--jobs needs a comma list of worker counts (0 = reference engine)",
-                    )
-                }
-            },
-            "--repeat" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => repeat = v,
-                _ => return usage_err("--repeat needs a positive integer"),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return usage_err("--out needs a value"),
-            },
-            "--baseline" => match it.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => return usage_err("--baseline needs a value"),
-            },
-            "--update" => update = true,
-            "--tolerance" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if (0.0..1.0).contains(&v) => wall_tol = v,
-                _ => return usage_err("--tolerance needs a fraction in [0, 1)"),
-            },
-            "--counter-tolerance" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if (0.0..1.0).contains(&v) => counter_tol = v,
-                _ => return usage_err("--counter-tolerance needs a fraction in [0, 1)"),
-            },
-            "--scheduler" => match it.next().map(|v| SchedulerKind::parse(v)) {
-                Some(Some(k)) => scheduler = k,
-                _ => return usage_err("--scheduler needs `wheel` or `heap`"),
-            },
-            other => return usage_err(&format!("unknown flag `{other}`")),
-        }
-    }
-    if update && baseline.is_none() {
-        return usage_err("--update needs --baseline FILE to rewrite");
-    }
-    let Some(spec) = find_spec(&spec_name) else {
-        return usage_err(&format!("unknown sweep spec `{spec_name}`"));
-    };
-    let points = match expand(&spec) {
-        Ok(p) => p,
-        Err(e) => return io_err(&e),
-    };
-    let picked = perf::perf_points(&points);
-    println!(
-        "perf `{}`: {} scenario(s), {} repeat(s), scheduler `{}`, jobs {:?}",
-        spec.name,
-        picked.len(),
-        repeat,
-        scheduler.name(),
-        jobs_axis
-    );
-    let mut records = Vec::with_capacity(picked.len() * jobs_axis.len());
-    for point in &picked {
-        for &jobs in &jobs_axis {
-            match perf::measure(point, repeat, scheduler, jobs) {
-                Ok(r) => {
-                    println!(
-                        "  {:<20} jobs={} {:>10} events  {:>9.0} events/sec  {:>9.0} pkts/sec",
-                        r.scenario, r.jobs, r.events, r.events_per_sec, r.pkts_per_sec
-                    );
-                    records.push(r);
-                }
-                Err(e) => return io_err(&e),
-            }
-        }
-    }
-    let bench = perf::PerfBench {
-        spec: spec.name.clone(),
-        scheduler: scheduler.name().to_string(),
-        records,
-    };
-    let rendered = perf::render_json(&bench);
-    let out =
-        out.unwrap_or_else(|| Path::new("target/perf").join(format!("BENCH_{}.json", spec.name)));
-    if let Some(parent) = out.parent() {
-        if let Err(e) = std::fs::create_dir_all(parent) {
-            return io_err(&format!("creating {}: {e}", parent.display()));
-        }
-    }
-    if let Err(e) = std::fs::write(&out, &rendered) {
-        return io_err(&format!("writing {}: {e}", out.display()));
-    }
-    println!("wrote {}", out.display());
-    let Some(baseline_path) = baseline else {
-        return ExitCode::SUCCESS;
-    };
-    if update {
-        if let Err(e) = std::fs::write(&baseline_path, &rendered) {
-            return io_err(&format!("writing {}: {e}", baseline_path.display()));
-        }
-        println!("ratcheted baseline {}", baseline_path.display());
-        return ExitCode::SUCCESS;
-    }
-    let text = match std::fs::read_to_string(&baseline_path) {
-        Ok(t) => t,
-        Err(e) => return io_err(&format!("reading {}: {e}", baseline_path.display())),
-    };
-    let base = match perf::parse_bench(&text) {
-        Ok(b) => b,
-        Err(e) => return io_err(&format!("{}: {e}", baseline_path.display())),
-    };
-    let violations = perf::diff_bench(&base, &bench, counter_tol, wall_tol);
-    if violations.is_empty() {
-        println!(
-            "perf gate clean: {} record(s) within tolerances of {}",
-            bench.records.len(),
-            baseline_path.display()
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("perf gate FAILED against {}:", baseline_path.display());
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        ExitCode::from(1)
-    }
-}
-
-/// Parse a `--jobs` comma list (`"0,1,4"`) into parallelism levels.
-/// `0` means the single-threaded reference engine; duplicates are
-/// rejected so one BENCH document never carries ambiguous rows.
-fn parse_jobs_axis(text: &str) -> Result<Vec<u64>, String> {
-    let mut out = Vec::new();
-    for part in text.split(',') {
-        let v: u64 = part
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad jobs value `{part}`"))?;
-        if out.contains(&v) {
-            return Err(format!("duplicate jobs value `{v}`"));
-        }
-        out.push(v);
-    }
-    if out.is_empty() {
-        return Err("empty jobs list".to_string());
-    }
-    Ok(out)
 }
 
 fn usage_err(message: &str) -> ExitCode {

@@ -9,73 +9,16 @@
 //! threads by the `no-thread-in-sim` lint rule; this crate is the
 //! sanctioned home of `std::thread`.)
 //!
-//! Two pool flavors exist: the scoped [`run_indexed`]/[`run_indexed_caught`]
-//! pair for workloads that are known to terminate, and the hang-proof
-//! [`run_supervised`] pool, which enforces a per-task wall-clock budget
-//! from a supervisor thread so one stuck run cannot stall a whole sweep.
-//! The wall clock is read *only* by the supervisor — never by simulation
-//! code, which the `no-wallclock-in-sim` lint rule enforces.
+//! There is one pool, [`run_supervised`]: hang-proof (a supervisor thread
+//! enforces a per-task wall-clock budget, so one stuck run cannot stall a
+//! whole sweep) and panic-isolating (a panicking task fails only its own
+//! slot). The wall clock is read *only* by the supervisor — never by
+//! simulation code, which the `no-wallclock-in-sim` lint rule enforces.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Run `task(0..n_tasks)` over `jobs` worker threads and return the
-/// results in task-index order.
-///
-/// Workers pull the next unclaimed index from a shared counter, so the
-/// pool stays busy even when run durations differ wildly. `jobs` is
-/// clamped to `[1, n_tasks]`. A panicking task propagates after all
-/// workers finish.
-pub fn run_indexed<T, F>(n_tasks: usize, jobs: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if n_tasks == 0 {
-        return Vec::new();
-    }
-    let jobs = jobs.clamp(1, n_tasks);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..n_tasks).map(|_| Mutex::new(None)).collect();
-    let task = &task;
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_tasks {
-                    break;
-                }
-                let out = task(i);
-                *slots[i].lock().expect("result slot lock") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            slot.into_inner()
-                .expect("result slot lock")
-                .unwrap_or_else(|| panic!("task {i} produced no result"))
-        })
-        .collect()
-}
-
-/// Like [`run_indexed`], but a panicking task becomes `Err(message)` in
-/// its slot instead of taking down the whole pool: the remaining tasks
-/// still run, and the caller decides what a failed slot means (the sweep
-/// records it in `sweep.json` and exits nonzero after the grid finishes).
-pub fn run_indexed_caught<T, F>(n_tasks: usize, jobs: usize, task: F) -> Vec<Result<T, String>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed(n_tasks, jobs, |i| {
-        catch_unwind(AssertUnwindSafe(|| task(i))).map_err(panic_message)
-    })
-}
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<String>() {
@@ -176,9 +119,17 @@ const SUPERVISOR_POLL: Duration = Duration::from_millis(2);
 /// timeout budget.
 const OVERDUE_GRACE: Duration = Duration::from_millis(25);
 
-/// Like [`run_indexed_caught`], but *hang-proof*: each task runs on a
-/// detached worker under a wall-clock budget enforced by a supervisor on
-/// the calling thread. A task still running past `timeout` is recorded as
+/// Run `task(0..n_tasks)` over `jobs` worker threads (clamped to
+/// `[1, n_tasks]`) and return the outcomes in task-index order. Workers
+/// pull the next unclaimed index from a shared counter, so the pool stays
+/// busy even when run durations differ wildly. A panicking task becomes
+/// [`TaskResult::Panicked`] in its slot while the remaining tasks still
+/// run; the caller decides what a failed slot means (the sweep records it
+/// in `sweep.json` and exits nonzero after the grid finishes).
+///
+/// The pool is *hang-proof*: each task runs on a detached worker under a
+/// wall-clock budget enforced by a supervisor on the calling thread. A
+/// task still running past `timeout` is recorded as
 /// [`TaskResult::TimedOut`], its worker is abandoned (a stuck simulation
 /// cannot be cancelled cooperatively), and a replacement worker is spawned
 /// if unclaimed tasks remain — so one hung run can never stall the rest of
@@ -276,19 +227,31 @@ where
 mod tests {
     use super::*;
 
+    /// Unwrap pool results that must all have completed.
+    fn done<T: std::fmt::Debug>(results: Vec<TaskResult<T>>) -> Vec<T> {
+        results
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| match r {
+                TaskResult::Done(v) => v,
+                other => panic!("task {i}: unexpected {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn results_come_back_in_index_order_regardless_of_jobs() {
         let square = |i: usize| i * i;
-        let serial = run_indexed(17, 1, square);
-        let wide = run_indexed(17, 8, square);
+        let serial = done(run_supervised(17, 1, None, square));
+        let wide = done(run_supervised(17, 8, None, square));
         assert_eq!(serial, (0..17).map(|i| i * i).collect::<Vec<_>>());
         assert_eq!(serial, wide);
     }
 
     #[test]
     fn zero_tasks_and_oversized_pools_are_fine() {
-        assert!(run_indexed(0, 4, |i| i).is_empty());
-        assert_eq!(run_indexed(2, 64, |i| i), vec![0, 1]);
+        assert!(run_supervised(0, 4, None, |i| i).is_empty());
+        assert_eq!(done(run_supervised(2, 64, None, |i| i)), vec![0, 1]);
     }
 
     #[test]
@@ -297,7 +260,7 @@ mod tests {
         // the deliberately panicking tasks.
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = run_indexed_caught(10, 4, |i| {
+        let out = run_supervised(10, 4, None, |i| {
             if i == 3 {
                 panic!("task {i} exploded");
             }
@@ -310,25 +273,13 @@ mod tests {
         std::panic::set_hook(prev);
         assert_eq!(out.len(), 10);
         for (i, r) in out.iter().enumerate() {
-            match i {
-                3 => assert_eq!(r.as_ref().unwrap_err(), "task 3 exploded"),
-                7 => assert_eq!(r.as_ref().unwrap_err(), "static boom"),
-                _ => assert_eq!(*r.as_ref().unwrap(), i * 2),
+            match (i, r) {
+                (3, TaskResult::Panicked(m)) => assert_eq!(m, "task 3 exploded"),
+                (7, TaskResult::Panicked(m)) => assert_eq!(m, "static boom"),
+                (_, TaskResult::Done(v)) => assert_eq!(*v, i * 2),
+                (i, other) => panic!("task {i}: unexpected {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn supervised_pool_without_timeout_matches_run_indexed() {
-        let out = run_supervised(9, 3, None, |i| i + 1);
-        assert_eq!(out.len(), 9);
-        for (i, r) in out.iter().enumerate() {
-            match r {
-                TaskResult::Done(v) => assert_eq!(*v, i + 1),
-                other => panic!("task {i}: unexpected {other:?}"),
-            }
-        }
-        assert!(run_supervised(0, 4, None, |i| i).is_empty());
     }
 
     #[test]
@@ -425,13 +376,14 @@ mod tests {
 
     #[test]
     fn all_tasks_run_exactly_once() {
-        let counter = AtomicUsize::new(0);
+        let counter = Arc::new(AtomicUsize::new(0));
+        let in_task = Arc::clone(&counter);
         let n = 100;
-        let out = run_indexed(n, 7, |i| {
-            counter.fetch_add(1, Ordering::Relaxed);
+        let out = run_supervised(n, 7, None, move |i| {
+            in_task.fetch_add(1, Ordering::Relaxed);
             i
         });
         assert_eq!(counter.load(Ordering::Relaxed), n);
-        assert_eq!(out.len(), n);
+        assert_eq!(done(out), (0..n).collect::<Vec<_>>());
     }
 }

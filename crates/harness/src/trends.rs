@@ -525,15 +525,28 @@ mod tests {
 
     #[test]
     fn default_rules_cover_every_registered_scenario() {
-        // Runtime counterpart of the analyzer's `registry-coverage` rule:
-        // every scenario in the registry must be watched by at least one
-        // default trend rule, and no rule may dangle on an unregistered
-        // scenario name.
+        // Every scenario in the registry must be watched by at least one
+        // default trend rule and appear in a committed baseline sweep —
+        // otherwise it is invisible to the sweep regression gate — and no
+        // rule may dangle on an unregistered scenario name.
+        let expected =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../baselines/expected");
+        let mut in_baselines = std::collections::BTreeSet::new();
+        for entry in std::fs::read_dir(&expected).expect("baselines/expected exists") {
+            let dir = entry.expect("readable baselines/expected entry").path();
+            let sweep = Sweep::load_dir(&dir).expect("committed baseline sweep loads");
+            in_baselines.extend(sweep.runs.into_keys().map(|k| k.scenario));
+        }
         let covered = covered_scenarios(DEFAULT_RULES);
         for def in aq_workloads::registry::registry() {
             assert!(
                 covered.contains(&def.name),
                 "scenario `{}` has no trend rule in DEFAULT_RULES",
+                def.name
+            );
+            assert!(
+                in_baselines.contains(def.name),
+                "scenario `{}` has no committed baseline sweep under baselines/expected/",
                 def.name
             );
         }

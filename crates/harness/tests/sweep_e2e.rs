@@ -421,3 +421,15 @@ fn sweep_dir_round_trips_and_perturbation_fires_the_gate() {
         "halving jain_goodput must violate its 5% tolerance, got: {violations:?}"
     );
 }
+
+#[test]
+fn diff_rejects_an_unknown_flag_as_a_usage_error() {
+    // A typo'd flag must not be taken for a sweep directory.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_aq-sweep"))
+        .args(["diff", "--drill-dwn", "a", "b"])
+        .output()
+        .expect("aq-sweep runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--drill-dwn`"), "{stderr}");
+}

@@ -4,30 +4,27 @@
 //! order of insertion; ties in time therefore resolve in FIFO order and a
 //! run is exactly reproducible given the same inputs and seed.
 //!
-//! Two interchangeable scheduler implementations live here:
+//! The scheduler is a 3-level hierarchical timing wheel with 256 slots per
+//! level (1.024 µs grain, ~17 s span) and a sorted `BTreeMap` overflow for
+//! events beyond the current ~17 s epoch. Pushes beyond the current slot
+//! are O(1); the current slot's events sit in a cursor-tracked sorted run,
+//! so pops are O(1) and same-slot pushes later than all pending events (the
+//! common case) append in O(1). Discrete-event workloads cluster events
+//! tightly in time, so slots stay small and the wheel beats a comparison
+//! heap's O(log n)-of-everything per operation.
 //!
-//! * [`SchedulerKind::Wheel`] (default) — a 3-level hierarchical timing
-//!   wheel with 256 slots per level (1.024 µs grain, ~17 s span) and a
-//!   sorted `BTreeMap` overflow for events beyond the current ~17 s
-//!   epoch. Pushes beyond the current slot are O(1); the current slot's
-//!   events sit in a cursor-tracked sorted run, so pops are O(1) and
-//!   same-slot pushes later than all pending events (the common case)
-//!   append in O(1). Discrete-event workloads cluster events tightly in
-//!   time, so slots stay small and the wheel beats the comparison heap's
-//!   O(log n)-of-everything per operation.
-//! * [`SchedulerKind::Heap`] — the original binary-heap scheduler, kept
-//!   as the reference implementation the wheel is property-tested
-//!   against and as a `aq-sweep perf --scheduler heap` baseline.
-//!
-//! Both pop in exactly the same global `(time, seq)` order, so swapping
-//! schedulers cannot change any simulation result — the determinism e2e
-//! suite pins this with byte-identical report digests.
+//! The wheel must pop in exactly the global `(time, seq)` order a binary
+//! heap over the same keys would. That reference lives in two places: a
+//! model local to `tests/prop_scheduler.rs`, and — under the `invariants`
+//! feature — a key-only shadow heap inside [`EventQueue`] that every `pop`
+//! of every run is asserted against.
 
 use crate::ids::{AgentId, LinkId, NodeId, PortId};
 use crate::packet::PacketRef;
 use crate::time::Time;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
+#[cfg(feature = "invariants")]
+use std::{cmp::Reverse, collections::BinaryHeap};
 
 /// Sequence-number band for `Arrive` events. Arrivals do not draw from
 /// the insertion counter: their sequence number is computed from the
@@ -115,56 +112,6 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    // Reversed: BinaryHeap is a max-heap, we want the earliest event on top.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
-
-/// Which event-scheduler implementation a [`Simulator`](crate::sim::Simulator)
-/// run uses. Both produce identical pop order; the wheel is faster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timing wheel (default).
-    #[default]
-    Wheel,
-    /// Binary-heap reference implementation.
-    Heap,
-}
-
-impl SchedulerKind {
-    /// Stable lowercase name (CLI flags, `BENCH_*.json`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Wheel => "wheel",
-            SchedulerKind::Heap => "heap",
-        }
-    }
-
-    /// Parse counterpart of [`SchedulerKind::name`].
-    pub fn parse(s: &str) -> Option<SchedulerKind> {
-        match s {
-            "wheel" => Some(SchedulerKind::Wheel),
-            "heap" => Some(SchedulerKind::Heap),
-            _ => None,
-        }
-    }
-}
-
 /// Slots per wheel level (2^8).
 const SLOTS: usize = 256;
 /// `u64` words per level occupancy bitmap.
@@ -179,7 +126,7 @@ const SHIFT: [u32; LEVELS] = [10, 18, 26];
 /// the sorted overflow map.
 const EPOCH_SHIFT: u32 = 34;
 
-/// The hierarchical timing wheel.
+/// The pending-event set: a hierarchical timing wheel.
 ///
 /// Invariants (maintained by `place`/`refill`):
 ///
@@ -200,8 +147,7 @@ const EPOCH_SHIFT: u32 = 34;
 /// the batch drains, the earliest remaining event is in the lowest
 /// occupied slot of the lowest non-empty level (or the overflow head) —
 /// which is exactly what `refill` cascades from.
-#[derive(Default)]
-struct Wheel {
+pub struct EventQueue {
     /// Current wheel position in nanoseconds; `pos >> SHIFT[0]` is the
     /// slot the batch covers. Never decreases.
     pos: u64,
@@ -218,15 +164,36 @@ struct Wheel {
     overflow: BTreeMap<(u64, u64), EventKind>,
     /// Total pending events across batch, slots, and overflow.
     len: usize,
+    /// Insertion counter: the `seq` of the next [`push`](EventQueue::push).
+    next_seq: u64,
+    /// Reference model: the `(time, seq)` key of every pending event in a
+    /// binary heap; each `pop` must return the heap's minimum.
+    #[cfg(feature = "invariants")]
+    shadow: BinaryHeap<Reverse<(Time, u64)>>,
 }
 
-impl Wheel {
-    fn new() -> Wheel {
-        Wheel {
+impl Default for EventQueue {
+    fn default() -> EventQueue {
+        EventQueue::new()
+    }
+}
+
+impl EventQueue {
+    /// An empty queue.
+    pub fn new() -> EventQueue {
+        EventQueue {
+            pos: 0,
+            batch: Vec::new(),
+            cursor: 0,
             slots: std::iter::repeat_with(Vec::new)
                 .take(LEVELS * SLOTS)
                 .collect(),
-            ..Wheel::default()
+            occ: [[0; WORDS]; LEVELS],
+            overflow: BTreeMap::new(),
+            len: 0,
+            next_seq: 0,
+            #[cfg(feature = "invariants")]
+            shadow: BinaryHeap::new(),
         }
     }
 
@@ -361,63 +328,13 @@ impl Wheel {
         self.restore_slot(level, idx, v);
     }
 
-    fn push(&mut self, ev: Event) {
+    /// Count `ev` as pending and file it (fresh pushes only; cascades
+    /// call `place` directly).
+    fn insert(&mut self, ev: Event) {
         self.len += 1;
+        #[cfg(feature = "invariants")]
+        self.shadow.push(Reverse((ev.time, ev.seq)));
         self.place(ev);
-    }
-
-    fn pop(&mut self) -> Option<Event> {
-        self.refill();
-        let ev = *self.batch.get(self.cursor)?;
-        self.cursor += 1;
-        self.len -= 1;
-        Some(ev)
-    }
-
-    fn peek_time(&mut self) -> Option<Time> {
-        self.refill();
-        self.batch.get(self.cursor).map(|e| e.time)
-    }
-}
-
-enum Imp {
-    Wheel(Box<Wheel>),
-    Heap(BinaryHeap<Event>),
-}
-
-/// The pending-event set.
-pub struct EventQueue {
-    imp: Imp,
-    next_seq: u64,
-}
-
-impl Default for EventQueue {
-    fn default() -> EventQueue {
-        EventQueue::new()
-    }
-}
-
-impl EventQueue {
-    /// An empty queue using the default scheduler (the timing wheel).
-    pub fn new() -> EventQueue {
-        EventQueue::with_scheduler(SchedulerKind::default())
-    }
-
-    /// An empty queue using the given scheduler implementation.
-    pub fn with_scheduler(kind: SchedulerKind) -> EventQueue {
-        let imp = match kind {
-            SchedulerKind::Wheel => Imp::Wheel(Box::new(Wheel::new())),
-            SchedulerKind::Heap => Imp::Heap(BinaryHeap::new()),
-        };
-        EventQueue { imp, next_seq: 0 }
-    }
-
-    /// Which scheduler implementation this queue runs.
-    pub fn scheduler(&self) -> SchedulerKind {
-        match self.imp {
-            Imp::Wheel(_) => SchedulerKind::Wheel,
-            Imp::Heap(_) => SchedulerKind::Heap,
-        }
     }
 
     /// Schedule `kind` to fire at `time`.
@@ -428,11 +345,7 @@ impl EventQueue {
             seq < SEQ_BAND_ARRIVE,
             "insertion counter ran into the arrive band"
         );
-        let ev = Event { time, seq, kind };
-        match &mut self.imp {
-            Imp::Wheel(w) => w.push(ev),
-            Imp::Heap(h) => h.push(ev),
-        }
+        self.insert(Event { time, seq, kind });
     }
 
     /// Schedule `kind` at `time` under an explicit, caller-computed
@@ -441,41 +354,40 @@ impl EventQueue {
     /// queue — or which shard's queue — the event is pushed into.
     pub fn push_with_seq(&mut self, time: Time, seq: u64, kind: EventKind) {
         debug_assert!(seq >= SEQ_BAND_ARRIVE, "explicit seqs must be banded");
-        let ev = Event { time, seq, kind };
-        match &mut self.imp {
-            Imp::Wheel(w) => w.push(ev),
-            Imp::Heap(h) => h.push(ev),
-        }
+        self.insert(Event { time, seq, kind });
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.pop(),
-            Imp::Heap(h) => h.pop(),
-        }
+        self.refill();
+        let ev = self.batch.get(self.cursor).copied();
+        #[cfg(feature = "invariants")]
+        assert_eq!(
+            ev.map(|e| (e.time, e.seq)),
+            self.shadow.pop().map(|Reverse(key)| key),
+            "invariant violated: wheel pop diverged from the reference heap"
+        );
+        let ev = ev?;
+        self.cursor += 1;
+        self.len -= 1;
+        Some(ev)
     }
 
     /// Time of the earliest pending event, if any. Takes `&mut self`
     /// because the wheel may advance its front buffer to answer.
     pub fn peek_time(&mut self) -> Option<Time> {
-        match &mut self.imp {
-            Imp::Wheel(w) => w.peek_time(),
-            Imp::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.refill();
+        self.batch.get(self.cursor).map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.imp {
-            Imp::Wheel(w) => w.len,
-            Imp::Heap(h) => h.len(),
-        }
+        self.len
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 }
 
@@ -485,53 +397,6 @@ mod tests {
 
     fn wake(p: u32) -> EventKind {
         EventKind::PortWake { port: PortId(p) }
-    }
-
-    fn both() -> [EventQueue; 2] {
-        [
-            EventQueue::with_scheduler(SchedulerKind::Wheel),
-            EventQueue::with_scheduler(SchedulerKind::Heap),
-        ]
-    }
-
-    #[test]
-    fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(Time::from_nanos(30), wake(3));
-            q.push(Time::from_nanos(10), wake(1));
-            q.push(Time::from_nanos(20), wake(2));
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| e.time.as_nanos())
-                .collect();
-            assert_eq!(order, vec![10, 20, 30]);
-        }
-    }
-
-    #[test]
-    fn equal_times_pop_in_insertion_order() {
-        for mut q in both() {
-            for i in 0..100u32 {
-                q.push(Time::from_nanos(5), wake(i));
-            }
-            let mut seen = Vec::new();
-            while let Some(e) = q.pop() {
-                if let EventKind::PortWake { port } = e.kind {
-                    seen.push(port.0);
-                }
-            }
-            assert_eq!(seen, (0..100u32).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn peek_time_reports_earliest() {
-        for mut q in both() {
-            assert_eq!(q.peek_time(), None);
-            q.push(Time::from_nanos(7), wake(0));
-            q.push(Time::from_nanos(3), wake(0));
-            assert_eq!(q.peek_time(), Some(Time::from_nanos(3)));
-            assert_eq!(q.len(), 2);
-        }
     }
 
     /// Drain `q` fully, returning `(time, port)` pairs in pop order.
@@ -545,9 +410,38 @@ mod tests {
     }
 
     #[test]
-    fn wheel_matches_heap_across_level_boundaries() {
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new();
+        q.push(Time::from_nanos(30), wake(3));
+        q.push(Time::from_nanos(10), wake(1));
+        q.push(Time::from_nanos(20), wake(2));
+        assert_eq!(drain(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
+    }
+
+    #[test]
+    fn equal_times_pop_in_insertion_order() {
+        let mut q = EventQueue::new();
+        for i in 0..100u32 {
+            q.push(Time::from_nanos(5), wake(i));
+        }
+        let want: Vec<(u64, u32)> = (0..100u32).map(|i| (5, i)).collect();
+        assert_eq!(drain(&mut q), want);
+    }
+
+    #[test]
+    fn peek_time_reports_earliest() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(Time::from_nanos(7), wake(0));
+        q.push(Time::from_nanos(3), wake(0));
+        assert_eq!(q.peek_time(), Some(Time::from_nanos(3)));
+        assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn pops_sorted_across_level_boundaries() {
         // Times straddling every wheel boundary: slot edges, level-1/2
-        // windows, and the ~17 s epoch (overflow).
+        // windows, and the ~17 s epoch (overflow) — pushed latest first.
         let times: Vec<u64> = vec![
             0,
             1,
@@ -567,20 +461,26 @@ mod tests {
             3 << 34,
             u64::from(u32::MAX) * 16,
         ];
-        let [mut wheel, mut heap] = both();
-        for (i, &t) in times.iter().enumerate() {
-            let idx = u32::try_from(i).expect("small test index");
-            wheel.push(Time::from_nanos(t), wake(idx));
-            heap.push(Time::from_nanos(t), wake(idx));
+        let want: Vec<(u64, u32)> = times.iter().copied().zip(0u32..).collect();
+        let mut q = EventQueue::new();
+        for &(t, idx) in want.iter().rev() {
+            q.push(Time::from_nanos(t), wake(idx));
         }
-        assert_eq!(drain(&mut wheel), drain(&mut heap));
+        assert_eq!(drain(&mut q), want);
     }
 
+    /// The netsim crate's own exercise of the shadow-heap assertion in
+    /// [`EventQueue::pop`]: a deterministic pseudo-random interleaving of
+    /// pops and pushes (times drifting forward like a simulation, deltas
+    /// landing in the batch, on each of the three wheel levels, and in the
+    /// overflow). Every instant gets an arrive-band event pushed *before*
+    /// an insertion-counter one, so each slot drain has a cross-band tie
+    /// that only the `seq` half of the key orders. Every pop is checked
+    /// against the reference heap.
     #[test]
-    fn wheel_matches_heap_under_interleaved_push_pop() {
-        // Deterministic pseudo-random interleaving of pushes (with
-        // monotonically drifting times, like a simulation) and pops.
-        let [mut wheel, mut heap] = both();
+    #[cfg_attr(not(feature = "invariants"), ignore = "needs --features invariants")]
+    fn shadow_heap_agrees_under_interleaved_push_pop_on_every_level() {
+        let mut q = EventQueue::new();
         let mut x: u64 = 0x9E37_79B9;
         let mut step = || {
             x = x
@@ -589,46 +489,36 @@ mod tests {
             x >> 33
         };
         let mut now = 0u64;
-        let mut pushed = 0u32;
-        for round in 0..2000 {
-            let delta = step() % 2_000_000; // spans slot and level-1 edges
-            let t = now + delta;
-            wheel.push(Time::from_nanos(t), wake(pushed));
-            heap.push(Time::from_nanos(t), wake(pushed));
-            pushed += 1;
+        for round in 0..2000u32 {
+            // Same slot, level 0, level 1, level 2, next epoch(s).
+            let span = [1 << 9, 1 << 17, 1 << 25, 1 << 33, 1 << 36][(step() % 5) as usize];
+            let t = Time::from_nanos(now + step() % span);
+            q.push_with_seq(t, arrive_seq(LinkId(0), u64::from(round)), wake(round));
+            q.push(t, wake(round));
             if round % 3 == 0 {
-                let (a, b) = (wheel.pop(), heap.pop());
-                match (&a, &b) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.time, x.seq), (y.time, y.seq));
-                        now = x.time.as_nanos();
-                    }
-                    _ => assert!(a.is_none() && b.is_none()),
-                }
+                now = q.pop().expect("just pushed").time.as_nanos().max(now);
             }
-            assert_eq!(wheel.len(), heap.len());
         }
-        assert_eq!(drain(&mut wheel), drain(&mut heap));
+        assert_eq!(q.len(), 2 * 2000 - 2000usize.div_ceil(3));
+        while q.pop().is_some() {}
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn past_due_events_pop_immediately_like_the_heap() {
+    fn past_due_events_pop_first() {
         // A timer armed in the past (relative to the wheel position) must
-        // pop before everything else — identical to heap semantics.
-        let [mut wheel, mut heap] = both();
-        for q in [&mut wheel, &mut heap] {
-            q.push(Time::from_nanos(500_000), wake(1));
-            let first = q.pop().expect("event");
-            assert_eq!(first.time.as_nanos(), 500_000);
-            q.push(Time::from_nanos(600_000), wake(2));
-            q.push(Time::from_nanos(10), wake(3)); // past-due
-        }
-        assert_eq!(drain(&mut wheel), drain(&mut heap));
+        // pop before everything else, as from a heap.
+        let mut q = EventQueue::new();
+        q.push(Time::from_nanos(500_000), wake(1));
+        assert_eq!(q.pop().expect("event").time.as_nanos(), 500_000);
+        q.push(Time::from_nanos(600_000), wake(2));
+        q.push(Time::from_nanos(10), wake(3)); // past-due
+        assert_eq!(drain(&mut q), vec![(10, 3), (600_000, 2)]);
     }
 
     #[test]
     fn far_future_events_round_trip_through_overflow() {
-        let mut q = EventQueue::with_scheduler(SchedulerKind::Wheel);
+        let mut q = EventQueue::new();
         let far = (1u64 << 34) * 5 + 12_345;
         q.push(Time::from_nanos(far), wake(9));
         q.push(Time::from_nanos(far), wake(10)); // FIFO inside overflow

@@ -64,7 +64,6 @@ pub use buffer::{
     Admission, AdmissionCtx, AdmissionPolicy, DelayDriven, DynamicThreshold, SharedBufferPool,
     StaticPartition,
 };
-pub use event::SchedulerKind;
 pub use fault::{AppliedFault, FaultEvent, FaultKind, FaultPlan, FaultTotals};
 pub use ids::{AgentId, EntityId, FlowId, LinkId, NodeId, PortId};
 pub use node::{HostApp, HostCtx, PipelineVerdict, SwitchPipeline};

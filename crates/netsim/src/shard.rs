@@ -47,7 +47,9 @@
 //! The merged run ([`ShardedSim::finish`]) folds per-shard stats hubs,
 //! fault logs, and counters back into one reporting-grade [`Simulator`].
 
+use std::any::Any;
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Barrier, Mutex};
 
 use crate::fault::FaultState;
@@ -107,6 +109,9 @@ struct Round {
     strict: bool,
     /// The chunk is over; workers exit.
     quit: bool,
+    /// The first panic a worker caught this round, for the coordinator to
+    /// re-raise once every worker is back at the barrier.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// A `Simulator` run sharded across worker threads.
@@ -179,7 +184,6 @@ impl ShardedSim {
             return Err(sim);
         };
 
-        let scheduler = sim.scheduler();
         let Simulator {
             net,
             stats,
@@ -252,7 +256,6 @@ impl ShardedSim {
                 routes: routes.clone(),
             };
             let mut shard = Simulator::new(net);
-            shard.set_scheduler(scheduler);
             shard.jitter_seed = jitter_seed;
             shard.jitter_ns = jitter_ns;
             shard.stats = stats.fresh_like();
@@ -379,6 +382,7 @@ impl ShardedSim {
             target: Time::ZERO,
             strict: true,
             quit: false,
+            panic: None,
         });
         let claim = Mutex::new(0usize);
         let start_barrier = Barrier::new(jobs + 1);
@@ -398,7 +402,10 @@ impl ShardedSim {
                     if quit {
                         break;
                     }
-                    loop {
+                    // A panic inside a shard (an `invariant!`, a pipeline
+                    // bug) must still reach the barrier, or the coordinator
+                    // and every other worker would wait on it forever.
+                    let caught = catch_unwind(AssertUnwindSafe(|| loop {
                         let idx = {
                             let mut cursor = claim.lock().expect("claim lock poisoned");
                             let i = *cursor;
@@ -414,6 +421,10 @@ impl ShardedSim {
                         } else {
                             shard.run_until(target);
                         }
+                    }));
+                    if let Err(payload) = caught {
+                        let mut r = round.lock().expect("round lock poisoned");
+                        r.panic.get_or_insert(payload);
                     }
                     end_barrier.wait();
                 });
@@ -434,6 +445,16 @@ impl ShardedSim {
                 *claim.lock().expect("claim lock poisoned") = 0;
                 start_barrier.wait();
                 end_barrier.wait();
+                let caught = {
+                    let mut r = round.lock().expect("round lock poisoned");
+                    r.quit = r.panic.is_some();
+                    r.panic.take()
+                };
+                if let Some(payload) = caught {
+                    // Release the workers, then fail the run on this thread.
+                    start_barrier.wait();
+                    resume_unwind(payload);
+                }
                 for cell in cells.iter() {
                     pending.append(&mut cell.lock().expect("shard lock poisoned").take_outbox());
                 }

@@ -19,7 +19,7 @@
 
 use crate::buffer::{Admission, SharedBufferPool};
 use crate::churn::{ChurnEvent, ChurnKind, ChurnPlan, ChurnState, ChurnTotals};
-use crate::event::{arrive_seq, EventKind, EventQueue, SchedulerKind};
+use crate::event::{arrive_seq, EventKind, EventQueue};
 use crate::fault::{AppliedFault, FaultEvent, FaultKind, FaultPlan, FaultState, FaultTotals};
 use crate::ids::{AgentId, LinkId, NodeId, PortId};
 use crate::link::Link;
@@ -226,8 +226,8 @@ pub struct Simulator {
     pub(crate) agents: Vec<Option<Box<dyn Agent>>>,
     pub(crate) next_uid: u64,
     pub(crate) started: bool,
-    /// Total events processed (diagnostics; also the unit criterion
-    /// throughput benches report against).
+    /// Total events processed (diagnostics; also the unit throughput
+    /// figures are reported against).
     pub processed_events: u64,
     /// Seed of the forwarding-jitter hash (the only randomness inside the
     /// simulator core). Jitter is a pure function of
@@ -302,28 +302,6 @@ impl Simulator {
             scratch_sends: Vec::new(),
             scratch_timers: Vec::new(),
         }
-    }
-
-    /// Select the event-scheduler implementation (default:
-    /// [`SchedulerKind::Wheel`]). Both schedulers pop in identical
-    /// `(time, seq)` order, so this cannot change any result — it exists
-    /// for before/after throughput measurement (`aq-sweep perf
-    /// --scheduler heap`) and as a hedge while the wheel is young.
-    ///
-    /// # Panics
-    /// Panics if the simulation has already started.
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        assert!(
-            !self.started,
-            "set_scheduler must be called before the simulation starts"
-        );
-        debug_assert!(self.events.is_empty(), "events scheduled before start");
-        self.events = EventQueue::with_scheduler(kind);
-    }
-
-    /// Which event-scheduler implementation this run uses.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.events.scheduler()
     }
 
     /// Install a fault plan; its events are scheduled when the simulation

@@ -1,9 +1,8 @@
-//! Property: the timing-wheel scheduler and the binary-heap scheduler are
-//! observationally identical. For any interleaving of pushes and pops the
-//! two implementations must emit the same `(time, seq, payload)` stream —
-//! this is the contract that lets `Simulator::set_scheduler` promise the
-//! swap cannot change a simulation result (see `tests/determinism_e2e.rs`
-//! for the end-to-end version over full scenarios).
+//! Property: the timing-wheel [`EventQueue`] pops in exactly the order a
+//! binary heap over `(time, seq)` would. For any interleaving of pushes
+//! and pops the wheel and the reference model below must emit the same
+//! `(time, seq, payload)` stream. (With `--features invariants` the same
+//! check runs inside `EventQueue::pop` on every test in the workspace.)
 //!
 //! The generated schedules deliberately cross every structural boundary
 //! of the wheel: same-slot bursts (level-0 ties), deltas that land on
@@ -11,10 +10,52 @@
 //! the sorted-overflow path, and pops interleaved mid-stream so refills
 //! happen while later pushes are still arriving.
 
-use aq_netsim::event::{arrive_seq, EventKind, EventQueue, SchedulerKind};
+use aq_netsim::event::{arrive_seq, EventKind, EventQueue};
 use aq_netsim::ids::{LinkId, NodeId};
 use aq_netsim::time::Time;
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The reference scheduler: a binary heap keyed `(time, seq)` carrying the
+/// test's payload token, mirroring `EventQueue`'s insertion counter and
+/// `push_with_seq`.
+#[derive(Default)]
+struct HeapModel {
+    heap: BinaryHeap<Reverse<(Time, u64, u64)>>,
+    next_seq: u64,
+}
+
+impl HeapModel {
+    fn push(&mut self, time: Time, token: u64) {
+        self.heap.push(Reverse((time, self.next_seq, token)));
+        self.next_seq += 1;
+    }
+    fn push_with_seq(&mut self, time: Time, seq: u64, token: u64) {
+        self.heap.push(Reverse((time, seq, token)));
+    }
+    fn pop(&mut self) -> Option<(Time, u64, u64)> {
+        self.heap.pop().map(|Reverse(key)| key)
+    }
+    fn peek_time(&self) -> Option<Time> {
+        self.heap.peek().map(|Reverse((time, ..))| *time)
+    }
+}
+
+fn timer(token: u64) -> EventKind {
+    EventKind::NodeTimer {
+        node: NodeId(0),
+        token,
+    }
+}
+
+/// Pop the wheel, flattened to the model's `(time, seq, token)` key.
+fn pop_key(wheel: &mut EventQueue) -> Option<(Time, u64, u64)> {
+    wheel.pop().map(|e| match e.kind {
+        EventKind::NodeTimer { token, .. } => (e.time, e.seq, token),
+        other => panic!("test pushed only NodeTimer events, got {other:?}"),
+    })
+}
 
 /// One wheel epoch: events at or beyond this many nanoseconds from the
 /// epoch base live in the sorted-overflow map until a refill pulls their
@@ -43,30 +84,17 @@ fn delta_ns(word: u64) -> u64 {
 /// simulator never schedules into the past, so neither does this test.
 fn pop_and_compare(
     wheel: &mut EventQueue,
-    heap: &mut EventQueue,
+    heap: &mut HeapModel,
     n: usize,
     now: &mut u64,
 ) -> Result<(), TestCaseError> {
     for _ in 0..n {
-        let (a, b) = (wheel.pop(), heap.pop());
-        match (a, b) {
-            (None, None) => return Ok(()),
-            (Some(x), Some(y)) => {
-                prop_assert_eq!(x.time, y.time, "pop times diverged");
-                prop_assert_eq!(x.seq, y.seq, "pop sequence numbers diverged");
-                let token = |k: EventKind| match k {
-                    EventKind::NodeTimer { token, .. } => token,
-                    other => panic!("test pushed only NodeTimer events, got {other:?}"),
-                };
-                prop_assert_eq!(token(x.kind), token(y.kind), "pop payloads diverged");
-                *now = (*now).max(x.time.as_nanos());
-            }
-            (a, b) => {
-                return Err(TestCaseError::fail(format!(
-                    "queue emptiness diverged: wheel={a:?} heap={b:?}"
-                )))
-            }
-        }
+        let (a, b) = (pop_key(wheel), heap.pop());
+        prop_assert_eq!(a, b, "wheel diverged from the reference heap");
+        let Some((time, ..)) = a else {
+            return Ok(());
+        };
+        *now = (*now).max(time.as_nanos());
     }
     Ok(())
 }
@@ -75,13 +103,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     /// Any interleaving of pushes (across all wheel levels, ties, and the
     /// overflow horizon) and pops yields the identical event stream from
-    /// both schedulers, and draining at the end agrees on every leftover.
+    /// the wheel and the model, and draining at the end agrees on every
+    /// leftover.
     #[test]
-    fn wheel_and_heap_pop_identically(
+    fn wheel_and_heap_model_pop_identically(
         ops in prop::collection::vec(0u64..u64::MAX, 1..250),
     ) {
-        let mut wheel = EventQueue::with_scheduler(SchedulerKind::Wheel);
-        let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapModel::default();
         // Simulator clock: pushes are never scheduled in the past, so the
         // property machine keeps `now` at the latest popped time just as
         // `Simulator::run_until` does.
@@ -100,7 +129,7 @@ proptest! {
                     now + delta_ns(word >> 2)
                 };
                 let t = Time::from_nanos(t_ns);
-                let kind = EventKind::NodeTimer { node: NodeId(0), token: i as u64 };
+                let token = i as u64;
                 // One in eight pushes carries an arrive-band sequence
                 // number (intrinsic, not from the insertion counter), so
                 // the overflow map's `(time, seq)` keys mix both bands
@@ -109,13 +138,13 @@ proptest! {
                     let link = LinkId(u32::try_from((word >> 5) & 0b11).expect("two bits"));
                     let seq = arrive_seq(link, arrive_count);
                     arrive_count += 1;
-                    wheel.push_with_seq(t, seq, kind);
-                    heap.push_with_seq(t, seq, kind);
+                    wheel.push_with_seq(t, seq, timer(token));
+                    heap.push_with_seq(t, seq, token);
                 } else {
-                    wheel.push(t, kind);
-                    heap.push(t, kind);
+                    wheel.push(t, timer(token));
+                    heap.push(t, token);
                 }
-                prop_assert_eq!(wheel.len(), heap.len());
+                prop_assert_eq!(wheel.len(), heap.heap.len());
             } else {
                 let burst = ((word >> 2) & 0b111) as usize;
                 pop_and_compare(&mut wheel, &mut heap, burst, &mut now)?;
@@ -125,7 +154,7 @@ proptest! {
         // Drain both to empty: whatever is left must also stream out in
         // identical order.
         pop_and_compare(&mut wheel, &mut heap, usize::MAX, &mut now)?;
-        prop_assert!(wheel.is_empty() && heap.is_empty());
+        prop_assert!(wheel.is_empty() && heap.heap.is_empty());
     }
 }
 
@@ -139,12 +168,8 @@ proptest! {
 /// insertion-before-arrival tie-break.
 #[test]
 fn epoch_boundary_events_drain_in_reference_order() {
-    let mut wheel = EventQueue::with_scheduler(SchedulerKind::Wheel);
-    let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
-    let timer = |token: u64| EventKind::NodeTimer {
-        node: NodeId(0),
-        token,
-    };
+    let mut wheel = EventQueue::new();
+    let mut heap = HeapModel::default();
 
     // Straddle three consecutive epoch boundaries in scrambled push
     // order; every time gets both an insertion-seq and an arrive-band
@@ -155,37 +180,28 @@ fn epoch_boundary_events_drain_in_reference_order() {
             times.push(k.wrapping_mul(EPOCH_NS).wrapping_add_signed(dt));
         }
     }
-    let mut count = 0u64;
     for (i, &t) in times.iter().enumerate() {
-        let time = Time::from_nanos(t);
-        for q in [&mut wheel, &mut heap] {
-            q.push(time, timer(i as u64));
-            q.push_with_seq(time, arrive_seq(LinkId(7), count), timer(1000 + i as u64));
-        }
-        count += 1;
+        let (time, i) = (Time::from_nanos(t), i as u64);
+        let seq = arrive_seq(LinkId(7), i);
+        wheel.push(time, timer(i));
+        heap.push(time, i);
+        wheel.push_with_seq(time, seq, timer(1000 + i));
+        heap.push_with_seq(time, seq, 1000 + i);
     }
     // A near event forces the wheel to run entirely inside epoch 0
     // first, so every boundary event above takes the overflow path and
     // the drains below exercise three separate epoch pulls.
-    for q in [&mut wheel, &mut heap] {
-        q.push(Time::from_nanos(5), timer(999));
-    }
+    wheel.push(Time::from_nanos(5), timer(999));
+    heap.push(Time::from_nanos(5), 999);
 
     let mut popped = 0usize;
     loop {
-        let (a, b) = (wheel.pop(), heap.pop());
-        match (a, b) {
-            (None, None) => break,
-            (Some(x), Some(y)) => {
-                assert_eq!(
-                    (x.time, x.seq),
-                    (y.time, y.seq),
-                    "schedulers diverged at pop {popped}"
-                );
-                popped += 1;
-            }
-            (a, b) => panic!("queue emptiness diverged: wheel={a:?} heap={b:?}"),
+        let (a, b) = (pop_key(&mut wheel), heap.pop());
+        assert_eq!(a, b, "wheel diverged from the reference at pop {popped}");
+        if a.is_none() {
+            break;
         }
+        popped += 1;
     }
     assert_eq!(
         popped,
@@ -196,46 +212,25 @@ fn epoch_boundary_events_drain_in_reference_order() {
 
 /// A burst of same-time events exactly on an epoch boundary pops with
 /// every insertion-counter event before every arrive-band event, in
-/// FIFO order within each band — on both schedulers. This is the exact
-/// tie-break the sharded engine's determinism proof leans on, probed at
-/// the one instant where the wheel hands over between its overflow map
-/// and its slot hierarchy.
+/// FIFO order within each band. This is the exact tie-break the sharded
+/// engine's determinism proof leans on, probed at the one instant where
+/// the wheel hands over between its overflow map and its slot hierarchy.
 #[test]
-fn boundary_ties_order_insertions_before_arrivals_on_both_schedulers() {
-    for mut q in [
-        EventQueue::with_scheduler(SchedulerKind::Wheel),
-        EventQueue::with_scheduler(SchedulerKind::Heap),
-    ] {
-        let t = Time::from_nanos(2 * EPOCH_NS);
-        // Interleave the bands on push so pop order cannot be an
-        // accident of push order.
-        for i in 0..4u64 {
-            q.push_with_seq(
-                t,
-                arrive_seq(LinkId(3), i),
-                EventKind::NodeTimer {
-                    node: NodeId(0),
-                    token: 100 + i,
-                },
-            );
-            q.push(
-                t,
-                EventKind::NodeTimer {
-                    node: NodeId(0),
-                    token: i,
-                },
-            );
-        }
-        let tokens: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::NodeTimer { token, .. } => token,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(
-            tokens,
-            vec![0, 1, 2, 3, 100, 101, 102, 103],
-            "insertion band must pop before the arrive band, FIFO within each"
-        );
+fn boundary_ties_order_insertions_before_arrivals() {
+    let mut q = EventQueue::new();
+    let t = Time::from_nanos(2 * EPOCH_NS);
+    // Interleave the bands on push so pop order cannot be an accident of
+    // push order.
+    for i in 0..4u64 {
+        q.push_with_seq(t, arrive_seq(LinkId(3), i), timer(100 + i));
+        q.push(t, timer(i));
     }
+    let tokens: Vec<u64> = std::iter::from_fn(|| pop_key(&mut q))
+        .map(|(.., token)| token)
+        .collect();
+    assert_eq!(
+        tokens,
+        vec![0, 1, 2, 3, 100, 101, 102, 103],
+        "insertion band must pop before the arrive band, FIFO within each"
+    );
 }

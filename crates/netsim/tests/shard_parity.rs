@@ -5,13 +5,13 @@
 //! at every worker count.
 
 use aq_netsim::fault::FaultPlan;
-use aq_netsim::ids::{EntityId, FlowId, NodeId};
+use aq_netsim::ids::{EntityId, FlowId, NodeId, PortId};
 use aq_netsim::packet::Packet;
 use aq_netsim::queue::FifoConfig;
 use aq_netsim::shard::{ShardPlan, ShardedSim};
 use aq_netsim::time::{Duration, Rate, Time};
 use aq_netsim::topology::{dumbbell, fat_tree};
-use aq_netsim::{HostApp, HostCtx, Network, Simulator};
+use aq_netsim::{HostApp, HostCtx, Network, PipelineVerdict, Simulator, SwitchPipeline};
 use std::any::Any;
 
 /// Sends `count` datagrams of `size` bytes to `dst`, paced by `gap`.
@@ -224,4 +224,40 @@ fn partition_rejects_unshardable_runs() {
     let (sim, _) = dumbbell_under_load(FaultPlan::new(0));
     let single = ShardPlan::single(sim.net.nodes.len());
     assert!(ShardedSim::partition(sim, &single, 2).is_err());
+}
+
+/// Forwards `fuse` packets, then panics — a stand-in for an `invariant!`
+/// failure or a pipeline bug inside one shard.
+struct Tripwire {
+    fuse: u32,
+}
+
+impl SwitchPipeline for Tripwire {
+    fn ingress(&mut self, _now: Time, _pkt: &mut Packet) -> PipelineVerdict {
+        assert!(self.fuse > 0, "tripwire pipeline blew its fuse");
+        self.fuse -= 1;
+        PipelineVerdict::Forward
+    }
+    fn egress(&mut self, _: Time, _: &mut Packet, _: PortId, _: u64) -> PipelineVerdict {
+        PipelineVerdict::Forward
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A worker that panics mid-round never reaches the round's end barrier on
+/// its own; the run must fail with the worker's message on the calling
+/// thread, not hang the coordinator.
+#[test]
+#[should_panic(expected = "tripwire pipeline blew its fuse")]
+fn worker_panic_fails_the_run_instead_of_hanging_it() {
+    let (mut sim, plan) = dumbbell_under_load(FaultPlan::new(0));
+    let right_switch = NodeId(1); // the second node `dumbbell` adds
+    sim.net
+        .add_pipeline(right_switch, Box::new(Tripwire { fuse: 50 }));
+    let mut sharded = ShardedSim::partition(sim, &plan, 2).unwrap_or_else(|_| {
+        panic!("partition rejected a shardable topology");
+    });
+    sharded.run_until(Time::from_millis(12));
 }

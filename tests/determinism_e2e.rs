@@ -32,7 +32,7 @@ use augmented_queue::netsim::packet::AqTag;
 use augmented_queue::netsim::queue::FifoConfig;
 use augmented_queue::netsim::time::{Duration, Rate, Time};
 use augmented_queue::netsim::topology::{dumbbell, fat_tree};
-use augmented_queue::netsim::{EntityId, SchedulerKind, ShardedSim, Simulator};
+use augmented_queue::netsim::{EntityId, ShardedSim, Simulator};
 use augmented_queue::transport::{CcAlgo, DelaySignal, FlowKind};
 use augmented_queue::workloads::registry::{self, Params, RunPlan};
 use augmented_queue::workloads::{add_flows, ensure_transport_hosts, long_flows};
@@ -305,53 +305,6 @@ fn run_fault_scenario_digest(scenario: &str, params: &str, seed: u64) -> String 
     )
 }
 
-/// Run one registry scenario under the given event scheduler and digest
-/// the raw simulator state plus the rendered `RunReport` artifact bytes.
-/// Used by [`wheel_and_heap_schedulers_produce_identical_bytes`] to pin
-/// the scheduler-interchangeability contract end to end.
-fn run_scheduler_digest(
-    scenario: &str,
-    params: &str,
-    seed: u64,
-    scheduler: SchedulerKind,
-) -> String {
-    let def = registry::find(scenario).expect("scenario registered");
-    let resolved = def
-        .resolve(&Params::parse(params).expect("params parse"))
-        .expect("params resolve");
-    let plan = (def.build)(&resolved);
-    let mut exp = build_experiment(
-        Approach::Aq,
-        &plan,
-        ExpConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    exp.sim.set_scheduler(scheduler);
-    assert_eq!(exp.sim.scheduler(), scheduler);
-    match plan.run {
-        RunPlan::FixedHorizon { horizon } => exp.sim.run_until(Time::ZERO + horizon),
-        RunPlan::UntilComplete { deadline } => {
-            let ids: Vec<EntityId> = plan.entities.iter().map(|e| e.entity).collect();
-            run_workload(&mut exp.sim, &ids, Time::ZERO + deadline);
-        }
-    }
-    let mut rep = RunReport::new(&format!("determinism_{scenario}"));
-    rep.capture("run", &mut exp.sim);
-    let artifact: String = rep
-        .render()
-        .into_iter()
-        .map(|(file, bytes)| format!("--- {file}\n{bytes}"))
-        .collect();
-    format!(
-        "events={} now={:?} stats={:?}\n{artifact}",
-        exp.sim.processed_events,
-        exp.sim.now(),
-        exp.sim.stats
-    )
-}
-
 /// Run one registry scenario either on the single-threaded reference
 /// engine (`jobs == None`) or sharded over `jobs` worker threads, and
 /// digest the raw merged simulator state plus the rendered `RunReport`
@@ -556,36 +509,6 @@ fn same_seed_same_bytes() {
     let a = run_digest(0x5176_0001);
     let b = run_digest(0x5176_0001);
     assert_eq!(a, b, "two same-seed runs diverged");
-}
-
-#[test]
-fn wheel_and_heap_schedulers_produce_identical_bytes() {
-    // The timing wheel replaced the binary heap as the default scheduler
-    // for speed; the contract is that the swap is invisible — both pop in
-    // identical `(time, seq)` order, so every scenario must replay
-    // byte-for-byte regardless of scheduler. Checked on all seven smoke
-    // scenarios (the same grid points the perf harness measures),
-    // including the `UntilComplete` workload path (`completion_vms`) and
-    // the shared-buffer layer (admission policies and the AQM zoo).
-    for (scenario, params) in [
-        ("aq_state_loss", "horizon_ms=25,n_flows=4,wipe_at_ms=10"),
-        ("completion_vms", "deadline_ms=5000,n_flows=8,size_scale=2,vms=1"),
-        ("fairness_flows", "b_flows=1,horizon_ms=20"),
-        ("incast_sharedbuf", "admission=1,horizon_ms=20"),
-        (
-            "linkflap_dumbbell",
-            "blackout_ms=0,down_ms=2,flap_at_ms=10,flaps=2,horizon_ms=30,loss_pct=0,n_flows=4,up_ms=3",
-        ),
-        ("udp_tcp_share", "horizon_ms=20,tcp_flows=4,udp_gbps=10"),
-        ("websearch_aqm_zoo", "aqm=1,horizon_ms=20"),
-    ] {
-        let wheel = run_scheduler_digest(scenario, params, 1, SchedulerKind::Wheel);
-        let heap = run_scheduler_digest(scenario, params, 1, SchedulerKind::Heap);
-        assert_eq!(
-            wheel, heap,
-            "{scenario}: wheel and heap schedulers diverged"
-        );
-    }
 }
 
 #[test]
