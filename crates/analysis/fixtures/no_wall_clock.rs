@@ -1,4 +1,6 @@
-// Fixture for the `no-wall-clock` rule.
+// Fixture for the `no-wall-clock` rule: nothing but the harness pool
+// supervisor (crates/harness/src/pool.rs) may observe host time —
+// simulation time is the only clock.
 
 use std::time::{Duration, Instant, SystemTime};
 

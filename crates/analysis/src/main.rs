@@ -1,60 +1,46 @@
 //! `aq-lint` — CLI front end for the determinism lint engine.
 //!
 //! ```text
-//! aq-lint [--root <dir>] [--format text|json|sarif]   lint the workspace
-//! aq-lint --rules                                     list the rule catalog
-//! aq-lint ratchet [--root <dir>] [--ledger <path>]    gate against the ledger
-//! aq-lint ratchet --update [...]                      tighten the ledger
+//! aq-lint [--root <dir>] [--format text|json]   lint the workspace
+//! aq-lint --rules                               list the rule catalog
 //! ```
 //!
-//! Plain linting prints every diagnostic (text by default; `--format
-//! json|sarif` for machine-readable output with byte-stable ordering) and
-//! exits 1 if any were found, 2 on usage or I/O errors.
-//!
-//! `ratchet` compares the current tree against the committed per-rule
-//! ledger (`crates/analysis/ledger.json`): a count above the ledger fails
-//! (new violation), a count below fails too (fixed but not tightened —
-//! rerun with `--update`), so sanctioned violation counts only ever move
-//! toward zero.
+//! Prints every diagnostic (text by default; `--format json` for
+//! machine-readable output with byte-stable ordering) and exits 0 on a
+//! clean tree, 1 if any were found, 2 on usage or I/O errors. That exit
+//! code is the gate: there is no sanctioned-violation count to compare
+//! against, a deliberate violation carries its `aq-lint: allow(...)` on
+//! the line.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use aq_analysis::output::{per_rule_counts, render, Format};
-use aq_analysis::ratchet;
+use aq_analysis::output::{render, Format};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("ratchet") => run_ratchet(&args[1..]),
-        _ => run_lint(&args),
-    }
-}
-
-fn run_lint(args: &[String]) -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut format = Format::Text;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--root" => match it.next() {
+            "--root" => match args.next() {
                 Some(dir) => root = PathBuf::from(dir),
                 None => return usage("--root requires a directory argument"),
             },
-            "--format" => match it.next().and_then(|f| Format::parse(f)) {
+            "--format" => match args.next().and_then(|f| Format::parse(&f)) {
                 Some(f) => format = f,
-                None => return usage("--format requires one of: text, json, sarif"),
+                None => return usage("--format requires one of: text, json"),
             },
             "--rules" => {
                 for rule in aq_analysis::rules::RULES {
-                    println!("{:<22} {}", rule.name, rule.summary);
+                    println!("{:<24} {}", rule.name, rule.summary);
                 }
                 return ExitCode::SUCCESS;
             }
             other => {
                 return usage(&format!(
                     "unknown argument `{other}` (supported: --root <dir>, \
-                     --format text|json|sarif, --rules, ratchet)"
+                     --format text|json, --rules)"
                 ))
             }
         }
@@ -79,82 +65,6 @@ fn run_lint(args: &[String]) -> ExitCode {
             eprintln!("aq-lint: walk failed: {e}");
             ExitCode::from(2)
         }
-    }
-}
-
-fn run_ratchet(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut ledger_path: Option<PathBuf> = None;
-    let mut update = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = PathBuf::from(dir),
-                None => return usage("--root requires a directory argument"),
-            },
-            "--ledger" => match it.next() {
-                Some(p) => ledger_path = Some(PathBuf::from(p)),
-                None => return usage("--ledger requires a path argument"),
-            },
-            "--update" => update = true,
-            other => {
-                return usage(&format!(
-                    "unknown ratchet argument `{other}` (supported: --root <dir>, \
-                     --ledger <path>, --update)"
-                ))
-            }
-        }
-    }
-    let ledger_path = ledger_path.unwrap_or_else(|| root.join(ratchet::LEDGER_PATH));
-
-    let diags = match aq_analysis::lint_workspace(&root) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("aq-lint ratchet: walk failed: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let counts = per_rule_counts(&diags);
-
-    if update {
-        let text = ratchet::render_ledger(&counts);
-        if let Err(e) = std::fs::write(&ledger_path, &text) {
-            eprintln!("aq-lint ratchet: write {}: {e}", ledger_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "aq-lint ratchet: wrote {} ({} sanctioned violation(s))",
-            ledger_path.display(),
-            counts.iter().map(|(_, n)| n).sum::<usize>()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // A missing ledger sanctions nothing — same as `{}`.
-    let ledger_text = std::fs::read_to_string(&ledger_path).unwrap_or_else(|_| "{}".to_string());
-    let ledger = match ratchet::parse_ledger(&ledger_text) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("aq-lint ratchet: {}: {e}", ledger_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let failures = ratchet::check(&ledger, &diags);
-    if failures.is_empty() {
-        println!(
-            "aq-lint ratchet: ok ({} violation(s), all sanctioned)",
-            diags.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        for d in &diags {
-            println!("{d}");
-        }
-        for f in &failures {
-            eprintln!("aq-lint ratchet: {f}");
-        }
-        ExitCode::FAILURE
     }
 }
 

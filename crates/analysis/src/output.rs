@@ -1,9 +1,9 @@
-//! Diagnostic rendering: text, JSON, and SARIF.
+//! Diagnostic rendering: text and JSON.
 //!
-//! All three formats are pure functions of the (already sorted) diagnostic
+//! Both formats are pure functions of the (already sorted) diagnostic
 //! list, with no timestamps, absolute paths, or map iteration anywhere —
 //! repeated runs over the same tree produce byte-identical output, which
-//! is what lets CI diff the JSON artifact and the ratchet ledger directly.
+//! is what lets CI diff the JSON artifact directly.
 
 use crate::Diagnostic;
 
@@ -14,8 +14,6 @@ pub enum Format {
     Text,
     /// A stable JSON document (see [`render_json`]).
     Json,
-    /// SARIF 2.1.0, for code-scanning UIs.
-    Sarif,
 }
 
 impl Format {
@@ -24,7 +22,6 @@ impl Format {
         match s {
             "text" => Some(Format::Text),
             "json" => Some(Format::Json),
-            "sarif" => Some(Format::Sarif),
             _ => None,
         }
     }
@@ -35,7 +32,6 @@ pub fn render(format: Format, diags: &[Diagnostic]) -> String {
     match format {
         Format::Text => render_text(diags),
         Format::Json => render_json(diags),
-        Format::Sarif => render_sarif(diags),
     }
 }
 
@@ -106,8 +102,7 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
     out
 }
 
-/// Diagnostic count per rule, sorted by rule name. This is exactly the
-/// shape the ratchet ledger stores (see [`crate::ratchet`]).
+/// Diagnostic count per rule, sorted by rule name.
 pub fn per_rule_counts(diags: &[Diagnostic]) -> Vec<(String, usize)> {
     let mut counts: Vec<(String, usize)> = Vec::new();
     for d in diags {
@@ -117,53 +112,6 @@ pub fn per_rule_counts(diags: &[Diagnostic]) -> Vec<(String, usize)> {
         }
     }
     counts
-}
-
-/// Minimal SARIF 2.1.0: one run, the rule catalog under the tool driver,
-/// one result per diagnostic.
-pub fn render_sarif(diags: &[Diagnostic]) -> String {
-    let mut out = String::from(
-        "{\n  \"version\": \"2.1.0\",\n  \
-         \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-         \"runs\": [{\n    \"tool\": {\"driver\": {\"name\": \"aq-lint\", \"rules\": [",
-    );
-    for (i, r) in crate::rules::RULES.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n      {{\"id\": \"{}\", \"shortDescription\": {{\"text\": \"{}\"}}}}",
-            json_escape(r.name),
-            json_escape(&collapse_ws(r.summary))
-        ));
-    }
-    out.push_str("\n    ]}},\n    \"results\": [");
-    for (i, d) in diags.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n      {{\"ruleId\": \"{}\", \"level\": \"error\", \
-             \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\
-             \"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"{}\"}}, \
-             \"region\": {{\"startLine\": {}}}}}}}]}}",
-            json_escape(&d.rule),
-            json_escape(&d.message),
-            json_escape(&d.path),
-            d.line
-        ));
-    }
-    if diags.is_empty() {
-        out.push_str("]\n  }]\n}\n");
-    } else {
-        out.push_str("\n    ]\n  }]\n}\n");
-    }
-    out
-}
-
-/// Collapse the multi-line rule summaries to single-spaced text.
-fn collapse_ws(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 #[cfg(test)]
@@ -198,7 +146,6 @@ mod tests {
     #[test]
     fn empty_documents_are_well_formed() {
         assert!(render_json(&[]).contains("\"total\": 0"));
-        assert!(render_sarif(&[]).contains("\"results\": []"));
     }
 
     #[test]
@@ -206,13 +153,5 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let d = diag("a.rs", 1, "r", "uses `\"x\\y\"`");
         assert!(render_json(&[d]).contains("uses `\\\"x\\\\y\\\"`"));
-    }
-
-    #[test]
-    fn sarif_lists_every_rule_in_the_driver() {
-        let s = render_sarif(&[]);
-        for r in crate::rules::RULES {
-            assert!(s.contains(&format!("\"id\": \"{}\"", r.name)), "{}", r.name);
-        }
     }
 }

@@ -9,77 +9,49 @@
 
 use crate::scan::{ScannedLine, Token};
 
-/// How a rule is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RuleKind {
-    /// Pass-2a: a per-line token heuristic over one file at a time.
-    Line,
-    /// Pass-2b: a cross-file rule over the workspace index
-    /// ([`crate::index::WorkspaceIndex`]); see [`crate::semantic`].
-    Semantic,
-}
-
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct RuleInfo {
     /// Rule name as used in diagnostics and `aq-lint: allow(...)`.
     pub name: &'static str,
-    /// Line or semantic (workspace-indexed).
-    pub kind: RuleKind,
     /// One-line rationale.
     pub summary: &'static str,
 }
 
-/// All rules, in evaluation order.
+/// All rules, in evaluation order: the line rules, then `unused-allow`,
+/// which has no line check or scope of its own — [`crate::lint_file`]
+/// reports it for every allow the line rules left unconsumed.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-hash-collections",
-        kind: RuleKind::Line,
         summary: "std HashMap/HashSet iteration order is nondeterministic; \
                   use BTreeMap/BTreeSet or index-keyed Vecs in sim-state crates",
     },
     RuleInfo {
         name: "no-wall-clock",
-        kind: RuleKind::Line,
-        summary: "Instant::now/SystemTime::now leak host time into results; \
-                  only the harness pool supervisor may read the wall clock",
-    },
-    RuleInfo {
-        name: "no-wallclock-in-sim",
-        kind: RuleKind::Line,
-        summary: "sim-state crates must never observe host time — simulation \
-                  time is the only clock; wall-clock watchdogs live solely in \
-                  crates/harness (the sweep pool supervisor)",
-    },
-    RuleInfo {
-        name: "no-os-entropy",
-        kind: RuleKind::Line,
-        summary: "thread_rng/from_entropy/OsRng draw OS entropy; all randomness \
-                  must flow from seeded SmallRng",
+        summary: "Instant::now/SystemTime::now leak host time into results — \
+                  simulation time is the only clock; only the harness pool \
+                  supervisor (crates/harness/src/pool.rs) may read the wall clock",
     },
     RuleInfo {
         name: "no-float-eq",
-        kind: RuleKind::Line,
         summary: "==/!= on floating-point values is representation-fragile; \
                   compare against an epsilon or use integer arithmetic",
     },
     RuleInfo {
         name: "no-narrowing-cast",
-        kind: RuleKind::Line,
         summary: "`as u32`/`as i32` (and `as usize` on byte/time counters, \
                   which is 32-bit on 32-bit targets) silently truncates in \
                   core and netsim; use u64 or an explicit checked/masked conversion",
     },
     RuleInfo {
         name: "no-thread-in-sim",
-        kind: RuleKind::Line,
         summary: "thread spawning and channels inside sim-state crates break the \
                   single-threaded determinism contract; run-level parallelism \
                   lives only in crates/harness",
     },
     RuleInfo {
         name: "no-cross-shard-mutation",
-        kind: RuleKind::Line,
         summary: "the sharded-simulation driver may synchronize only through \
                   Mutex-guarded shard cells, barriers, and scoped threads; \
                   atomics, RwLock, Condvar, channels, unscoped spawns, \
@@ -87,18 +59,10 @@ pub const RULES: &[RuleInfo] = &[
                   that scheduling order can observe",
     },
     RuleInfo {
-        name: "rng-provenance",
-        kind: RuleKind::Semantic,
-        summary: "every RNG construction must trace to seed_from_u64/from_seed \
-                  of a propagated seed; entropy-free but unseeded constructors \
-                  (default/new/from_rng) still break (scenario, seed) purity",
-    },
-    RuleInfo {
         name: "unused-allow",
-        kind: RuleKind::Semantic,
         summary: "an `aq-lint: allow(...)` that no longer suppresses any \
                   diagnostic is stale and hides future violations on its line; \
-                  delete it (or sanction it with allow(unused-allow))",
+                  delete it",
     },
 ];
 
@@ -124,20 +88,11 @@ pub fn in_scope(rule: &str, path: &str) -> bool {
         // Iteration-order and float-equality nondeterminism matter where
         // simulator/switch state lives and evolves.
         "no-hash-collections" | "no-float-eq" => SIM_STATE_SRC.iter().any(|p| path.starts_with(p)),
-        // The workspace has one sanctioned wall-clock reader: the sweep
-        // pool's supervisor, which enforces per-run wall-clock budgets.
-        // Sim-state crates are owned by the stricter `no-wallclock-in-sim`
-        // rule below; the scopes are disjoint so a violation always
-        // carries exactly one rule name.
-        "no-wall-clock" => {
-            path != "crates/harness/src/pool.rs"
-                && !SIM_STATE_SRC.iter().any(|p| path.starts_with(p))
-        }
-        // Simulation results must be a pure function of (scenario, seed):
-        // a host-time read anywhere simulator state evolves breaks that.
-        "no-wallclock-in-sim" => SIM_STATE_SRC.iter().any(|p| path.starts_with(p)),
-        // OS entropy is banned everywhere, no exceptions.
-        "no-os-entropy" => true,
+        // Simulation results must be a pure function of (scenario, seed),
+        // so host time is banned everywhere but the one sanctioned
+        // wall-clock reader: the sweep pool's supervisor, which enforces
+        // per-run wall-clock budgets.
+        "no-wall-clock" => path != "crates/harness/src/pool.rs",
         // Byte and time counters are 64-bit in core and netsim; a stray
         // 32-bit cast wraps after ~4 GB or ~4 s.
         "no-narrowing-cast" => {
@@ -167,10 +122,7 @@ pub fn in_scope(rule: &str, path: &str) -> bool {
 pub fn check_line(rule: &str, toks: &[Token]) -> Vec<String> {
     match rule {
         "no-hash-collections" => banned_idents(toks, &["HashMap", "HashSet"]),
-        "no-wall-clock" | "no-wallclock-in-sim" => {
-            banned_calls(toks, &["Instant", "SystemTime"], "now")
-        }
-        "no-os-entropy" => banned_idents(toks, &["thread_rng", "from_entropy", "OsRng"]),
+        "no-wall-clock" => banned_calls(toks, &["Instant", "SystemTime"], "now"),
         "no-float-eq" => float_eq(toks),
         "no-narrowing-cast" => narrowing_cast(toks),
         "no-thread-in-sim" => thread_in_sim(toks),
@@ -326,7 +278,7 @@ fn counterish_cast_source(before: &[Token]) -> bool {
 }
 
 /// One `aq-lint: allow(<rule>)` directive occurrence — the unit the
-/// `unused-allow` semantic rule audits.
+/// `unused-allow` audit works on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AllowEntry {
     /// 1-based line the directive comment sits on (diagnostic anchor).
@@ -369,17 +321,6 @@ pub fn allow_ledger(lines: &[ScannedLine]) -> Vec<AllowEntry> {
         }
     }
     entries
-}
-
-/// Rule names suppressed on each line, derived from [`allow_ledger`].
-pub fn allowed_per_line(lines: &[ScannedLine]) -> Vec<Vec<String>> {
-    let mut allowed: Vec<Vec<String>> = vec![Vec::new(); lines.len()];
-    for e in allow_ledger(lines) {
-        if e.effective_line > 0 {
-            allowed[e.effective_line - 1].push(e.rule);
-        }
-    }
-    allowed
 }
 
 /// Extract rule names from an `aq-lint: allow(a, b)` directive. The
@@ -426,16 +367,9 @@ mod tests {
         assert!(!msgs("no-wall-clock", "let t = Instant::now();").is_empty());
         assert!(!msgs("no-wall-clock", "let t = SystemTime::now();").is_empty());
         assert!(msgs("no-wall-clock", "let d: Instant = cached;").is_empty());
-    }
-
-    #[test]
-    fn wallclock_in_sim_fires_on_the_same_patterns() {
-        assert!(!msgs("no-wallclock-in-sim", "let t = Instant::now();").is_empty());
-        assert!(!msgs("no-wallclock-in-sim", "let t = SystemTime::now();").is_empty());
-        assert!(msgs("no-wallclock-in-sim", "let d: Instant = cached;").is_empty());
         // The sim's own Time/Duration vocabulary must not trip it.
-        assert!(msgs("no-wallclock-in-sim", "let t = sim.now();").is_empty());
-        assert!(msgs("no-wallclock-in-sim", "let t = Time::from_millis(3);").is_empty());
+        assert!(msgs("no-wall-clock", "let t = sim.now();").is_empty());
+        assert!(msgs("no-wall-clock", "let t = Time::from_millis(3);").is_empty());
     }
 
     #[test]
@@ -549,30 +483,30 @@ mod tests {
             "no-hash-collections",
             "crates/core/tests/prop_gap.rs"
         ));
-        assert!(in_scope("no-wall-clock", "examples/scalability.rs"));
         // The pool supervisor's watchdog is the workspace's one sanctioned
-        // wall-clock read: the bench crate, the vendored stubs and the
-        // rest of the harness are in scope like everything else. Sim-state
-        // crates belong to the dedicated rule, and the two scopes never
-        // overlap.
-        assert!(in_scope("no-wall-clock", "crates/bench/src/lib.rs"));
-        assert!(in_scope("no-wall-clock", "vendor/proptest/src/lib.rs"));
-        assert!(in_scope("no-wall-clock", "crates/harness/src/sweep.rs"));
+        // wall-clock read. Everything else is in scope: each sim-state
+        // crate, their tests, the bench crate, the rest of the harness,
+        // the vendored stubs, examples, and the out-of-workspace benchmark
+        // package (whose one read, in `clock.rs`, carries an allow).
+        for path in [
+            "crates/core/src/table.rs",
+            "crates/netsim/src/sim.rs",
+            "crates/transport/src/sender.rs",
+            "crates/baselines/src/drr.rs",
+            "crates/workloads/src/websearch.rs",
+            "crates/netsim/tests/conservation.rs",
+            "crates/bench/src/lib.rs",
+            "crates/harness/src/sweep.rs",
+            "vendor/proptest/src/lib.rs",
+            "examples/scalability.rs",
+            "benchmark/src/clock.rs",
+        ] {
+            assert!(in_scope("no-wall-clock", path), "{path}");
+        }
         assert!(!in_scope("no-wall-clock", "crates/harness/src/pool.rs"));
-        assert!(!in_scope("no-wall-clock", "crates/netsim/src/sim.rs"));
-        assert!(in_scope("no-wallclock-in-sim", "crates/netsim/src/sim.rs"));
-        assert!(in_scope(
-            "no-wallclock-in-sim",
-            "crates/transport/src/sender.rs"
-        ));
-        assert!(!in_scope(
-            "no-wallclock-in-sim",
-            "crates/harness/src/pool.rs"
-        ));
-        assert!(!in_scope(
-            "no-wallclock-in-sim",
-            "crates/netsim/tests/conservation.rs"
-        ));
+        // `unused-allow` is an audit over the other rules' escapes, not a
+        // line rule: it is in scope nowhere.
+        assert!(!in_scope("unused-allow", "crates/core/src/table.rs"));
         // The sharded driver swaps `no-thread-in-sim` for the stricter
         // `no-cross-shard-mutation`; every other netsim file keeps the
         // thread ban and stays outside the shard rule.
@@ -590,7 +524,6 @@ mod tests {
             "no-cross-shard-mutation",
             "crates/harness/src/pool.rs"
         ));
-        assert!(in_scope("no-os-entropy", "vendor/rand/src/lib.rs"));
         assert!(!in_scope(
             "no-narrowing-cast",
             "crates/transport/src/flow.rs"
@@ -603,17 +536,21 @@ mod tests {
     }
 
     #[test]
-    fn allow_directives_trailing_and_preceding() {
+    fn one_directive_may_name_several_rules() {
         let lines = scan(
-            "let a = x as u32; // aq-lint: allow(no-narrowing-cast)\n\
-             // aq-lint: allow(no-wall-clock, no-float-eq)\n\
-             let b = Instant::now();\n\
-             let c = y as u32;\n",
+            "// aq-lint: allow(no-wall-clock, no-float-eq)\n\
+             let b = Instant::now();\n",
         );
-        let allowed = allowed_per_line(&lines);
-        assert_eq!(allowed[0], vec!["no-narrowing-cast".to_string()]);
-        assert!(allowed[1].is_empty());
-        assert_eq!(allowed[2].len(), 2);
-        assert!(allowed[3].is_empty());
+        let guarded: Vec<(usize, String)> = allow_ledger(&lines)
+            .into_iter()
+            .map(|e| (e.effective_line, e.rule))
+            .collect();
+        assert_eq!(
+            guarded,
+            [
+                (2, "no-wall-clock".to_string()),
+                (2, "no-float-eq".to_string())
+            ]
+        );
     }
 }

@@ -16,7 +16,7 @@ const PATHS: &[&str] = &[
     "crates/workloads/src/registry.rs",
     "examples/scalability.rs",
 ];
-const RULES: &[&str] = &["no-wall-clock", "no-float-eq", "rng-provenance"];
+const RULES: &[&str] = &["no-wall-clock", "no-float-eq", "unused-allow"];
 // Deliberately escape-hostile messages and snippets.
 const MESSAGES: &[&str] = &[
     "use of `thread_rng`",

@@ -106,10 +106,10 @@ fn run(use_aq: bool, rep: &mut RunReport) -> Vec<Vec<f64>> {
             // rates without resetting their gaps.
             for (pos, cfg) in ctl.configs() {
                 if cfg.id == grant.id {
-                    match pos {
+                    let _ = match pos {
                         Position::Ingress => pipe.deploy_ingress(cfg),
                         Position::Egress => pipe.deploy_egress(cfg),
-                    }
+                    };
                 }
             }
             ctl.sync_rates(pipe, t0);

@@ -9,7 +9,7 @@
 //! counterparts, and a sweep directory round-trips bit-exactly.
 
 use crate::sweep::{FailureKind, RunFailure, RunKey};
-use aq_bench::json::{self, Json};
+use aq_bench::json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -296,32 +296,23 @@ impl Sweep {
             runs.insert(key, metrics);
         }
         let mut failures = BTreeMap::new();
-        // Absent in sweeps written before failure tracking existed.
-        if let Some(list) = doc.get("failures").and_then(Json::as_arr) {
-            for (i, f) in list.iter().enumerate() {
-                let ctx = &format!("failures[{i}]");
-                let key = RunKey {
-                    scenario: f.field("scenario", ctx)?,
-                    approach: f.field("approach", ctx)?,
-                    params: f.field("params", ctx)?,
-                    seed: f.field("seed", ctx)?,
-                };
-                // Sweeps written before kinds existed carry only the
-                // message; classify those as plain errors.
-                let kind = match f.get("kind").and_then(Json::as_str) {
-                    Some(s) => {
-                        FailureKind::parse(s).ok_or_else(|| format!("{ctx}: unknown kind `{s}`"))?
-                    }
-                    None => FailureKind::Error,
-                };
-                failures.insert(
-                    key,
-                    RunFailure {
-                        kind,
-                        message: f.field("error", ctx)?,
-                    },
-                );
-            }
+        for (i, f) in doc.arr_field("failures", "sweep.json")?.iter().enumerate() {
+            let ctx = &format!("failures[{i}]");
+            let key = RunKey {
+                scenario: f.field("scenario", ctx)?,
+                approach: f.field("approach", ctx)?,
+                params: f.field("params", ctx)?,
+                seed: f.field("seed", ctx)?,
+            };
+            let kind: String = f.field("kind", ctx)?;
+            failures.insert(
+                key,
+                RunFailure {
+                    kind: FailureKind::parse(&kind)
+                        .ok_or_else(|| format!("{ctx}: unknown kind `{kind}`"))?,
+                    message: f.field("error", ctx)?,
+                },
+            );
         }
         Ok(Sweep {
             name,
@@ -346,41 +337,37 @@ impl Sweep {
             if line.is_empty() {
                 continue;
             }
-            // RFC-4180 rows quote the params field (it contains commas) and
-            // split to exactly 9 fields. Legacy rows (written before
-            // quoting) left params bare, so an unquoted row with > 9
-            // comma-split pieces re-joins everything between the two
-            // leading and six trailing fields as params.
+            // RFC-4180: the params field contains commas and is quoted, so
+            // every row splits to exactly 9 fields.
             let fields: Vec<String> = aq_bench::csv::split_record(line)
                 .map_err(|e| format!("sweep.csv line {}: {e}", lineno + 2))?;
-            if fields.len() < 9 {
+            let [scenario, approach, params, metric, n, min, mean, max, ci95] = &fields[..] else {
                 return Err(format!(
-                    "sweep.csv line {}: expected >= 9 fields, got {}",
+                    "sweep.csv line {}: expected 9 fields, got {}",
                     lineno + 2,
                     fields.len()
                 ));
-            }
+            };
             let num = |s: &str, what: &str| -> Result<f64, String> {
                 s.parse::<f64>()
                     .map_err(|_| format!("sweep.csv line {}: bad {what} `{s}`", lineno + 2))
             };
-            let tail = &fields[fields.len() - 6..];
             let config = ConfigKey {
-                scenario: fields[0].to_string(),
-                approach: fields[1].to_string(),
-                params: fields[2..fields.len() - 6].join(","),
+                scenario: scenario.clone(),
+                approach: approach.clone(),
+                params: params.clone(),
             };
             let agg = Aggregate {
-                n: num(&tail[1], "n")? as u64,
-                min: num(&tail[2], "min")?,
-                mean: num(&tail[3], "mean")?,
-                max: num(&tail[4], "max")?,
-                ci95: num(&tail[5], "ci95")?,
+                n: num(n, "n")? as u64,
+                min: num(min, "min")?,
+                mean: num(mean, "mean")?,
+                max: num(max, "max")?,
+                ci95: num(ci95, "ci95")?,
             };
             configs
                 .entry(config)
                 .or_default()
-                .insert(tail[0].to_string(), agg);
+                .insert(metric.clone(), agg);
         }
         Ok(configs)
     }
@@ -462,6 +449,8 @@ mod tests {
         assert_eq!(parsed.len(), sweep.configs.len());
         let (config, metrics) = parsed.iter().next().expect("one config");
         assert_eq!(config.scenario, "fairness_flows");
+        // The comma-bearing params field survives because it is quoted.
+        assert_eq!(config.params, "b_flows=1,horizon_ms=5");
         assert!(metrics.contains_key("jain_goodput"));
     }
 
@@ -470,6 +459,28 @@ mod tests {
         assert!(Sweep::parse_json("{").is_err());
         assert!(Sweep::parse_json("{\"sweep\": \"x\"}").is_err());
         assert!(Sweep::parse_csv("bogus,header\n").is_err());
+        // Every artifact `render_json`/`render_csv` ever committed carries
+        // `failures`, a `kind` per failure and a quoted params field; a
+        // document without them is malformed, and the error says what is
+        // missing.
+        let no_failures = "{\"sweep\": \"x\", \"configs\": [], \"runs\": []}";
+        let err = Sweep::parse_json(no_failures).expect_err("`failures` is required");
+        assert!(err.contains("`failures`"), "{err}");
+        let no_kind = "{\"sweep\": \"x\", \"configs\": [], \"runs\": [], \
+                       \"failures\": [{\"scenario\": \"s\", \"approach\": \"aq\", \
+                       \"params\": \"a=1\", \"seed\": 2, \"error\": \"boom\"}]}";
+        let err = Sweep::parse_json(no_kind).expect_err("`kind` is required");
+        assert!(
+            err.contains("failures[0]") && err.contains("`kind`"),
+            "{err}"
+        );
+        let bogus_kind = no_kind.replace("\"seed\": 2", "\"seed\": 2, \"kind\": \"bogus\"");
+        let err = Sweep::parse_json(&bogus_kind).expect_err("unknown kind");
+        assert!(err.contains("unknown kind `bogus`"), "{err}");
+        let bare_params = "scenario,approach,params,metric,n,min,mean,max,ci95\n\
+                           fairness_flows,aq,a=1,b=2,jain_goodput,3,0.9,0.91,0.92,0.01\n";
+        let err = Sweep::parse_csv(bare_params).expect_err("unquoted params");
+        assert!(err.contains("line 2: expected 9 fields, got 10"), "{err}");
     }
 
     #[test]
@@ -503,47 +514,5 @@ mod tests {
         assert_eq!(parsed.failures[&key_of(8)].message, "boom");
         assert_eq!(parsed.failures[&key_of(9)].kind, FailureKind::Timeout);
         assert_eq!(parsed.render_json(), rendered);
-    }
-
-    #[test]
-    fn json_without_failures_key_still_parses() {
-        // Sweeps written before failure tracking carry no `failures` key.
-        let legacy = "{\"sweep\": \"old\", \"configs\": [], \"runs\": []}";
-        let parsed = Sweep::parse_json(legacy).expect("legacy artifact parses");
-        assert!(parsed.failures.is_empty());
-    }
-
-    #[test]
-    fn failures_without_a_kind_default_to_error() {
-        // Sweeps written before kind classification carry only `error`.
-        let legacy = "{\"sweep\": \"old\", \"configs\": [], \"runs\": [], \
-                      \"failures\": [{\"scenario\": \"s\", \"approach\": \"aq\", \
-                      \"params\": \"a=1\", \"seed\": 2, \"error\": \"boom\"}]}";
-        let parsed = Sweep::parse_json(legacy).expect("legacy artifact parses");
-        let failure = parsed.failures.values().next().expect("one failure");
-        assert_eq!(failure.kind, FailureKind::Error);
-        assert_eq!(failure.message, "boom");
-        assert!(Sweep::parse_json(&legacy.replace(
-            "\"error\": \"boom\"",
-            "\"kind\": \"bogus\", \"error\": \"boom\""
-        ))
-        .is_err());
-    }
-
-    #[test]
-    fn csv_quotes_params_and_still_reads_legacy_bare_rows() {
-        let sweep = sample_sweep();
-        let csv = sweep.render_csv();
-        assert!(
-            csv.contains("\"b_flows=1,horizon_ms=5\""),
-            "comma-bearing params must be quoted: {csv}"
-        );
-        // Legacy rows (pre-quoting) split params across bare commas; the
-        // >= 9-field re-join fallback must still assemble them.
-        let legacy = "scenario,approach,params,metric,n,min,mean,max,ci95\n\
-                      fairness_flows,aq,a=1,b=2,jain_goodput,3,0.9,0.91,0.92,0.01\n";
-        let parsed = Sweep::parse_csv(legacy).expect("legacy row parses");
-        let config = parsed.keys().next().expect("one config");
-        assert_eq!(config.params, "a=1,b=2");
     }
 }

@@ -13,7 +13,7 @@
 //! enforces a per-task wall-clock budget, so one stuck run cannot stall a
 //! whole sweep) and panic-isolating (a panicking task fails only its own
 //! slot). The wall clock is read *only* by the supervisor — never by
-//! simulation code, which the `no-wallclock-in-sim` lint rule enforces.
+//! simulation code, which the `no-wall-clock` lint rule enforces.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,7 +136,7 @@ const OVERDUE_GRACE: Duration = Duration::from_millis(25);
 /// the grid. `timeout: None` disables the watchdog.
 ///
 /// The deadline is checked only here, from the supervisor: simulation code
-/// stays free of wall-clock reads (see the `no-wallclock-in-sim` lint
+/// stays free of wall-clock reads (see the `no-wall-clock` lint
 /// rule), and the sim's own outputs remain deterministic.
 pub fn run_supervised<T, F>(
     n_tasks: usize,

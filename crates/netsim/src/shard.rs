@@ -186,12 +186,10 @@ impl ShardedSim {
 
         let Simulator {
             net,
-            stats,
             faults,
             churn,
             pools,
             jitter_seed,
-            jitter_ns,
             ..
         } = sim;
         let Network {
@@ -257,8 +255,6 @@ impl ShardedSim {
             };
             let mut shard = Simulator::new(net);
             shard.jitter_seed = jitter_seed;
-            shard.jitter_ns = jitter_ns;
-            shard.stats = stats.fresh_like();
             shard.install_faults(faults.plan.clone());
             shard.install_churn(churn.plan.clone());
             shard.pools = shard_pools.next().expect("shard count");
@@ -555,7 +551,6 @@ impl ShardedSim {
         merged.now = t;
         merged.processed_events = processed;
         merged.jitter_seed = shards[0].jitter_seed;
-        merged.jitter_ns = shards[0].jitter_ns;
 
         let mut stats = std::mem::replace(&mut shards[0].stats, crate::stats::StatsHub::new());
         for shard in &mut shards[1..] {

@@ -203,6 +203,10 @@ pub(crate) struct ShardCtx {
     pub(crate) outbox: Vec<CrossMsg>,
 }
 
+/// Maximum per-hop forwarding jitter in nanoseconds (see
+/// [`Simulator::new`] for why it is one MTU slot at 10 Gbps).
+const JITTER_NS: u64 = 800;
+
 /// SplitMix64 finalizer: the stateless hash behind per-launch forwarding
 /// jitter.
 fn splitmix64(mut x: u64) -> u64 {
@@ -234,8 +238,6 @@ pub struct Simulator {
     /// `(seed, link, launch index)`, so any shard computes the same draw
     /// for the same launch regardless of global event interleaving.
     pub(crate) jitter_seed: u64,
-    /// Maximum per-hop forwarding jitter in nanoseconds.
-    pub(crate) jitter_ns: u64,
     /// Per-link monotonic arrival clamp so jitter never reorders a link.
     pub(crate) last_arrival: Vec<Time>,
     /// Per-link launch counter: drives both the jitter hash and the
@@ -267,8 +269,8 @@ pub struct Simulator {
 impl Simulator {
     /// Wrap a built network in a fresh simulator at time zero.
     ///
-    /// Per-hop forwarding jitter defaults to 800 ns (about one MTU
-    /// serialization time at 10 Gbps): real switch forwarding latency
+    /// Per-hop forwarding jitter is up to 800 ns (`JITTER_NS`, about one
+    /// MTU serialization time at 10 Gbps): real switch forwarding latency
     /// varies at this scale under load, and without jitter a perfectly
     /// deterministic simulator phase-locks same-rate flows at taildrop
     /// boundaries (one flow's packets always land exactly when a slot
@@ -291,7 +293,6 @@ impl Simulator {
             started: false,
             processed_events: 0,
             jitter_seed: 0x5176,
-            jitter_ns: 800,
             last_arrival: vec![Time::ZERO; links],
             launch_count: vec![0; links],
             faults: FaultState::new(links, nodes),
@@ -396,12 +397,6 @@ impl Simulator {
         self.now
     }
 
-    /// Override the forwarding-jitter bound (0 disables jitter entirely —
-    /// useful for exact-latency unit tests).
-    pub fn set_forwarding_jitter(&mut self, max: Duration) {
-        self.jitter_ns = max.as_nanos();
-    }
-
     /// Reseed the simulator's jitter hash (per-repetition seeds in
     /// experiment sweeps).
     pub fn set_seed(&mut self, seed: u64) {
@@ -413,15 +408,12 @@ impl Simulator {
     /// jitter RNG, whose draw order was the *global* launch interleaving —
     /// unknowable to a shard that sees only its own links.
     fn jitter_for(&self, link: usize) -> Duration {
-        if self.jitter_ns == 0 {
-            return Duration::ZERO;
-        }
         let x = splitmix64(
             self.jitter_seed
                 ^ (link as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ self.launch_count[link].wrapping_mul(0xD1B5_4A32_D192_ED03),
         );
-        Duration::from_nanos(x % (self.jitter_ns + 1))
+        Duration::from_nanos(x % (JITTER_NS + 1))
     }
 
     /// Register a control-plane agent. Its `on_start` runs when the

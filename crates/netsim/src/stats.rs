@@ -29,6 +29,10 @@ use crate::time::{Duration, Time};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
+/// Bucket width of every throughput and occupancy series a [`StatsHub`]
+/// keeps.
+pub const SAMPLE_WINDOW: Duration = Duration::from_millis(10);
+
 /// Bytes counted into fixed-size time windows; yields a throughput series.
 #[derive(Clone)]
 pub struct WindowedCounter {
@@ -308,23 +312,18 @@ pub struct EntityStats {
     pub vdelay: DelayRecorder,
     /// Packets of this entity dropped anywhere (taildrop, shaper, AQ limit).
     pub drops: u64,
-    /// Deliveries seen by this entity, for delay-sample decimation. Kept
-    /// per entity so `delay_decimation > 1` samples every entity at the
-    /// same rate regardless of interleaving.
-    delay_seen: u64,
 }
 
 impl EntityStats {
-    fn new(window: Duration) -> EntityStats {
+    fn new() -> EntityStats {
         EntityStats {
             tx_pkts: 0,
             tx_bytes: 0,
             rx_bytes: 0,
-            rx_series: WindowedCounter::new(window),
+            rx_series: WindowedCounter::new(SAMPLE_WINDOW),
             pq_delay: DelayRecorder::default(),
             vdelay: DelayRecorder::default(),
             drops: 0,
-            delay_seen: 0,
         }
     }
 }
@@ -406,7 +405,7 @@ pub struct PortStats {
 }
 
 impl PortStats {
-    fn new(node: NodeId, window: Duration) -> PortStats {
+    fn new(node: NodeId) -> PortStats {
         PortStats {
             node,
             tx_pkts: 0,
@@ -425,7 +424,7 @@ impl PortStats {
             corrupt_drops: 0,
             wire_dropped_bytes: 0,
             ecn_marks: 0,
-            occupancy: WindowedCounter::new(window),
+            occupancy: WindowedCounter::new(SAMPLE_WINDOW),
         }
     }
 
@@ -479,7 +478,7 @@ pub struct BufferStats {
 }
 
 impl BufferStats {
-    fn new(node: NodeId, policy: &'static str, capacity_bytes: u64, window: Duration) -> Self {
+    fn new(node: NodeId, policy: &'static str, capacity_bytes: u64) -> Self {
         BufferStats {
             node,
             policy,
@@ -488,7 +487,7 @@ impl BufferStats {
             shared_rejects: 0,
             rejected_bytes: 0,
             marks: 0,
-            occupancy: WindowedCounter::new(window),
+            occupancy: WindowedCounter::new(SAMPLE_WINDOW),
         }
     }
 
@@ -639,7 +638,6 @@ impl FlowRecord {
 /// ```
 #[derive(Debug, Default)]
 pub struct StatsHub {
-    window: Option<Duration>,
     /// Dense, indexed by `EntityId`: the per-packet feeders hit this on
     /// every delivery/inject/drop, so lookups must not pay pointer-chasing
     /// map costs. `None` = entity never seen.
@@ -659,57 +657,22 @@ pub struct StatsHub {
     pools: Vec<Option<BufferStats>>,
     aqs: BTreeMap<(u32, AqPosition), AqSummary>,
     tables: BTreeMap<(NodeId, AqPosition), AqTableSummary>,
-    /// Record every Nth delay sample per entity (1 = all). Reduces memory
-    /// for very long runs without biasing percentiles.
-    pub delay_decimation: u64,
 }
 
 impl StatsHub {
-    /// A hub sampling throughput with the given window (default 10 ms when
-    /// unset).
+    /// An empty hub. Every hub samples throughput in [`SAMPLE_WINDOW`]
+    /// buckets, so per-shard hubs merge bucket for bucket.
     pub fn new() -> StatsHub {
-        StatsHub {
-            window: None,
-            entities: Vec::new(),
-            flows: BTreeMap::new(),
-            orphan_ends: BTreeMap::new(),
-            ports: Vec::new(),
-            pools: Vec::new(),
-            aqs: BTreeMap::new(),
-            tables: BTreeMap::new(),
-            delay_decimation: 1,
-        }
-    }
-
-    /// An empty hub with this hub's configuration (sampling window and
-    /// delay decimation) — the per-shard sink constructor, so merged
-    /// series bucket identically to a single-threaded run.
-    pub fn fresh_like(&self) -> StatsHub {
-        StatsHub {
-            window: self.window,
-            delay_decimation: self.delay_decimation,
-            ..StatsHub::new()
-        }
-    }
-
-    /// Override the throughput-sampling window (must be called before any
-    /// traffic is recorded).
-    pub fn set_window(&mut self, w: Duration) {
-        self.window = Some(w);
-    }
-
-    fn window(&self) -> Duration {
-        self.window.unwrap_or(Duration::from_millis(10))
+        StatsHub::default()
     }
 
     /// Per-entity stats, creating the slot on first touch.
     pub fn entity_mut(&mut self, e: EntityId) -> &mut EntityStats {
-        let w = self.window();
         let idx = e.index();
         if idx >= self.entities.len() {
             self.entities.resize_with(idx + 1, || None);
         }
-        self.entities[idx].get_or_insert_with(|| EntityStats::new(w))
+        self.entities[idx].get_or_insert_with(EntityStats::new)
     }
 
     /// Read-only per-entity stats.
@@ -734,15 +697,11 @@ impl StatsHub {
         pq_ns: u64,
         vd_ns: u64,
     ) {
-        let decimation = self.delay_decimation.max(1);
         let es = self.entity_mut(entity);
         es.rx_bytes += payload;
         es.rx_series.record(now, payload);
-        es.delay_seen += 1;
-        if es.delay_seen.is_multiple_of(decimation) {
-            es.pq_delay.record(pq_ns);
-            es.vdelay.record(vd_ns);
-        }
+        es.pq_delay.record(pq_ns);
+        es.vdelay.record(vd_ns);
     }
 
     /// Called wherever a packet of `entity` is dropped (queue taildrop,
@@ -753,12 +712,11 @@ impl StatsHub {
 
     /// Per-port stats, creating the slot on first touch.
     pub fn port_mut(&mut self, node: NodeId, port: PortId) -> &mut PortStats {
-        let w = self.window();
         let idx = port.index();
         if idx >= self.ports.len() {
             self.ports.resize_with(idx + 1, || None);
         }
-        self.ports[idx].get_or_insert_with(|| PortStats::new(node, w))
+        self.ports[idx].get_or_insert_with(|| PortStats::new(node))
     }
 
     /// Read-only per-port stats.
@@ -907,12 +865,11 @@ impl StatsHub {
         policy: &'static str,
         capacity_bytes: u64,
     ) -> &mut BufferStats {
-        let w = self.window();
         let idx = node.index();
         if idx >= self.pools.len() {
             self.pools.resize_with(idx + 1, || None);
         }
-        self.pools[idx].get_or_insert_with(|| BufferStats::new(node, policy, capacity_bytes, w))
+        self.pools[idx].get_or_insert_with(|| BufferStats::new(node, policy, capacity_bytes))
     }
 
     /// Read-only per-switch shared-buffer stats.
@@ -1047,10 +1004,6 @@ impl StatsHub {
     /// node, so exactly one hub has data for any slot — two writers for
     /// one slot is a sharding bug and panics.
     pub fn absorb(&mut self, other: StatsHub) {
-        debug_assert_eq!(
-            self.window, other.window,
-            "merging differently-windowed hubs"
-        );
         for (i, es) in other.entities.into_iter().enumerate() {
             let Some(src) = es else { continue };
             let dst = self.entity_mut(EntityId::from(i));
@@ -1061,7 +1014,6 @@ impl StatsHub {
             dst.pq_delay.merge(src.pq_delay);
             dst.vdelay.merge(src.vdelay);
             dst.drops += src.drops;
-            dst.delay_seen += src.delay_seen;
         }
         for (id, rec) in other.flows {
             match self.flows.entry(id) {
@@ -1369,21 +1321,6 @@ mod tests {
             format!("{fresh:?}"),
             "cached and uncached bucket placement diverged"
         );
-    }
-
-    #[test]
-    fn delay_decimation_is_per_entity() {
-        let mut s = StatsHub::new();
-        s.delay_decimation = 2;
-        // Interleave deliveries of two entities. With a per-entity counter
-        // each entity keeps every 2nd of *its own* samples (2 of 4); a
-        // global counter would sample them unevenly.
-        for i in 0..4u64 {
-            s.on_delivery(Time::from_millis(i), EntityId(1), 100, 10 + i, 0);
-            s.on_delivery(Time::from_millis(i), EntityId(2), 100, 20 + i, 0);
-        }
-        assert_eq!(s.entity(EntityId(1)).unwrap().pq_delay.len(), 2);
-        assert_eq!(s.entity(EntityId(2)).unwrap().pq_delay.len(), 2);
     }
 
     #[test]

@@ -5,24 +5,24 @@
 //! 1. the whole workspace tree must be lint-clean — any new use of a
 //!    banned nondeterminism pattern fails CI here with a `file:line`
 //!    diagnostic unless explicitly sanctioned with
-//!    `// aq-lint: allow(<rule>)` (and every sanctioned residual must be
-//!    in the committed ratchet ledger);
+//!    `// aq-lint: allow(<rule>)`;
 //! 2. a fixture self-test proving the engine itself works: for every line
 //!    rule there is a fixture in `crates/analysis/fixtures/` whose
 //!    `expect-lint:`-tagged lines must each produce exactly that
 //!    diagnostic, and whose `aq-lint: allow(...)` lines must produce
-//!    none; for every semantic rule there is a fires/escapes pair of
-//!    miniature workspace trees under `crates/analysis/fixtures/semantic/`
-//!    linted the same way. A rule that silently stopped firing (or an
-//!    escape hatch that stopped suppressing) fails here, so the
-//!    clean-tree check in part 1 cannot rot into a no-op;
+//!    none; `unused-allow` has a fires/escapes pair of miniature
+//!    workspace trees beside them (the `aq-lint` binary is driven over
+//!    those in `crates/analysis/tests/cli.rs`), linted the same way. A
+//!    rule that silently stopped firing (or an escape hatch that stopped
+//!    suppressing) fails here, so the clean-tree check in part 1 cannot
+//!    rot into a no-op;
 //! 3. output determinism: two engine runs over the same tree must render
-//!    byte-identical JSON, which is what CI diffs as an artifact.
+//!    byte-identical JSON, which is what CI uploads as an artifact.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use aq_analysis::rules::{RuleKind, RULES};
+use aq_analysis::rules::RULES;
 use aq_analysis::{lint_file, lint_workspace};
 
 fn workspace_root() -> &'static Path {
@@ -45,35 +45,12 @@ fn workspace_tree_is_lint_clean() {
 }
 
 #[test]
-fn workspace_is_within_the_ratchet_ledger() {
-    // The committed ledger sanctions per-rule violation counts; the tree
-    // must not exceed it, and a slack ledger (counts above reality) must
-    // be tightened so fixed violations cannot quietly come back.
-    let diags = lint_workspace(workspace_root()).expect("workspace walk failed");
-    let ledger_path = workspace_root().join(aq_analysis::ratchet::LEDGER_PATH);
-    let text = std::fs::read_to_string(&ledger_path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", ledger_path.display()));
-    let ledger = aq_analysis::ratchet::parse_ledger(&text).expect("ledger parses");
-    let failures = aq_analysis::ratchet::check(&ledger, &diags);
-    assert!(
-        failures.is_empty(),
-        "ratchet failures:\n{}",
-        failures.join("\n")
-    );
-}
-
-#[test]
 fn repeated_runs_render_identical_json() {
     let one = lint_workspace(workspace_root()).expect("walk 1");
     let two = lint_workspace(workspace_root()).expect("walk 2");
     let render_one = aq_analysis::output::render_json(&one);
     let render_two = aq_analysis::output::render_json(&two);
     assert_eq!(render_one, render_two, "JSON output is not byte-stable");
-    assert_eq!(
-        aq_analysis::output::render_sarif(&one),
-        aq_analysis::output::render_sarif(&two),
-        "SARIF output is not byte-stable"
-    );
 }
 
 /// (fixture file, rule under test, synthetic in-scope path to lint as).
@@ -83,16 +60,10 @@ const FIXTURES: &[(&str, &str, &str)] = &[
         "no-hash-collections",
         "crates/core/src/fixture.rs",
     ),
-    ("no_wall_clock.rs", "no-wall-clock", "src/fixture.rs"),
     (
-        "no_wallclock_in_sim.rs",
-        "no-wallclock-in-sim",
+        "no_wall_clock.rs",
+        "no-wall-clock",
         "crates/netsim/src/fixture.rs",
-    ),
-    (
-        "no_os_entropy.rs",
-        "no-os-entropy",
-        "crates/workloads/src/fixture.rs",
     ),
     (
         "no_float_eq.rs",
@@ -114,41 +85,36 @@ const FIXTURES: &[(&str, &str, &str)] = &[
         "no-cross-shard-mutation",
         "crates/netsim/src/shard.rs",
     ),
+    (
+        "unused-allow/fires/crates/core/src/calc.rs",
+        "unused-allow",
+        "crates/core/src/calc.rs",
+    ),
 ];
+
+/// The clean twin of the `unused-allow` fires fixture: the same kinds of
+/// directive, each still consumed by a violation.
+const UNUSED_ALLOW_ESCAPES: &str = "unused-allow/escapes/crates/core/src/calc.rs";
+
+fn read_fixture(file: &str) -> String {
+    let path = workspace_root().join("crates/analysis/fixtures").join(file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
 
 #[test]
 fn every_rule_has_a_fixture() {
-    let line_covered: BTreeSet<&str> = FIXTURES.iter().map(|(_, rule, _)| *rule).collect();
-    for rule in RULES {
-        match rule.kind {
-            RuleKind::Line => assert!(
-                line_covered.contains(rule.name),
-                "line rule `{}` has no fixture in crates/analysis/fixtures/",
-                rule.name
-            ),
-            RuleKind::Semantic => {
-                let base = workspace_root()
-                    .join("crates/analysis/fixtures/semantic")
-                    .join(rule.name);
-                for tree in ["fires", "escapes"] {
-                    assert!(
-                        base.join(tree).is_dir(),
-                        "semantic rule `{}` has no `{tree}` fixture tree under \
-                         crates/analysis/fixtures/semantic/",
-                        rule.name
-                    );
-                }
-            }
-        }
-    }
+    let covered: BTreeSet<&str> = FIXTURES.iter().map(|(_, rule, _)| *rule).collect();
+    let rules: BTreeSet<&str> = RULES.iter().map(|r| r.name).collect();
+    assert_eq!(
+        covered, rules,
+        "every rule needs a fixture in crates/analysis/fixtures/, and every fixture a rule"
+    );
 }
 
 #[test]
 fn fixtures_fire_exactly_on_tagged_lines_and_escapes_suppress() {
     for (file, rule, lint_as) in FIXTURES {
-        let path = workspace_root().join("crates/analysis/fixtures").join(file);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let text = read_fixture(file);
 
         // Lines tagged `expect-lint: <rule>` are the expected diagnostics.
         let expected: BTreeSet<(usize, String)> = text
@@ -183,74 +149,17 @@ fn fixtures_fire_exactly_on_tagged_lines_and_escapes_suppress() {
              unexpected diagnostics (escape hatch broken or cross-rule noise): {unexpected:?}"
         );
     }
-}
 
-/// Each semantic rule's fires tree is a miniature workspace whose
-/// `expect-lint:`-tagged lines must produce exactly that rule's
-/// diagnostics (and nothing else); its escapes tree sanctions the same
-/// findings with `aq-lint: allow(...)` and must lint fully clean —
-/// including the `unused-allow` audit, which proves the escapes are
-/// actually consumed.
-#[test]
-fn semantic_fixture_trees_fire_exactly_and_escapes_suppress() {
-    for rule in RULES.iter().filter(|r| r.kind == RuleKind::Semantic) {
-        let base = workspace_root()
-            .join("crates/analysis/fixtures/semantic")
-            .join(rule.name);
-
-        let fires = base.join("fires");
-        let mut expected: BTreeSet<(String, usize, String)> = BTreeSet::new();
-        for rel in aq_analysis::collect_sources(&fires).expect("walk fires tree") {
-            let text = std::fs::read_to_string(fires.join(&rel)).expect("read fixture");
-            let rel_str = rel
-                .to_string_lossy()
-                .replace(std::path::MAIN_SEPARATOR, "/");
-            for (i, l) in text.lines().enumerate() {
-                if l.contains(&format!("expect-lint: {}", rule.name)) {
-                    expected.insert((rel_str.clone(), i + 1, rule.name.to_string()));
-                }
-            }
-        }
-        assert!(
-            !expected.is_empty(),
-            "semantic rule `{}`: fires tree has no expect-lint lines",
-            rule.name
-        );
-        let actual: BTreeSet<(String, usize, String)> = lint_workspace(&fires)
-            .expect("lint fires tree")
-            .into_iter()
-            .map(|d| (d.path, d.line, d.rule))
-            .collect();
-        assert_eq!(
-            actual, expected,
-            "semantic rule `{}`: fires tree diagnostics do not match tags",
-            rule.name
-        );
-
-        let escapes = base.join("escapes");
-        let mut allow_count = 0;
-        for rel in aq_analysis::collect_sources(&escapes).expect("walk escapes tree") {
-            let text = std::fs::read_to_string(escapes.join(&rel)).expect("read fixture");
-            allow_count += text.matches("aq-lint: allow(").count();
-        }
-        assert!(
-            allow_count >= 2,
-            "semantic rule `{}`: escapes tree must demonstrate at least two \
-             escapes (trailing and standalone), found {allow_count}",
-            rule.name
-        );
-        let diags = lint_workspace(&escapes).expect("lint escapes tree");
-        assert!(
-            diags.is_empty(),
-            "semantic rule `{}`: escapes tree must lint clean, got:\n{}",
-            rule.name,
-            diags
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
+    let escapes = read_fixture(UNUSED_ALLOW_ESCAPES);
+    assert!(
+        escapes.matches("aq-lint: allow(").count() >= 2,
+        "{UNUSED_ALLOW_ESCAPES}: expected a trailing and a standalone allow"
+    );
+    let diags = lint_file("crates/core/src/calc.rs", &escapes);
+    assert!(
+        diags.is_empty(),
+        "{UNUSED_ALLOW_ESCAPES}: a consumed allow must not fire: {diags:?}"
+    );
 }
 
 /// Regression for the scanner: banned identifiers inside raw strings,
@@ -258,9 +167,7 @@ fn semantic_fixture_trees_fire_exactly_and_escapes_suppress() {
 /// scanner must resynchronize correctly after each literal flavor.
 #[test]
 fn raw_string_fixture_produces_only_the_tagged_diagnostic() {
-    let path = workspace_root().join("crates/analysis/fixtures/raw_strings.rs");
-    let text =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let text = read_fixture("raw_strings.rs");
     let expected: BTreeSet<(usize, String)> = text
         .lines()
         .enumerate()
