@@ -6,9 +6,7 @@
 //!   agent: hose-model guarantee partitioning plus probing rate
 //!   allocation on a 15 ms loop;
 //! * [`drr`] — Deficit Round Robin per-flow queueing, representing the
-//!   fair-queueing family of related work;
-//! * [`wfq`] — weighted DRR per-entity queueing (the WFQ family),
-//!   the strongest sharing a port's physical queues can express.
+//!   fair-queueing family of related work.
 //!
 //! The physical queue (PQ) baseline needs no code here: it is the
 //! simulator's native [`aq_netsim::FifoQueue`].
@@ -16,9 +14,7 @@
 pub mod drr;
 pub mod elastic;
 pub mod htb;
-pub mod wfq;
 
 pub use drr::DrrQueue;
 pub use elastic::{ElasticSwitch, VmConfig};
 pub use htb::{ClassKey, Classify, HtbShaper, TokenBucket};
-pub use wfq::WfqQueue;

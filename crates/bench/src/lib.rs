@@ -1,44 +1,48 @@
-//! # aq-bench — experiment harnesses for every table and figure
+//! # aq-bench — one builder for every experiment
 //!
-//! Each `benches/figXX_*.rs` / `benches/tableX_*.rs` target (custom
-//! `harness = false`) regenerates one table or figure of the paper and
-//! prints the same rows/series the paper reports; `cargo bench` therefore
-//! re-runs the whole evaluation. This library holds the shared scaffolding:
-//! building one of the four compared approaches (PQ, AQ, PRL, DRL) around
-//! a common topology and entity description.
+//! A scenario is described once, as an [`aq_workloads::registry`]
+//! [`ScenarioPlan`]; [`build_experiment`] wires it under one of the four
+//! compared approaches (PQ, AQ, PRL, DRL) on the topology the plan names,
+//! and `aq_harness::sweep::execute_run` drives it and distills its
+//! metrics. Every table and figure of the paper is an axis of the `paper`
+//! sweep over that one path (EXPERIMENTS.md maps them); this crate also
+//! holds the [`report`] artifact every run emits.
 
 use aq_baselines::{Classify, ElasticSwitch, HtbShaper, VmConfig};
 use aq_core::{
     AqController, AqPipeline, AqRequest, AqTable, BandwidthDemand, CcPolicy, LimitPolicy,
-    OverflowPolicy, Position, PACKED_AQ_BYTES,
+    OverflowPolicy, Position, ReallocatorConfig, WorkConservation, WorkConservingReallocator,
+    PACKED_AQ_BYTES,
 };
 use aq_netsim::buffer::{
     AdmissionPolicy, DelayDriven, DynamicThreshold, SharedBufferPool, StaticPartition,
 };
 use aq_netsim::churn::ChurnPlan;
 use aq_netsim::fault::FaultPlan;
-use aq_netsim::ids::{EntityId, NodeId};
+use aq_netsim::ids::{EntityId, NodeId, PortId};
 use aq_netsim::node::NodeKind;
 use aq_netsim::packet::AqTag;
 use aq_netsim::queue::{DisaggRedConfig, DisaggRedQueue, FifoConfig, L4sStepConfig, L4sStepQueue};
 use aq_netsim::shard::{ShardPlan, ShardedSim};
-use aq_netsim::sim::{Network, Simulator};
+use aq_netsim::sim::{Agent, AgentCtx, Network, Simulator};
+use aq_netsim::stats::StatsHub;
 use aq_netsim::time::{Duration, Rate, Time};
-use aq_netsim::topology::{dumbbell, fat_tree, Dumbbell};
+use aq_netsim::topology::{dumbbell_asym, fat_tree, star};
 use aq_transport::{CcAlgo, DelaySignal, FlowKind};
 use aq_workloads::registry::{
-    AdmissionKind, AqmKind, BufferPlan, OverflowKind, PlanAqBudget, PlanChurn, PlanFault,
-    ScenarioPlan, Topology,
+    AdmissionKind, AqMode, AqmKind, BufferPlan, LimitKind, OverflowKind, PlanAqBudget, PlanChurn,
+    PlanFault, RunPlan, ScenarioPlan, Topology,
 };
 use aq_workloads::{add_flows, ensure_transport_hosts, long_flows, ClosedWorkload, WorkloadSpec};
+use std::collections::BTreeMap;
 
 pub mod csv;
 pub mod json;
 pub mod report;
 
-// The entity/traffic description types moved to the workload layer so the
-// scenario registry (`aq_workloads::registry`) can name them; re-exported
-// here so every figure bench keeps importing them from `aq_bench`.
+// The entity/traffic description types live in the workload layer so the
+// scenario registry can name them; re-exported for callers that build an
+// entity list by hand (`build_dumbbell`).
 pub use aq_workloads::registry::{EntitySetup, LongKind, Traffic};
 
 /// The four approaches compared throughout §5.
@@ -84,6 +88,16 @@ pub struct ExpConfig {
     pub seed: u64,
 }
 
+impl ExpConfig {
+    /// The FIFO of every contended fabric port.
+    fn fifo(&self) -> FifoConfig {
+        FifoConfig {
+            limit_bytes: self.pq_limit,
+            ecn_threshold_bytes: self.ecn_threshold,
+        }
+    }
+}
+
 impl Default for ExpConfig {
     fn default() -> Self {
         ExpConfig {
@@ -116,10 +130,12 @@ pub struct Experiment {
     pub sim: Simulator,
     /// Per-entity sending hosts (left side).
     pub entity_vms: Vec<(EntityId, Vec<NodeId>)>,
-    /// Right-side hosts (receivers).
+    /// The destination pool: an entity sends to every host here that is
+    /// not one of its own VMs.
     pub receivers: Vec<NodeId>,
-    /// The dumbbell's core bottleneck port.
-    pub core_port: aq_netsim::ids::PortId,
+    /// The bottleneck port (the dumbbell's core port, the fat tree's first
+    /// receiver downlink, the star's downlink to the first VM).
+    pub core_port: PortId,
     /// Topology-derived shard ownership map (one shard per fat-tree pod
     /// plus a core shard; dumbbells split at the core link) for the
     /// sharded engine. Runs that cannot shard (agents installed, star
@@ -128,210 +144,485 @@ pub struct Experiment {
     pub shard_plan: ShardPlan,
 }
 
-/// AQ CC policy for a transport CC algorithm, with the paper's virtual
-/// ECN threshold for ECN-based CC.
-pub fn cc_policy_for(cc: CcAlgo) -> CcPolicy {
+/// The paper's virtual ECN threshold for ECN-based CC under an AQ, where
+/// the plan's fabric does not set one.
+const VIRTUAL_ECN_K: u64 = 30_000;
+
+/// AQ CC policy for a transport CC algorithm.
+fn cc_policy_for(cc: CcAlgo, ecn_k: u64) -> CcPolicy {
     match cc {
         CcAlgo::Dctcp => CcPolicy::EcnBased {
-            threshold_bytes: 30_000,
+            threshold_bytes: ecn_k as u32,
         },
         CcAlgo::Swift { .. } => CcPolicy::DelayBased,
         _ => CcPolicy::DropBased,
     }
 }
 
-/// Grant one weighted ingress AQ per entity from a controller sized to
-/// the shared link. Returns the controller (whose configs still need
-/// deploying into one or more pipelines) plus the per-entity tags the
-/// entities' flows must be stamped with.
-fn aq_control(entities: &[EntitySetup], cfg: ExpConfig) -> (AqController, Vec<(EntityId, AqTag)>) {
-    let mut ctl = AqController::new(
-        cfg.link,
-        LimitPolicy::MatchPhysicalQueue {
-            pq_limit_bytes: cfg.pq_limit,
-        },
-    );
-    let mut tags = Vec::new();
-    for e in entities {
-        let grant = ctl
-            .request(AqRequest {
-                demand: BandwidthDemand::Weighted(e.weight),
-                cc: cc_policy_for(e.cc),
-                position: Position::Ingress,
-                limit_override: None,
-            })
-            .expect("weighted grants always admit");
-        tags.push((e.entity, grant.id));
+/// An instantiated topology, before any approach is wired onto it.
+struct Site {
+    net: Network,
+    entity_vms: Vec<(EntityId, Vec<NodeId>)>,
+    receivers: Vec<NodeId>,
+    /// `aq_switch[i]` is the switch whose pipeline polices entity `i`.
+    aq_switch: Vec<NodeId>,
+    core_port: PortId,
+    shard_plan: ShardPlan,
+}
+
+/// Deal the entities' VMs out of `hosts`, `stride` hosts apart per entity
+/// (`None` = back to back).
+fn assign_vms(
+    entities: &[EntitySetup],
+    hosts: &[NodeId],
+    stride: Option<usize>,
+) -> Vec<(EntityId, Vec<NodeId>)> {
+    let mut next = 0usize;
+    entities
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let base = stride.map_or(next, |s| i * s);
+            next += e.n_vms;
+            (e.entity, hosts[base..base + e.n_vms].to_vec())
+        })
+        .collect()
+}
+
+/// Dumbbell: each entity gets `n_vms` left-side hosts (in declaration
+/// order); the right side mirrors the left and is the destination pool of
+/// all entities. `core` is the core link's rate.
+fn dumbbell_site(entities: &[EntitySetup], cfg: ExpConfig, core: Rate) -> Site {
+    let total_vms: usize = entities.iter().map(|e| e.n_vms).sum();
+    let d = dumbbell_asym(total_vms.max(2), cfg.link, core, cfg.prop, cfg.fifo());
+    Site {
+        shard_plan: d.shard_plan(),
+        entity_vms: assign_vms(entities, &d.left, None),
+        receivers: d.right,
+        aq_switch: vec![d.sw_left; entities.len()],
+        core_port: d.core_port,
+        net: d.net,
     }
-    (ctl, tags)
+}
+
+/// Fat tree: entity `i` gets its `n_vms` hosts under edge switch `i` of
+/// pod 0, and every entity sends to the shared receiver pool under the
+/// first edge switch of the *last* pod — all traffic crosses pods and
+/// ECMPs over the core, and the contended resources are the receiver ToR
+/// downlinks. AQ pipelines sit on each entity's sending ToR (each ToR
+/// polices exactly the traffic it ingresses); PRL/DRL shape at the host
+/// uplinks as in the dumbbell.
+fn fat_tree_site(entities: &[EntitySetup], cfg: ExpConfig, k: usize) -> Site {
+    let half = k / 2;
+    assert!(
+        entities.len() <= half,
+        "one sending ToR per entity: at most {half} entities on a k={k} fat tree"
+    );
+    assert!(
+        entities.iter().all(|e| e.n_vms <= half),
+        "at most {half} hosts per ToR"
+    );
+    let ft = fat_tree(k, cfg.link, cfg.prop, cfg.fifo());
+    // Hosts are pod-major, `half` per edge switch.
+    let rx_base = (k - 1) * half * half;
+    let receivers: Vec<NodeId> = ft.hosts[rx_base..rx_base + half].to_vec();
+    // The hottest shared port: the receiver ToR's downlink to the first
+    // receiver — every entity's flow toward that host crosses it.
+    let core_port = ft.net.route_set(ft.edge[(k - 1) * half], receivers[0])[0];
+    Site {
+        shard_plan: ft.shard_plan(),
+        entity_vms: assign_vms(entities, &ft.hosts, Some(half)),
+        receivers,
+        aq_switch: ft.edge[..entities.len()].to_vec(),
+        core_port,
+        net: ft.net,
+    }
+}
+
+/// Star: the entities' VMs around one switch, every VM a potential
+/// destination of every other entity.
+fn star_site(entities: &[EntitySetup], cfg: ExpConfig) -> Site {
+    let total_vms: usize = entities.iter().map(|e| e.n_vms).sum();
+    let s = star(total_vms, cfg.link, cfg.prop, cfg.fifo());
+    Site {
+        shard_plan: ShardPlan::single(s.net.nodes.len()),
+        entity_vms: assign_vms(entities, &s.hosts, None),
+        receivers: s.hosts,
+        aq_switch: vec![s.switch; entities.len()],
+        core_port: s.downlinks[0],
+        net: s.net,
+    }
+}
+
+fn limit_policy(kind: LimitKind, pq_limit_bytes: u64) -> LimitPolicy {
+    match kind {
+        LimitKind::MatchPhysicalQueue => LimitPolicy::MatchPhysicalQueue { pq_limit_bytes },
+        LimitKind::ProportionalShare { min_bytes } => LimitPolicy::ProportionalShare {
+            pq_limit_bytes,
+            min_bytes,
+        },
+    }
 }
 
 /// Install per-VM HTB shapers on every sending host's uplink. Entity
-/// share = weight-proportional slice of one link; each VM gets
-/// share/n_vms. PRL keeps the split fixed; DRL classifies by destination
-/// and lets the ElasticSwitch agent retune class rates every 15 ms —
-/// for DRL the VM configs that agent needs are returned.
+/// share = weight-proportional slice of `share`, each VM getting
+/// share/n_vms — or, under the hose model, every VM its `hose` profile.
+/// PRL keeps the split fixed; DRL classifies by destination and lets the
+/// ElasticSwitch agent retune class rates every 15 ms — for DRL that
+/// agent is returned.
 fn install_rate_limiters(
     net: &mut Network,
     approach: Approach,
     entities: &[EntitySetup],
     entity_vms: &[(EntityId, Vec<NodeId>)],
+    share: Rate,
+    hose: Option<Rate>,
     cfg: ExpConfig,
-) -> Option<Vec<VmConfig>> {
+) -> Option<ElasticSwitch> {
     let total_w: u64 = entities.iter().map(|e| e.weight).sum();
     let classify = if approach == Approach::Prl {
         Classify::All
     } else {
         Classify::ByDst
     };
+    // Under the hose model a VM's ACKs queue behind its own shaped data,
+    // so the class buffer stays at Linux-qdisc scale.
+    let class_limit = if hose.is_some() { 500_000 } else { 4_000_000 };
     let mut vm_cfgs = Vec::new();
     for (e, (_, vms)) in entities.iter().zip(entity_vms) {
-        let entity_rate = cfg.link.scaled(e.weight, total_w.max(1));
-        let vm_rate = entity_rate.scaled(1, e.n_vms.max(1) as u64);
+        let vm_rate = hose.unwrap_or_else(|| {
+            share
+                .scaled(e.weight, total_w.max(1))
+                .scaled(1, e.n_vms.max(1) as u64)
+        });
         for vm in vms {
             let up = net.host_uplink(*vm);
             net.ports[up.index()].queue =
-                Box::new(HtbShaper::new(classify, vm_rate, 30_000, 4_000_000));
+                Box::new(HtbShaper::new(classify, vm_rate, 30_000, class_limit));
             vm_cfgs.push(VmConfig {
                 host: *vm,
                 uplink: up,
                 out_guarantee: vm_rate,
-                // No inbound hose constraint binds in these scenarios;
-                // admit up to a full link inbound.
-                in_guarantee: cfg.link,
+                // Only a hose profile constrains inbound traffic; without
+                // one, admit up to a full link inbound.
+                in_guarantee: hose.unwrap_or(cfg.link),
             });
         }
     }
-    (approach == Approach::Drl).then_some(vm_cfgs)
+    (approach == Approach::Drl).then(|| match hose {
+        // The profile is "no more, no less": DRL treats the hose
+        // guarantees as caps and only redistributes within them.
+        Some(_) => ElasticSwitch::with_hose_cap(vm_cfgs),
+        None => ElasticSwitch::new(vm_cfgs),
+    })
 }
 
-/// Build a dumbbell experiment: each entity gets `n_vms` left-side hosts
-/// (in declaration order); the right side mirrors the left and is used as
-/// the destination pool by all entities.
-pub fn build_dumbbell(approach: Approach, entities: &[EntitySetup], cfg: ExpConfig) -> Experiment {
-    let total_vms: usize = entities.iter().map(|e| e.n_vms).sum();
-    let pairs = total_vms.max(2);
-    let core_fifo = FifoConfig {
-        limit_bytes: cfg.pq_limit,
-        ecn_threshold_bytes: cfg.ecn_threshold,
+fn deploy(pipe: &mut AqPipeline, position: Position, cfg: aq_core::AqConfig) {
+    let _ = match position {
+        Position::Ingress => pipe.deploy_ingress(cfg),
+        Position::Egress => pipe.deploy_egress(cfg),
     };
-    let d: Dumbbell = dumbbell(pairs, cfg.link, cfg.prop, core_fifo);
-    let shard_plan = d.shard_plan();
-    let mut net = d.net;
+}
 
-    // Assign VMs to entities in order.
-    let mut entity_vms = Vec::new();
-    let mut next = 0usize;
-    for e in entities {
-        let vms: Vec<NodeId> = d.left[next..next + e.n_vms].to_vec();
-        next += e.n_vms;
-        entity_vms.push((e.entity, vms));
-    }
-    let receivers = d.right.clone();
-
-    // Approach-specific control plane.
-    let mut tags: Vec<(EntityId, AqTag)> = Vec::new();
-    let mut drl_vm_cfgs: Option<Vec<VmConfig>> = None;
-    match approach {
-        Approach::Pq => {}
-        Approach::Aq => {
-            let (ctl, granted) = aq_control(entities, cfg);
-            tags = granted;
-            let mut pipe = AqPipeline::new();
-            ctl.deploy_all(&mut pipe);
-            net.add_pipeline(d.sw_left, Box::new(pipe));
-        }
-        Approach::Prl | Approach::Drl => {
-            drl_vm_cfgs = install_rate_limiters(&mut net, approach, entities, &entity_vms, cfg);
+/// `xs` without repeats, in first-appearance order.
+fn distinct(xs: &[NodeId]) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = Vec::new();
+    for x in xs {
+        if !out.contains(x) {
+            out.push(*x);
         }
     }
-    ensure_transport_hosts(&mut net);
-    let mut sim = Simulator::new(net);
-    sim.set_seed(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
-    if let Some(vm_cfgs) = drl_vm_cfgs {
-        sim.add_agent(Box::new(ElasticSwitch::new(vm_cfgs)));
-    }
-    install_traffic(&mut sim, entities, &entity_vms, &receivers, &tags, cfg);
-    Experiment {
-        sim,
-        entity_vms,
-        receivers,
-        core_port: d.core_port,
-        shard_plan,
+    out
+}
+
+fn pipe_at(net: &mut Network, sw: NodeId) -> &mut AqPipeline {
+    net.pipeline_mut::<AqPipeline>(sw, 0)
+        .expect("an AQ pipeline was installed at setup")
+}
+
+/// [`AqMode::GrantOnJoin`]'s control plane: request each entity's AQ when
+/// the entity starts, deploy it, and push the re-divided weighted rates
+/// into the AQs already running without resetting their gaps.
+struct JoinGrants {
+    ctl: AqController,
+    /// `(start, switch, request)` in grant order; the first `granted` are
+    /// deployed.
+    joins: Vec<(Time, NodeId, AqRequest)>,
+    granted: usize,
+}
+
+impl JoinGrants {
+    fn grant_due(&mut self, net: &mut Network, now: Time) {
+        while let Some((at, sw, req)) = self.joins.get(self.granted) {
+            if *at > now {
+                break;
+            }
+            let id = self
+                .ctl
+                .request(req.clone())
+                .expect("weighted grants always admit")
+                .id;
+            let (position, cfg) = (self.ctl.configs().into_iter())
+                .find(|(_, c)| c.id == id)
+                .expect("granted AQ has a config");
+            deploy(pipe_at(net, *sw), position, cfg);
+            self.granted += 1;
+        }
+        for (_, sw, _) in &self.joins[..self.granted] {
+            self.ctl.sync_rates(pipe_at(net, *sw), now);
+        }
     }
 }
 
-/// Build a fat-tree experiment: entity `i` gets its `n_vms` hosts under
-/// edge switch `i` of pod 0, and every entity sends to the shared
-/// receiver pool under the first edge switch of the *last* pod — all
-/// traffic crosses pods and ECMPs over the core, and the contended
-/// resources are the receiver ToR downlinks. AQ pipelines sit on each
-/// entity's sending ToR (each ToR polices exactly the traffic it
-/// ingresses); PRL/DRL shape at the host uplinks as in the dumbbell.
-pub fn build_fat_tree(
-    approach: Approach,
-    entities: &[EntitySetup],
+impl Agent for JoinGrants {
+    fn on_start(&mut self, net: &mut Network, _stats: &mut StatsHub, ctx: &mut AgentCtx) {
+        self.grant_due(net, ctx.now);
+        for (at, _, _) in &self.joins[self.granted..] {
+            ctx.arm_timer_at(*at, 0);
+        }
+    }
+
+    fn on_timer(&mut self, net: &mut Network, _stats: &mut StatsHub, ctx: &mut AgentCtx, _: u64) {
+        self.grant_due(net, ctx.now);
+    }
+}
+
+/// The AQ tags packets carry: `(ingress, egress)` per entity — or, under
+/// the hose model, per VM (a packet takes its source VM's ingress AQ and
+/// its destination VM's egress AQ).
+#[derive(Default)]
+struct Tags {
+    entity: Vec<(AqTag, AqTag)>,
+    vm: BTreeMap<NodeId, (AqTag, AqTag)>,
+}
+
+/// When entity `i`'s traffic (and, under `GrantOnJoin`, its AQ) starts.
+fn start_of(plan: &ScenarioPlan, i: usize) -> Duration {
+    plan.starts.get(i).copied().unwrap_or(Duration::ZERO)
+}
+
+/// The AQ approach's control plane: grant every entity (or, on a hose
+/// star, every VM) its AQs from a controller of `share` capacity, deploy
+/// them on the entities' switches per the plan's [`AqMode`], and return
+/// the tags the traffic must carry. Agents the mode needs go to `agents`.
+fn deploy_aqs(
+    net: &mut Network,
+    plan: &ScenarioPlan,
     cfg: ExpConfig,
-    k: usize,
-) -> Experiment {
-    let half = k / 2;
-    assert!(
-        entities.len() <= half,
-        "one sending ToR per entity: at most {half} entities on a k={k} fat tree"
-    );
-    let fabric_fifo = FifoConfig {
-        limit_bytes: cfg.pq_limit,
-        ecn_threshold_bytes: cfg.ecn_threshold,
+    share: Rate,
+    entity_vms: &[(EntityId, Vec<NodeId>)],
+    aq_switch: &[NodeId],
+    agents: &mut Vec<Box<dyn Agent>>,
+) -> Tags {
+    let entities = &plan.entities;
+    let ecn_k = plan.fabric.map_or(VIRTUAL_ECN_K, |f| f.ecn_k);
+    let request = |e: &EntitySetup, demand, position| AqRequest {
+        demand,
+        cc: cc_policy_for(e.cc, ecn_k),
+        position,
+        limit_override: None,
     };
-    let ft = fat_tree(k, cfg.link, cfg.prop, fabric_fifo);
-    let shard_plan = ft.shard_plan();
-    let mut net = ft.net;
-
-    // Hosts are pod-major, `half` per edge switch: entity i's VMs live
-    // under ft.edge[i] in pod 0.
-    let mut entity_vms = Vec::new();
-    for (i, e) in entities.iter().enumerate() {
-        assert!(e.n_vms <= half, "at most {half} hosts per ToR");
-        let base = i * half;
-        entity_vms.push((e.entity, ft.hosts[base..base + e.n_vms].to_vec()));
-    }
-    let rx_base = (k - 1) * half * half;
-    let receivers: Vec<NodeId> = ft.hosts[rx_base..rx_base + half].to_vec();
-    let rx_edge = ft.edge[(k - 1) * half];
-
-    let mut tags: Vec<(EntityId, AqTag)> = Vec::new();
-    let mut drl_vm_cfgs: Option<Vec<VmConfig>> = None;
-    match approach {
-        Approach::Pq => {}
-        Approach::Aq => {
-            let (ctl, granted) = aq_control(entities, cfg);
-            tags = granted;
-            for (i, (_, tag)) in tags.iter().enumerate() {
-                let aq_cfg = ctl
-                    .configs()
-                    .into_iter()
-                    .find(|(_, c)| c.id == *tag)
-                    .expect("granted AQ has a config")
-                    .1;
-                let mut pipe = AqPipeline::new();
-                pipe.deploy_ingress(aq_cfg);
-                net.add_pipeline(ft.edge[i], Box::new(pipe));
+    let mut ctl = AqController::new(share, limit_policy(plan.aq_limit, cfg.pq_limit));
+    let mut tags = Tags::default();
+    if let Topology::Star { hose } = plan.topology {
+        for (e, (_, vms)) in entities.iter().zip(entity_vms) {
+            for vm in vms {
+                let mut grant = |position| {
+                    ctl.request(request(e, BandwidthDemand::Absolute(hose), position))
+                        .expect("the VMs' hose profiles fit the link")
+                        .id
+                };
+                tags.vm
+                    .insert(*vm, (grant(Position::Ingress), grant(Position::Egress)));
             }
         }
-        Approach::Prl | Approach::Drl => {
-            drl_vm_cfgs = install_rate_limiters(&mut net, approach, entities, &entity_vms, cfg);
+        let mut pipe = AqPipeline::new();
+        ctl.deploy_all(&mut pipe);
+        net.add_pipeline(aq_switch[0], Box::new(pipe));
+        return tags;
+    }
+    // Bypass mode consults the output queue's occupancy, so its AQs sit at
+    // the egress position.
+    let position = match plan.aq_mode {
+        AqMode::BypassWhenIdle => Position::Egress,
+        _ => Position::Ingress,
+    };
+    // Ids are granted in start order (entity order among equals), so a
+    // flow's tag is known before its grant.
+    let mut order: Vec<usize> = (0..entities.len()).collect();
+    order.sort_by_key(|&i| start_of(plan, i));
+    tags.entity = vec![(AqTag::NONE, AqTag::NONE); entities.len()];
+    for (&i, id) in order.iter().zip(1..) {
+        tags.entity[i] = match position {
+            Position::Ingress => (AqTag(id), AqTag::NONE),
+            Position::Egress => (AqTag::NONE, AqTag(id)),
+        };
+    }
+    let joins: Vec<(Time, NodeId, AqRequest)> = (order.iter())
+        .map(|&i| {
+            let demand = BandwidthDemand::Weighted(entities[i].weight);
+            let req = request(&entities[i], demand, position);
+            (Time::ZERO + start_of(plan, i), aq_switch[i], req)
+        })
+        .collect();
+    if plan.aq_mode != AqMode::GrantOnJoin {
+        for (_, _, req) in &joins {
+            ctl.request(req.clone())
+                .expect("weighted grants always admit");
         }
     }
+    for sw in distinct(aq_switch) {
+        let mut pipe = AqPipeline::new();
+        if plan.aq_mode == AqMode::BypassWhenIdle {
+            pipe.work_conservation = WorkConservation::BypassWhenIdle;
+        }
+        // The AQs granted so far (none yet under `GrantOnJoin`), in grant
+        // order beside the request that produced each.
+        let mut guarantees = BTreeMap::new();
+        for ((_, on, _), (position, aq)) in joins.iter().zip(ctl.configs()) {
+            if *on == sw {
+                guarantees.insert(aq.id, aq.rate);
+                deploy(&mut pipe, position, aq);
+            }
+        }
+        net.add_pipeline(sw, Box::new(pipe));
+        if plan.aq_mode == AqMode::Reallocate {
+            agents.push(Box::new(WorkConservingReallocator::new(
+                ReallocatorConfig {
+                    switch: sw,
+                    pipeline_index: 0,
+                    capacity: share,
+                    guarantees,
+                    interval: Duration::from_millis(10),
+                },
+            )));
+        }
+    }
+    if plan.aq_mode == AqMode::GrantOnJoin {
+        agents.push(Box::new(JoinGrants {
+            ctl,
+            joins,
+            granted: 0,
+        }));
+    }
+    tags
+}
+
+/// Generate every entity's flows, tag them, shift them to the entity's
+/// start and hand them to the sending hosts.
+fn install_traffic(
+    sim: &mut Simulator,
+    plan: &ScenarioPlan,
+    entity_vms: &[(EntityId, Vec<NodeId>)],
+    receivers: &[NodeId],
+    tags: &Tags,
+    cfg: ExpConfig,
+) {
+    let mut flow_base = 1u32;
+    for (i, (e, (_, vms))) in plan.entities.iter().zip(entity_vms).enumerate() {
+        let dsts: Vec<NodeId> = (receivers.iter().copied())
+            .filter(|r| !vms.contains(r))
+            .collect();
+        let mut flows = match &e.traffic {
+            Traffic::WebSearch { n_flows, load } => WorkloadSpec::web_search(
+                e.entity,
+                vms.clone(),
+                dsts,
+                e.cc,
+                *n_flows,
+                *load,
+                cfg.link,
+                cfg.seed.wrapping_add(e.entity.0 as u64 * 7919),
+            )
+            .generate(flow_base),
+            // Every entity replays the *same* trace (same seed): the
+            // paper's entities "both run the web search trace", and a
+            // shared flow list is what makes completion times
+            // comparable under a heavy-tailed size distribution.
+            Traffic::WebSearchClosed {
+                n_flows,
+                size_scale,
+            } => ClosedWorkload::web_search(e.entity, vms.clone(), dsts, e.cc, *n_flows, cfg.seed)
+                .with_size_scale(*size_scale)
+                .generate(flow_base),
+            Traffic::Long { n, kind } => {
+                let pairs: Vec<(NodeId, NodeId)> = (vms.iter().enumerate())
+                    .map(|(i, vm)| (*vm, dsts[i % dsts.len()]))
+                    .collect();
+                let kind = match kind {
+                    LongKind::Tcp => FlowKind::Tcp(e.cc),
+                    LongKind::Udp(rate) => FlowKind::Udp { rate: *rate },
+                };
+                let (none, rtt) = (AqTag::NONE, DelaySignal::MeasuredRtt);
+                long_flows(e.entity, &pairs, *n, kind, none, none, rtt, flow_base)
+            }
+        };
+        for f in &mut flows {
+            (f.aq_ingress, f.aq_egress) = match tags.entity.get(i) {
+                Some(entity) => *entity,
+                None => (
+                    tags.vm.get(&f.src).map_or(AqTag::NONE, |t| t.0),
+                    tags.vm.get(&f.dst).map_or(AqTag::NONE, |t| t.1),
+                ),
+            };
+            if e.cc.delay_based() && (f.aq_ingress.is_some() || f.aq_egress.is_some()) {
+                f.delay_signal = DelaySignal::VirtualDelay;
+            }
+            f.start += start_of(plan, i);
+        }
+        flow_base += flows.len() as u32;
+        add_flows(&mut sim.net, flows);
+    }
+}
+
+/// Wire `approach` around an instantiated topology and install the
+/// plan's traffic. `share` is the capacity the entities divide.
+fn wire(
+    approach: Approach,
+    plan: &ScenarioPlan,
+    cfg: ExpConfig,
+    share: Rate,
+    site: Site,
+) -> Experiment {
+    let Site {
+        mut net,
+        entity_vms,
+        receivers,
+        aq_switch,
+        core_port,
+        shard_plan,
+    } = site;
+    let mut agents: Vec<Box<dyn Agent>> = Vec::new();
+    let tags = match approach {
+        Approach::Pq => Tags::default(),
+        Approach::Aq => deploy_aqs(
+            &mut net,
+            plan,
+            cfg,
+            share,
+            &entity_vms,
+            &aq_switch,
+            &mut agents,
+        ),
+        Approach::Prl | Approach::Drl => {
+            let hose = match plan.topology {
+                Topology::Star { hose } => Some(hose),
+                _ => None,
+            };
+            let entities = &plan.entities;
+            let drl =
+                install_rate_limiters(&mut net, approach, entities, &entity_vms, share, hose, cfg);
+            agents.extend(drl.map(|a| Box::new(a) as Box<dyn Agent>));
+            Tags::default()
+        }
+    };
     ensure_transport_hosts(&mut net);
-    // The hottest shared port: the receiver ToR's downlink to the first
-    // receiver — every entity's flow toward that host crosses it.
-    let core_port = net.route_set(rx_edge, receivers[0])[0];
     let mut sim = Simulator::new(net);
     sim.set_seed(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
-    if let Some(vm_cfgs) = drl_vm_cfgs {
-        sim.add_agent(Box::new(ElasticSwitch::new(vm_cfgs)));
+    for agent in agents {
+        sim.add_agent(agent);
     }
-    install_traffic(&mut sim, entities, &entity_vms, &receivers, &tags, cfg);
+    install_traffic(&mut sim, plan, &entity_vms, &receivers, &tags, cfg);
     Experiment {
         sim,
         entity_vms,
@@ -341,14 +632,40 @@ pub fn build_fat_tree(
     }
 }
 
-/// Build the experiment a scenario plan describes, on the topology the
-/// plan names, and install the plan's faults against the instantiated
+/// Build a dumbbell experiment from a bare entity list: each entity gets
+/// `n_vms` left-side hosts (in declaration order); the right side mirrors
+/// the left and is used as the destination pool by all entities.
+pub fn build_dumbbell(approach: Approach, entities: &[EntitySetup], cfg: ExpConfig) -> Experiment {
+    let run = RunPlan::FixedHorizon {
+        horizon: Duration::ZERO,
+    };
+    build_experiment(approach, &ScenarioPlan::new(entities.to_vec(), run), cfg)
+}
+
+/// Build the experiment a scenario plan describes — on the topology and
+/// fabric the plan names, under `approach` — and install the plan's
+/// faults, buffers, table budget and churn against the instantiated
 /// fabric.
 pub fn build_experiment(approach: Approach, plan: &ScenarioPlan, cfg: ExpConfig) -> Experiment {
-    let mut exp = match plan.topology {
-        Topology::Dumbbell => build_dumbbell(approach, &plan.entities, cfg),
-        Topology::FatTree { k } => build_fat_tree(approach, &plan.entities, cfg, k),
+    let cfg = plan.fabric.map_or(cfg, |f| ExpConfig {
+        link: f.link,
+        prop: f.prop,
+        pq_limit: f.pq_limit,
+        ecn_threshold: cfg.ecn_threshold.map(|_| f.ecn_k),
+        ..cfg
+    });
+    let share = plan.fabric.and_then(|f| f.slice).unwrap_or(cfg.link);
+    let site = match plan.topology {
+        // A sliced fabric's core is `share` wide — except under AQ, which
+        // carves its slice out of a full-rate core.
+        Topology::Dumbbell if approach == Approach::Aq => {
+            dumbbell_site(&plan.entities, cfg, cfg.link)
+        }
+        Topology::Dumbbell => dumbbell_site(&plan.entities, cfg, share),
+        Topology::FatTree { k } => fat_tree_site(&plan.entities, cfg, k),
+        Topology::Star { .. } => star_site(&plan.entities, cfg),
     };
+    let mut exp = wire(approach, plan, cfg, share, site);
     if let Some(bp) = plan.buffers {
         install_buffering(&mut exp, bp, cfg);
     }
@@ -549,20 +866,9 @@ fn translate_faults(exp: &Experiment, faults: &[PlanFault], seed: u64) -> FaultP
                 plan = plan.loss_window(core_link, fault_at(from_ms), fault_at(until_ms), loss_ppm);
             }
             PlanFault::AqReset { at_ms } => {
-                let mut targets: Vec<NodeId> = net
-                    .nodes
-                    .iter()
-                    .filter(|n| {
-                        matches!(&n.kind, NodeKind::Switch { pipelines, .. } if !pipelines.is_empty())
-                    })
-                    .map(|n| n.id)
-                    .collect();
-                if targets.is_empty() {
-                    // No pipeline state anywhere (PQ/PRL/DRL): the reboot
-                    // still happens, on the bottleneck switch, as a no-op.
-                    targets.push(net.ports[exp.core_port.index()].node);
-                }
-                for node in targets {
+                // No pipeline state anywhere (PQ/PRL/DRL): the reboot
+                // still happens, on the bottleneck switch, as a no-op.
+                for node in pipeline_switches(exp) {
                     plan = plan.aq_reset(node, fault_at(at_ms));
                 }
             }
@@ -582,99 +888,6 @@ fn translate_faults(exp: &Experiment, faults: &[PlanFault], seed: u64) -> FaultP
         }
     }
     plan
-}
-
-fn install_traffic(
-    sim: &mut Simulator,
-    entities: &[EntitySetup],
-    entity_vms: &[(EntityId, Vec<NodeId>)],
-    receivers: &[NodeId],
-    tags: &[(EntityId, AqTag)],
-    cfg: ExpConfig,
-) {
-    let mut flow_base = 1u32;
-    for (e, (_, vms)) in entities.iter().zip(entity_vms) {
-        let tag = tags
-            .iter()
-            .find(|(id, _)| *id == e.entity)
-            .map(|(_, t)| *t)
-            .unwrap_or(AqTag::NONE);
-        let delay_signal = if e.cc.delay_based() && tag.is_some() {
-            DelaySignal::VirtualDelay
-        } else {
-            DelaySignal::MeasuredRtt
-        };
-        match &e.traffic {
-            Traffic::WebSearch { n_flows, load } => {
-                let mut spec = WorkloadSpec::web_search(
-                    e.entity,
-                    vms.clone(),
-                    receivers.to_vec(),
-                    e.cc,
-                    *n_flows,
-                    *load,
-                    cfg.link,
-                    cfg.seed.wrapping_add(e.entity.0 as u64 * 7919),
-                )
-                .with_aq(tag, AqTag::NONE);
-                spec.delay_signal = delay_signal;
-                add_flows(&mut sim.net, spec.generate(flow_base));
-                flow_base += *n_flows as u32;
-            }
-            Traffic::WebSearchClosed {
-                n_flows,
-                size_scale,
-            } => {
-                // Every entity replays the *same* trace (same seed): the
-                // paper's entities "both run the web search trace", and a
-                // shared flow list is what makes completion times
-                // comparable under a heavy-tailed size distribution.
-                let mut spec = ClosedWorkload::web_search(
-                    e.entity,
-                    vms.clone(),
-                    receivers.to_vec(),
-                    e.cc,
-                    *n_flows,
-                    cfg.seed,
-                )
-                .with_size_scale(*size_scale)
-                .with_aq(tag, AqTag::NONE);
-                spec.delay_signal = delay_signal;
-                add_flows(&mut sim.net, spec.generate(flow_base));
-                flow_base += *n_flows as u32;
-            }
-            Traffic::Long { n, kind } => {
-                let pairs: Vec<(NodeId, NodeId)> = vms
-                    .iter()
-                    .enumerate()
-                    .map(|(i, vm)| (*vm, receivers[i % receivers.len()]))
-                    .collect();
-                let fk = match kind {
-                    LongKind::Tcp => FlowKind::Tcp(e.cc),
-                    LongKind::Udp(rate) => FlowKind::Udp { rate: *rate },
-                };
-                add_flows(
-                    &mut sim.net,
-                    long_flows(
-                        e.entity,
-                        &pairs,
-                        *n,
-                        fk,
-                        tag,
-                        AqTag::NONE,
-                        delay_signal,
-                        flow_base,
-                    ),
-                );
-                flow_base += *n as u32;
-            }
-        }
-    }
-}
-
-/// Steady-state goodput of an entity in Gbit/s over `[warmup, until)`.
-pub fn steady_goodput(sim: &Simulator, e: EntityId, warmup: Time, until: Time) -> f64 {
-    aq_workloads::goodput_gbps(&sim.stats, e, warmup, until)
 }
 
 /// Run a simulator to `until` on the sharded engine with `jobs` worker
@@ -713,6 +926,32 @@ pub fn run_workload(
 mod tests {
     use super::*;
 
+    /// Summed goodput of entities 1 and 2 over `[from_ms, to_ms)`, Gbit/s.
+    fn goodput(sim: &Simulator, from_ms: u64, to_ms: u64) -> f64 {
+        let (from, to) = (Time::from_millis(from_ms), Time::from_millis(to_ms));
+        (1..=2)
+            .map(|e| aq_workloads::goodput_gbps(&sim.stats, EntityId(e), from, to))
+            .sum()
+    }
+
+    fn build_fat_tree(approach: Approach, entities: &[EntitySetup], k: usize) -> Experiment {
+        let run = RunPlan::FixedHorizon {
+            horizon: Duration::ZERO,
+        };
+        let plan = ScenarioPlan {
+            topology: Topology::FatTree { k },
+            ..ScenarioPlan::new(entities.to_vec(), run)
+        };
+        build_experiment(approach, &plan, ExpConfig::default())
+    }
+
+    fn plan_of(scenario: &str, params: &str) -> ScenarioPlan {
+        aq_workloads::registry::find(scenario)
+            .expect("registered")
+            .plan(&aq_workloads::Params::parse(params).expect("parse"))
+            .expect("plan")
+    }
+
     fn two_long_entities() -> Vec<EntitySetup> {
         vec![
             EntitySetup {
@@ -743,10 +982,7 @@ mod tests {
         for approach in Approach::ALL {
             let mut exp = build_dumbbell(approach, &two_long_entities(), ExpConfig::default());
             exp.sim.run_until(Time::from_millis(20));
-            let total: f64 = [EntityId(1), EntityId(2)]
-                .iter()
-                .map(|e| steady_goodput(&exp.sim, *e, Time::from_millis(5), Time::from_millis(20)))
-                .sum();
+            let total = goodput(&exp.sim, 5, 20);
             assert!(
                 total > 3.0,
                 "{}: entities moved {} Gbps through the core",
@@ -771,13 +1007,10 @@ mod tests {
     #[test]
     fn all_four_approaches_build_and_run_on_a_fat_tree() {
         for approach in Approach::ALL {
-            let mut exp = build_fat_tree(approach, &two_long_entities(), ExpConfig::default(), 4);
+            let mut exp = build_fat_tree(approach, &two_long_entities(), 4);
             assert_eq!(exp.receivers.len(), 2, "k=4: half hosts under the rx ToR");
             exp.sim.run_until(Time::from_millis(20));
-            let total: f64 = [EntityId(1), EntityId(2)]
-                .iter()
-                .map(|e| steady_goodput(&exp.sim, *e, Time::from_millis(5), Time::from_millis(20)))
-                .sum();
+            let total = goodput(&exp.sim, 5, 20);
             assert!(
                 total > 3.0,
                 "{}: entities moved {} Gbps across pods",
@@ -790,18 +1023,10 @@ mod tests {
     #[test]
     fn fat_tree_aq_deploys_one_pipeline_per_sending_tor() {
         let cfg = ExpConfig::default();
-        let exp = build_fat_tree(Approach::Aq, &two_long_entities(), cfg, 4);
+        let exp = build_fat_tree(Approach::Aq, &two_long_entities(), 4);
         // Node numbering is deterministic: a twin topology yields the
         // same edge-switch ids as the one inside the experiment.
-        let twin = fat_tree(
-            4,
-            cfg.link,
-            cfg.prop,
-            FifoConfig {
-                limit_bytes: cfg.pq_limit,
-                ecn_threshold_bytes: cfg.ecn_threshold,
-            },
-        );
+        let twin = fat_tree(4, cfg.link, cfg.prop, cfg.fifo());
         let mut sim = exp.sim;
         for tor in 0..2 {
             let pipe = sim
@@ -831,10 +1056,7 @@ mod tests {
         assert!(exp.sim.fault_totals().link_down_drops > 0, "link drops");
         assert!(exp.sim.fault_totals().pause_drops > 0, "pause drops");
         // Traffic still moves after the train ends.
-        let total: f64 = [EntityId(1), EntityId(2)]
-            .iter()
-            .map(|e| steady_goodput(&exp.sim, *e, Time::from_millis(20), Time::from_millis(25)))
-            .sum();
+        let total = goodput(&exp.sim, 20, 25);
         assert!(total > 1.0, "post-fault goodput recovered: {total}");
     }
 
@@ -1011,6 +1233,130 @@ mod tests {
             assert!(
                 exp.sim.shared_buffer(aq_netsim::ids::NodeId(0)).is_some(),
                 "DT pool installed"
+            );
+        }
+    }
+
+    #[test]
+    fn staggered_starts_hold_traffic_back_and_grant_on_join_redivides_the_link() {
+        // Fig. 9: entity k starts at k x 100 ms; under AQ its AQ is granted
+        // at that instant and everyone granted so far re-divides the link.
+        let plan = plan_of("fig09_udp_tcp", "");
+        for approach in Approach::ALL {
+            let mut exp = build_experiment(approach, &plan, ExpConfig::default());
+            exp.sim.run_until(Time::from_millis(110));
+            let rx = |e: u32| exp.sim.stats.entity(EntityId(e)).map_or(0, |s| s.rx_bytes);
+            assert!(
+                rx(1) > 0 && rx(2) > 0,
+                "{}: e1, e2 started",
+                approach.name()
+            );
+            assert_eq!(rx(3), 0, "{}: e3 starts at 200 ms", approach.name());
+        }
+        let mut exp = build_experiment(Approach::Aq, &plan, ExpConfig::default());
+        for (until_ms, live) in [(50, 1), (150, 2), (250, 3)] {
+            exp.sim.run_until(Time::from_millis(until_ms));
+            let table = &pipe_at(&mut exp.sim.net, NodeId(0)).ingress_table;
+            assert_eq!(table.len(), live, "at {until_ms} ms");
+            for id in 1..=live as u32 {
+                let share = Rate::from_gbps(10).scaled(1, live as u64);
+                assert_eq!(table.rate_of(AqTag(id)), Some(share), "AQ {id} of {live}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sliced_fabric_is_a_slow_core_under_pq_and_an_aq_of_a_fast_core_under_aq() {
+        // Table 4: 25 Gbit/s physical core vs a 25 Gbit/s AQ of a
+        // 100 Gbit/s core, same limit and ECN threshold in both.
+        let plan = plan_of("table4_cc_behavior", "cc=2");
+        let cfg = |approach| ExpConfig {
+            ecn_threshold: pq_ecn_for(approach, &plan.entities),
+            ..ExpConfig::default()
+        };
+        let core_rate = |exp: &Experiment| {
+            let net = &exp.sim.net;
+            net.links[net.ports[exp.core_port.index()].link.index()].rate
+        };
+        let pq = build_experiment(Approach::Pq, &plan, cfg(Approach::Pq));
+        assert_eq!(core_rate(&pq), Rate::from_gbps(25));
+        let mut aq = build_experiment(Approach::Aq, &plan, cfg(Approach::Aq));
+        assert_eq!(core_rate(&aq), Rate::from_gbps(100));
+        let inst = (pipe_at(&mut aq.sim.net, NodeId(0)).ingress_table)
+            .get(AqTag(1))
+            .expect("the entity's AQ");
+        assert_eq!(inst.cfg.rate, Rate::from_gbps(25));
+        assert_eq!(inst.cfg.limit_bytes, 2_000_000);
+        assert_eq!(
+            inst.cfg.cc,
+            CcPolicy::EcnBased {
+                threshold_bytes: 200_000
+            }
+        );
+    }
+
+    #[test]
+    fn the_hose_star_gives_every_vm_an_inbound_and_an_outbound_profile() {
+        // Table 3: 4 VMs, 5 Gbit/s in / 5 Gbit/s out each.
+        let plan = plan_of("table3_vm_profile", "");
+        let hose = Rate::from_gbps(5);
+        let mut aq = build_experiment(Approach::Aq, &plan, ExpConfig::default());
+        assert_eq!(aq.receivers.len(), 4, "every VM is a destination");
+        let switch = aq.sim.net.ports[aq.core_port.index()].node;
+        let pipe = pipe_at(&mut aq.sim.net, switch);
+        for table in [&pipe.ingress_table, &pipe.egress_table] {
+            assert_eq!(table.len(), 4);
+            assert!(table.iter().all(|inst| inst.cfg.rate == hose));
+        }
+        // AQ holds VM A's outbound (entity 1) and inbound (entity 2) at the
+        // profile; PRL can only shape senders, so three of them overrun it.
+        aq.sim.run_until(Time::from_millis(30));
+        let mut prl = build_experiment(Approach::Prl, &plan, ExpConfig::default());
+        for vm in prl.receivers.clone() {
+            let up = prl.sim.net.host_uplink(vm);
+            assert!(prl.sim.net.discipline_mut::<HtbShaper>(up).is_some());
+        }
+        prl.sim.run_until(Time::from_millis(30));
+        let gbps = |exp: &Experiment, e| {
+            aq_workloads::goodput_gbps(&exp.sim.stats, EntityId(e), Time::ZERO, exp.sim.now())
+        };
+        assert!(gbps(&aq, 1) <= 5.0 && gbps(&aq, 2) <= 5.0);
+        assert!(gbps(&prl, 1) <= 5.0 && gbps(&prl, 2) > 7.5);
+    }
+
+    #[test]
+    fn aq_limit_and_work_conservation_modes_reach_the_pipeline() {
+        // §6 limit policies: 100 Mbit/s of 10 Gbit/s is 1% of 200 KB.
+        for (scenario, params, limit) in [
+            ("ablation_limit_policy", "policy=0", 200_000),
+            ("ablation_limit_policy", "policy=1", 30_000),
+            ("ablation_limit_nofloor", "", 2_000),
+        ] {
+            let plan = plan_of(scenario, params);
+            let mut exp = build_experiment(Approach::Aq, &plan, ExpConfig::default());
+            let table = &pipe_at(&mut exp.sim.net, NodeId(0)).ingress_table;
+            let small = table.get(AqTag(1)).expect("entity 1's AQ");
+            assert_eq!(small.cfg.rate, Rate::from_mbps(100), "{scenario} {params}");
+            assert_eq!(small.cfg.limit_bytes, limit, "{scenario} {params}");
+        }
+        // §6 work conservation: entity B idles until 300 ms.
+        for (scenario, params, conserves) in [
+            ("ablation_wc_strict", "", false),
+            ("ablation_work_conservation", "mode=0", true),
+            ("ablation_work_conservation", "mode=1", true),
+        ] {
+            let plan = plan_of(scenario, params);
+            let mut exp = build_experiment(Approach::Aq, &plan, ExpConfig::default());
+            let pipe = pipe_at(&mut exp.sim.net, NodeId(0));
+            let bypass = plan.aq_mode == AqMode::BypassWhenIdle;
+            assert_eq!(pipe.egress_table.len(), if bypass { 2 } else { 0 });
+            assert_eq!(pipe.ingress_table.len(), if bypass { 0 } else { 2 });
+            exp.sim.run_until(Time::from_millis(60));
+            let alone = goodput(&exp.sim, 20, 60);
+            assert_eq!(
+                alone > 8.0,
+                conserves,
+                "{scenario} {params}: A alone {alone}"
             );
         }
     }

@@ -1,15 +1,10 @@
-//! Run reporting: plain-text tables for the terminal plus the structured
-//! [`RunReport`] artifact every harness and example emits.
+//! Run reporting: the structured [`RunReport`] artifact every run and
+//! example emits.
 //!
-//! Every harness prints: a header naming the paper artifact it
-//! regenerates, the parameter axis, and one row per configuration — the
-//! same rows/series the paper reports, so paper-vs-measured comparison is
-//! a side-by-side read.
-//!
-//! Alongside the tables, a [`RunReport`] serializes the whole `StatsHub`
-//! — entity series, port series (byte conservation, drop causes, ECN
-//! marks, occupancy), AQ summaries (gap statistics, limit drops), and
-//! fairness indices — to CSV/JSON files under `target/run_reports/<name>/`.
+//! A [`RunReport`] serializes the whole `StatsHub` — entity series, port
+//! series (byte conservation, drop causes, ECN marks, occupancy), AQ
+//! summaries (gap statistics, limit drops), and fairness indices — to
+//! CSV/JSON files under `target/run_reports/<name>/`.
 //! Output is deterministic: all maps iterate in `BTreeMap` order and every
 //! float is printed with fixed precision, so report bytes are identical
 //! across same-seed runs (the determinism e2e digests them).
@@ -27,61 +22,6 @@ use aq_netsim::stats::{
 use aq_netsim::time::{Duration, Time};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-
-/// Print the standard harness banner.
-pub fn banner(artifact: &str, description: &str) {
-    println!();
-    println!("================================================================");
-    println!("{artifact}: {description}");
-    println!("================================================================");
-}
-
-/// Print a header row followed by a separator.
-pub fn header(cols: &[&str], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cols.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$} ", w = w));
-    }
-    println!("{line}");
-    println!("{}", "-".repeat(line.len()));
-}
-
-/// Print one row of already-formatted cells.
-pub fn row(cells: &[String], widths: &[usize]) {
-    let mut line = String::new();
-    for (c, w) in cells.iter().zip(widths) {
-        line.push_str(&format!("{c:>w$} ", w = w));
-    }
-    println!("{line}");
-}
-
-/// Format Gbit/s with two decimals.
-pub fn gbps(v: f64) -> String {
-    format!("{v:.2}")
-}
-
-/// Format a ratio with two decimals.
-pub fn ratio(v: f64) -> String {
-    format!("{v:.2}")
-}
-
-/// Format an optional seconds value.
-pub fn secs(v: Option<f64>) -> String {
-    match v {
-        Some(s) => format!("{s:.3}s"),
-        None => "unfinished".to_string(),
-    }
-}
-
-/// Print a note line under a table.
-pub fn note(text: &str) {
-    println!("  note: {text}");
-}
-
-/// Paper-reported value for side-by-side comparison.
-pub fn paper_row(label: &str, text: &str) {
-    println!("  paper {label}: {text}");
-}
 
 /// A value as drill-down text, in the fixed `{:.6}` precision the
 /// serializers write (report bytes never depend on locale or default
@@ -686,7 +626,7 @@ pub struct Section {
     /// Fault-injection summary (empty for fault-free captures).
     pub faults: FaultSummary,
     /// Harness-defined scalar metrics (model-only harnesses like the
-    /// fig. 11 resource accounting), in harness-chosen order.
+    /// scalability example), in harness-chosen order.
     pub metrics: Vec<(String, f64)>,
 }
 
@@ -783,7 +723,7 @@ impl Section {
 
 /// A structured, deterministic artifact of one harness run.
 ///
-/// Every `fig*` bench and example builds one `RunReport`, [`capture`]s the
+/// Every sweep run and example builds one `RunReport`, [`capture`]s the
 /// `StatsHub` once per configuration it runs (one [`Section`] each), and
 /// [`write`]s the result under `target/run_reports/<name>/` as
 /// `report.json` + `entities.csv` + `ports.csv` + `aqs.csv`.
@@ -901,7 +841,7 @@ impl RunReport {
 
     /// Capture a bare [`AqTable`] (no simulator, no hub) as one section
     /// containing only AQ rows — the path used by table-only harnesses
-    /// like the scalability example and the fig. 11/12 resource models.
+    /// like the scalability example.
     pub fn capture_table(&mut self, label: &str, table: &AqTable, position: AqPosition) {
         let mut hub = StatsHub::new();
         export_aq_table(table, position, &mut hub);

@@ -374,6 +374,44 @@ mod tests {
     }
 
     #[test]
+    fn strawman_peaks_escalate_burst_over_burst_but_agap_peaks_do_not() {
+        // Fig. 3's closed loop: a CC that over-corrects — it trickles far
+        // below R after each burst (the deeper the higher the last peak),
+        // then ramps multiplicatively until the measure reads 20 KB over.
+        // Returns the arrival rate at which each of 4 bursts is cut.
+        fn peaks(mut measure: impl FnMut(Time, u32) -> i64) -> Vec<f64> {
+            let mut t_ns = 0u64;
+            let mut send = |bps: f64| {
+                t_ns += (1000.0 * 8.0 / bps * 1e9) as u64;
+                measure(Time::from_nanos(t_ns), 1000)
+            };
+            let mut peaks: Vec<f64> = Vec::new();
+            for _ in 0..4 {
+                for _ in 0..(5.0 * peaks.last().copied().unwrap_or(5e9) / 1e9) as u64 {
+                    send(1e9);
+                }
+                let mut bps = 2e9;
+                while send(bps) <= 20_000 {
+                    // The sending host cannot exceed its 100 Gbps NIC.
+                    bps = (bps * 1.002).min(100e9);
+                }
+                peaks.push(bps);
+            }
+            peaks
+        }
+        let rate = Rate::from_bps(5 * GBPS);
+        let (mut d, mut a) = (DGap::new(rate), AGap::new(rate));
+        let d_peaks = peaks(|t, b| d.on_packet(t, b));
+        let a_peaks = peaks(|t, b| a.on_packet(t, b) as i64);
+        // D(t) banks every trickle as surplus, so each burst must climb
+        // higher than the last before the measure turns positive; A(t)
+        // clamps the surplus and every burst is cut at the same r0.
+        assert!(d_peaks[0] > a_peaks[0], "{d_peaks:?} vs {a_peaks:?}");
+        assert!(d_peaks.windows(2).all(|w| w[1] >= w[0]) && d_peaks[3] > 1.2 * d_peaks[0]);
+        assert!(a_peaks.iter().all(|r| *r == a_peaks[0]), "{a_peaks:?}");
+    }
+
+    #[test]
     fn strawman_empty_period_floors_at_zero() {
         let rate = Rate::from_bps(8 * GBPS);
         let mut d = DGap::new(rate);

@@ -130,6 +130,105 @@ pub fn extended_spec() -> SweepSpec {
     }
 }
 
+/// The paper's evaluation: every simulated figure and table of §5 (plus
+/// Fig. 1 and the two §6 ablations) as one or two axes, at the entity
+/// counts, flow counts, CC rows, VM counts, horizons and seeds the paper
+/// reports. EXPERIMENTS.md maps each artifact to its axis, its trend
+/// rules and the rows of `sweep.csv` that are its table;
+/// `baselines/expected/paper` holds the committed aggregate.
+pub fn paper_spec() -> SweepSpec {
+    use Approach::{Aq, Pq};
+    let axis = |scenario: &str, approaches: &[Approach], grid: &[&str], seeds: &[u64]| SweepAxis {
+        scenario: scenario.to_string(),
+        approaches: approaches.to_vec(),
+        grid: (grid.iter())
+            .map(|g| Params::parse(g).expect("static paper grid parses"))
+            .collect(),
+        seeds: seeds.to_vec(),
+    };
+    let all = &Approach::ALL;
+    SweepSpec {
+        name: "paper".to_string(),
+        axes: vec![
+            axis(
+                "fig01_cc_interference",
+                &[Pq],
+                &["pair=0", "pair=1", "pair=2", "pair=3", "pair=4"],
+                &[1],
+            ),
+            axis("fig01_same_class", &[Pq], &[], &[1]),
+            axis(
+                "table2_cc_sharing",
+                &[Pq, Aq],
+                &[
+                    "row=0", "row=1", "row=2", "row=3", "row=4", "row=5", "row=6", "row=7",
+                ],
+                &[1],
+            ),
+            axis("table2_same_cc", &[Pq, Aq], &[], &[1]),
+            axis("fig06_one_vm", all, &[], &[1, 2, 3]),
+            axis(
+                "fig06_completion_vs_vms",
+                all,
+                &["vms=2", "vms=4", "vms=8"],
+                &[1, 2, 3],
+            ),
+            axis(
+                "fig07_entity_fairness",
+                all,
+                &["b_vms=1", "b_vms=2", "b_vms=4", "b_vms=8"],
+                &[2, 3, 4],
+            ),
+            axis("fig08_equal_flows", &[Pq, Aq], &[], &[1]),
+            axis("fig08_equal_flows", &[Aq], &["b_weight=2"], &[1]),
+            axis(
+                "fig08_flow_count_isolation",
+                &[Pq, Aq],
+                &["b_flows=4", "b_flows=16", "b_flows=64"],
+                &[1],
+            ),
+            axis(
+                "fig08_flow_count_isolation",
+                &[Aq],
+                &[
+                    "b_flows=4,b_weight=2",
+                    "b_flows=16,b_weight=2",
+                    "b_flows=64,b_weight=2",
+                ],
+                &[1],
+            ),
+            axis("fig09_udp_tcp", &[Pq, Aq], &[], &[1]),
+            axis(
+                "fig10_cc_fairness",
+                all,
+                &["pair=0", "pair=1", "pair=2"],
+                &[1],
+            ),
+            axis("table3_vm_profile", all, &[], &[1]),
+            axis(
+                "table4_cc_behavior",
+                &[Pq, Aq],
+                &["cc=0", "cc=1", "cc=2"],
+                &[1],
+            ),
+            axis(
+                "ablation_limit_policy",
+                &[Aq],
+                &["policy=0", "policy=1"],
+                &[1],
+            ),
+            axis("ablation_limit_nofloor", &[Aq], &[], &[1]),
+            axis(
+                "ablation_work_conservation",
+                &[Aq],
+                &["mode=0", "mode=1"],
+                &[1],
+            ),
+            axis("ablation_wc_strict", &[Aq], &[], &[1]),
+        ],
+    }
+}
+
 /// The nightly wide sweep: every registered scenario × all four
 /// approaches × 5 seeds at default grids. Trend-checked only (no
 /// committed baseline — the grid is too wide to keep bytes for).
@@ -171,7 +270,7 @@ pub fn soak_round_spec(base_seed: u64, round: u64) -> SweepSpec {
 
 /// Named sweep specs addressable from the CLI (`--spec <name>`).
 pub fn named_specs() -> Vec<SweepSpec> {
-    vec![smoke_spec(), extended_spec(), nightly_spec()]
+    vec![smoke_spec(), extended_spec(), paper_spec(), nightly_spec()]
 }
 
 /// Look up a named spec.
@@ -213,10 +312,35 @@ mod tests {
     }
 
     #[test]
+    fn paper_spec_expands_to_the_documented_size() {
+        let points = sweep::expand(&paper_spec()).expect("paper expands");
+        // Fig. 1: 5 + 1 (PQ). Table 2: (8 + 1) x 2. Figs. 6, 7: (1 + 3) and
+        // 4 points x 4 approaches x 3 seeds. Fig. 8: (1 + 3) x 2 at 1:1 +
+        // (1 + 3) (AQ) at 1:2. Fig. 9: 2. Fig. 10: 3 x 4. Table 3: 4.
+        // Table 4: 3 x 2. Ablations (AQ): 2 + 1 and 2 + 1.
+        assert_eq!(points.len(), 6 + 18 + 48 + 48 + 12 + 2 + 12 + 4 + 6 + 3 + 3);
+        // Every scenario the smoke/extended grids do not run is a paper
+        // artifact and must be on an axis here.
+        let legacy: Vec<String> = (smoke_spec().axes.into_iter())
+            .chain(extended_spec().axes)
+            .map(|a| a.scenario)
+            .collect();
+        for def in aq_workloads::registry::registry() {
+            let on_paper = points.iter().any(|p| p.key.scenario == def.name);
+            assert_ne!(
+                on_paper,
+                legacy.iter().any(|s| s == def.name),
+                "{}",
+                def.name
+            );
+        }
+    }
+
+    #[test]
     fn nightly_spec_covers_every_scenario_and_approach() {
         let points = sweep::expand(&nightly_spec()).expect("nightly expands");
-        // 10 scenarios x 4 approaches x 5 seeds at the default grid point.
-        assert_eq!(points.len(), 200);
+        // 27 scenarios x 4 approaches x 5 seeds at the default grid point.
+        assert_eq!(points.len(), 540);
     }
 
     #[test]
@@ -243,6 +367,7 @@ mod tests {
     fn named_specs_are_findable() {
         assert!(find_spec("smoke").is_some());
         assert!(find_spec("extended").is_some());
+        assert!(find_spec("paper").is_some());
         assert!(find_spec("nightly").is_some());
         assert!(find_spec("nope").is_none());
     }

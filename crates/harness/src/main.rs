@@ -86,7 +86,7 @@ fn main() -> ExitCode {
 fn cmd_list() -> ExitCode {
     println!("scenarios:");
     for def in registry::registry() {
-        println!("  {:<16} {}", def.name, def.summary);
+        println!("  {:<26} {}", def.name, def.summary);
         for p in def.params {
             println!(
                 "    --param {:<12} default {:<8} {}",

@@ -12,12 +12,12 @@
 //! never collide even when written concurrently.
 
 use crate::pool::{run_supervised, TaskResult};
-use aq_bench::report::RunReport;
+use aq_bench::report::{EntityRow, RunReport, Section};
 use aq_bench::{build_experiment, pq_ecn_for, run_workload, Approach, ExpConfig};
 use aq_netsim::ids::EntityId;
-use aq_netsim::stats::minmax_ratio;
+use aq_netsim::stats::{jain_index, minmax_ratio};
 use aq_netsim::time::{Duration as SimDuration, Time};
-use aq_workloads::registry::{self, Params, PlanFault, RunPlan, ScenarioDef};
+use aq_workloads::registry::{self, Params, PlanFault, RunPlan, ScenarioDef, ScenarioPlan};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -242,7 +242,7 @@ pub fn execute_run(
         .ok_or_else(|| format!("{}: capture produced no section", point.key))?;
     let mut metrics: BTreeMap<String, f64> = BTreeMap::new();
     metrics.insert("events".to_string(), section.events as f64);
-    metrics.insert("jain_goodput".to_string(), section.jain_goodput);
+    metrics.insert("jain_goodput".to_string(), weighted_jain(&plan, section));
     let mut total_goodput = 0.0;
     let mut flows_completed = 0u64;
     let mut flows_total = 0u64;
@@ -330,9 +330,7 @@ pub fn execute_run(
         if let (Some(pre), Some(base)) = (pre, base) {
             if base.now_ns < section.now_ns {
                 let pre_gbps: f64 = pre.entities.iter().map(|e| e.goodput_gbps).sum();
-                let rx = |s: &aq_bench::report::Section| -> u64 {
-                    s.entities.iter().map(|e| e.rx_bytes).sum()
-                };
+                let rx = |s: &Section| -> u64 { s.entities.iter().map(|e| e.rx_bytes).sum() };
                 let post_bytes = rx(section).saturating_sub(rx(base));
                 // bits per nanosecond == Gbit/s, exactly.
                 let post_gbps = post_bytes as f64 * 8.0 / (section.now_ns - base.now_ns) as f64;
@@ -341,6 +339,22 @@ pub fn execute_run(
                 if pre_gbps > 0.0 {
                     metrics.insert("postfault_goodput_ratio".to_string(), post_gbps / pre_gbps);
                 }
+            }
+        }
+    }
+    if !plan.starts.is_empty() {
+        phase_metrics(&plan, section, &mut metrics);
+    }
+    if plan.fabric.is_some() {
+        // The queuing delay each entity's CC reacts to: its AQ's virtual
+        // delay under AQ, the physical queues' otherwise.
+        for e in &section.entities {
+            let p99 = match point.approach {
+                Approach::Aq => e.vq_p99_ns,
+                _ => e.pq_p99_ns,
+            };
+            if let Some(ns) = p99 {
+                metrics.insert(format!("cc_qdelay_p99_us_e{}", e.entity), ns as f64 / 1e3);
             }
         }
     }
@@ -380,6 +394,62 @@ pub fn execute_run(
         metrics.insert("table_peak_bytes".to_string(), peak as f64);
     }
     Ok(metrics)
+}
+
+/// Jain's index over weight-normalised goodputs: the report's own
+/// `jain_goodput` when the weights are equal, and 1.0 at a 1 : 2 split
+/// of a 1 : 2 grant.
+fn weighted_jain(plan: &ScenarioPlan, section: &Section) -> f64 {
+    let per_weight: Vec<f64> = (section.entities.iter())
+        .map(|row| {
+            let setup = (plan.entities.iter()).find(|e| e.entity.0 as u64 == row.entity);
+            row.goodput_gbps / setup.map_or(1, |e| e.weight) as f64
+        })
+        .collect();
+    jain_index(&per_weight)
+}
+
+/// Per-phase goodputs of a plan whose entities start at staggered times.
+/// Phase `p` runs from the `p`-th distinct start to the next (the last to
+/// the horizon); `goodput_p<p>_e<i>_gbps` is entity `i`'s average rate in
+/// it, read from the run report's windowed `rate_series_bps`, for every
+/// entity that has started by then. `phase_share_err_max` is the largest
+/// distance, over all phases, between a started entity's share of the
+/// phase's goodput and its weight's share of the started entities'
+/// weights — 0 when every phase splits by weight among those present.
+fn phase_metrics(plan: &ScenarioPlan, section: &Section, metrics: &mut BTreeMap<String, f64>) {
+    let window_ns = aq_netsim::stats::SAMPLE_WINDOW.as_nanos();
+    let mut edges: Vec<u64> = plan.starts.iter().map(|s| s.as_nanos()).collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges.push(section.now_ns);
+    let mut worst = 0.0f64;
+    for (p, edge) in edges.windows(2).enumerate() {
+        let (from, to) = (
+            (edge[0] / window_ns) as usize,
+            (edge[1] / window_ns) as usize,
+        );
+        let started: Vec<(&EntityRow, u64, f64)> = (plan.entities.iter())
+            .zip(&plan.starts)
+            .filter(|(_, start)| start.as_nanos() <= edge[0])
+            .filter_map(|(setup, _)| {
+                let row = (section.entities.iter()).find(|r| r.entity == setup.entity.0 as u64)?;
+                let windows = row.rate_series_bps.get(from..to)?;
+                let gbps = windows.iter().sum::<f64>() / windows.len().max(1) as f64 / 1e9;
+                Some((row, setup.weight, gbps))
+            })
+            .collect();
+        let total: f64 = started.iter().map(|(_, _, g)| g).sum();
+        let weights: u64 = started.iter().map(|(_, w, _)| w).sum();
+        for (row, weight, gbps) in &started {
+            metrics.insert(format!("goodput_p{p}_e{}_gbps", row.entity), *gbps);
+            if total > 0.0 {
+                let err = gbps / total - *weight as f64 / weights as f64;
+                worst = worst.max(err.abs());
+            }
+        }
+    }
+    metrics.insert("phase_share_err_max".to_string(), worst);
 }
 
 /// Why a run failed — the `kind` field of `sweep.json` failure entries.
@@ -589,6 +659,52 @@ mod tests {
         }
         assert!(metrics["events"] > 0.0);
         assert!(metrics["goodput_total_gbps"] > 0.0);
+    }
+
+    #[test]
+    fn staggered_plans_distill_phase_goodputs_and_weights_normalise_jain() {
+        use aq_netsim::stats::StatsHub;
+        // Entity 1 (weight 1) delivers 1 Gbit/s from 0 to 60 ms; entity 2
+        // (weight 2) starts at 30 ms and delivers 2 Gbit/s from then on.
+        let mut hub = StatsHub::new();
+        for ms in 0..60 {
+            let at = Time::from_micros(ms * 1000 + 500);
+            hub.on_delivery(at, EntityId(1), 125_000, 0, 0);
+            if ms >= 30 {
+                hub.on_delivery(at, EntityId(2), 250_000, 0, 0);
+            }
+        }
+        let mut rep = RunReport::new("unit");
+        rep.capture_hub("run", Time::from_millis(60), 0, &hub);
+        let section = &rep.sections()[0];
+        let mut plan = registry::find("fairness_flows")
+            .expect("registered")
+            .plan(&Params::new())
+            .expect("plan");
+        plan.entities[1].weight = 2;
+        plan.starts = vec![SimDuration::ZERO, SimDuration::from_millis(30)];
+        let mut metrics = BTreeMap::new();
+        phase_metrics(&plan, section, &mut metrics);
+        let expect = [
+            ("goodput_p0_e1_gbps", 1.0),
+            ("goodput_p1_e1_gbps", 1.0),
+            ("goodput_p1_e2_gbps", 2.0),
+            ("phase_share_err_max", 0.0),
+        ];
+        assert_eq!(metrics.len(), expect.len(), "{metrics:?}");
+        for (key, value) in expect {
+            assert!((metrics[key] - value).abs() < 1e-9, "{key}: {metrics:?}");
+        }
+        // Whole-run goodputs are 1 and 1 Gbit/s (entity 2 ran half the
+        // time): even by the report's index, 1 : 2 short by weight.
+        assert!((section.jain_goodput - 1.0).abs() < 1e-9);
+        assert!((weighted_jain(&plan, section) - 0.9).abs() < 1e-9);
+        // A phase that does not split by weight shows up as share error:
+        // with equal weights the 1 : 2 phase is 1/6 off for both.
+        plan.entities[1].weight = 1;
+        phase_metrics(&plan, section, &mut metrics);
+        assert!((metrics["phase_share_err_max"] - 1.0 / 6.0).abs() < 1e-9);
+        assert_eq!(weighted_jain(&plan, section), section.jain_goodput);
     }
 
     #[test]

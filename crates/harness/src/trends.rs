@@ -82,10 +82,8 @@ pub enum TrendRule {
 }
 
 impl TrendRule {
-    /// The scenario this rule watches. The static analyzer's
-    /// `registry-coverage` rule cross-checks these names against
-    /// `aq_workloads::registry` at lint time; this accessor is the
-    /// runtime counterpart used by the coverage test below.
+    /// The scenario this rule watches (the coverage test below checks
+    /// these names against `aq_workloads::registry`).
     pub fn scenario(&self) -> &'static str {
         match self {
             TrendRule::NotWorseThan { scenario, .. }
@@ -262,6 +260,350 @@ pub const DEFAULT_RULES: &[TrendRule] = &[
         metric: "completion_frac",
         approach: "aq",
         floor: 0.5,
+    },
+    // The paper's evaluation (`--spec paper`; EXPERIMENTS.md has the
+    // measured-vs-paper tables). Each artifact gets the paper's claim about
+    // AQ and, where the paper says a baseline fails, a rule pinning that
+    // failure — so a change that quietly "fixes" PQ or PRL is caught too.
+    // `jain_goodput` is over weight-normalised goodputs.
+    //
+    // Fig. 1: CC classes sharing one physical queue interfere (the loser of
+    // each pair is starved); two drop-based algorithms do not.
+    TrendRule::AtMost {
+        scenario: "fig01_cc_interference",
+        metric: "jain_goodput",
+        approach: "pq",
+        ceiling: 0.92,
+    },
+    TrendRule::AtLeast {
+        scenario: "fig01_same_class",
+        metric: "jain_goodput",
+        approach: "pq",
+        floor: 0.95,
+    },
+    // Table 2: under AQ every entity holds its weight's share whatever the
+    // CC mix, UDP included; under PQ every mix is won by one entity. With a
+    // single CC algorithm PQ shares evenly too.
+    TrendRule::AtLeast {
+        scenario: "table2_cc_sharing",
+        metric: "jain_goodput",
+        approach: "aq",
+        floor: 0.98,
+    },
+    TrendRule::AtMost {
+        scenario: "table2_cc_sharing",
+        metric: "jain_goodput",
+        approach: "pq",
+        ceiling: 0.6,
+    },
+    TrendRule::AtLeast {
+        scenario: "table2_same_cc",
+        metric: "jain_goodput",
+        approach: "aq",
+        floor: 0.98,
+    },
+    TrendRule::AtLeast {
+        scenario: "table2_same_cc",
+        metric: "jain_goodput",
+        approach: "pq",
+        floor: 0.95,
+    },
+    // Fig. 6: AQ completes as fast as the raw network at every VM count;
+    // the fixed (PRL) and lagging (DRL) per-VM splits are slower as soon as
+    // there is a split — and not before.
+    TrendRule::AtMostFactorOf {
+        scenario: "fig06_completion_vs_vms",
+        metric: "completion_max_s",
+        faster: "aq",
+        slower: "pq",
+        factor: 1.05,
+    },
+    TrendRule::FlatAcrossParams {
+        scenario: "fig06_completion_vs_vms",
+        metric: "completion_max_s",
+        approach: "aq",
+        spread: 0.15,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "fig06_completion_vs_vms",
+        metric: "completion_max_s",
+        faster: "pq",
+        slower: "prl",
+        factor: 0.75,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "fig06_completion_vs_vms",
+        metric: "completion_max_s",
+        faster: "pq",
+        slower: "drl",
+        factor: 0.8,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "fig06_one_vm",
+        metric: "completion_max_s",
+        faster: "aq",
+        slower: "pq",
+        factor: 1.05,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "fig06_one_vm",
+        metric: "completion_max_s",
+        faster: "prl",
+        slower: "pq",
+        factor: 1.15,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "fig06_one_vm",
+        metric: "completion_max_s",
+        faster: "drl",
+        slower: "pq",
+        factor: 1.25,
+    },
+    // Fig. 7: under AQ two equal-weight entities finish together however
+    // many VMs entity B has, and no baseline is fairer.
+    TrendRule::AtLeast {
+        scenario: "fig07_entity_fairness",
+        metric: "completion_ratio",
+        approach: "aq",
+        floor: 0.9,
+    },
+    TrendRule::NotWorseThan {
+        scenario: "fig07_entity_fairness",
+        metric: "completion_ratio",
+        better: "aq",
+        worse: "pq",
+        slack: 0.0,
+    },
+    TrendRule::NotWorseThan {
+        scenario: "fig07_entity_fairness",
+        metric: "completion_ratio",
+        better: "aq",
+        worse: "prl",
+        slack: 0.05,
+    },
+    TrendRule::NotWorseThan {
+        scenario: "fig07_entity_fairness",
+        metric: "completion_ratio",
+        better: "aq",
+        worse: "drl",
+        slack: 0.05,
+    },
+    // Fig. 8: AQ splits by weight (1:1 and 1:2) whatever the flow counts;
+    // PQ splits by flow count, so entity A starves.
+    TrendRule::AtLeast {
+        scenario: "fig08_flow_count_isolation",
+        metric: "jain_goodput",
+        approach: "aq",
+        floor: 0.98,
+    },
+    TrendRule::AtMost {
+        scenario: "fig08_flow_count_isolation",
+        metric: "jain_goodput",
+        approach: "pq",
+        ceiling: 0.7,
+    },
+    TrendRule::AtLeast {
+        scenario: "fig08_equal_flows",
+        metric: "jain_goodput",
+        approach: "aq",
+        floor: 0.98,
+    },
+    // Fig. 9: under AQ every entity that has joined holds 1/n of the link
+    // in every phase, the UDP blast included; under PQ the UDP entity (e3)
+    // holds >= 85 % of the link once it joins and the first TCP entity is
+    // starved.
+    TrendRule::AtMost {
+        scenario: "fig09_udp_tcp",
+        metric: "phase_share_err_max",
+        approach: "aq",
+        ceiling: 0.05,
+    },
+    TrendRule::AtLeast {
+        scenario: "fig09_udp_tcp",
+        metric: "goodput_p4_e3_gbps",
+        approach: "pq",
+        floor: 8.0,
+    },
+    TrendRule::AtMost {
+        scenario: "fig09_udp_tcp",
+        metric: "goodput_p4_e1_gbps",
+        approach: "pq",
+        ceiling: 1.0,
+    },
+    // Fig. 10: (a) mixed-CC entities finish together under AQ, not under
+    // PQ; (b) AQ takes about as long as PQ in total, PRL and DRL
+    // significantly longer.
+    TrendRule::AtLeast {
+        scenario: "fig10_cc_fairness",
+        metric: "completion_ratio",
+        approach: "aq",
+        floor: 0.9,
+    },
+    TrendRule::AtMost {
+        scenario: "fig10_cc_fairness",
+        metric: "completion_ratio",
+        approach: "pq",
+        ceiling: 0.7,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "fig10_cc_fairness",
+        metric: "completion_max_s",
+        faster: "aq",
+        slower: "pq",
+        factor: 1.1,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "fig10_cc_fairness",
+        metric: "completion_max_s",
+        faster: "pq",
+        slower: "prl",
+        factor: 0.6,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "fig10_cc_fairness",
+        metric: "completion_max_s",
+        faster: "pq",
+        slower: "drl",
+        factor: 0.8,
+    },
+    // Table 3 (5 Gbit/s in / 5 Gbit/s out on a 25 Gbit/s star; goodput is
+    // payload, so 5.0 on the wire reads ~4.7): AQ holds VM A's outbound
+    // (e1) and inbound (e2) at the profile; PQ limits neither; PRL holds
+    // outbound but lets the three senders overrun inbound; DRL stays
+    // within the profile in both directions and undershoots.
+    TrendRule::AtLeast {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e1_gbps",
+        approach: "aq",
+        floor: 4.4,
+    },
+    TrendRule::AtMost {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e1_gbps",
+        approach: "aq",
+        ceiling: 5.0,
+    },
+    TrendRule::AtLeast {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e1_gbps",
+        approach: "pq",
+        floor: 15.0,
+    },
+    TrendRule::AtMost {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e1_gbps",
+        approach: "drl",
+        ceiling: 5.0,
+    },
+    TrendRule::AtLeast {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e2_gbps",
+        approach: "aq",
+        floor: 4.4,
+    },
+    TrendRule::AtMost {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e2_gbps",
+        approach: "aq",
+        ceiling: 5.0,
+    },
+    TrendRule::AtLeast {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e2_gbps",
+        approach: "pq",
+        floor: 15.0,
+    },
+    TrendRule::AtMost {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e2_gbps",
+        approach: "drl",
+        ceiling: 5.0,
+    },
+    TrendRule::AtMost {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e1_gbps",
+        approach: "prl",
+        ceiling: 5.0,
+    },
+    TrendRule::AtLeast {
+        scenario: "table3_vm_profile",
+        metric: "goodput_e2_gbps",
+        approach: "prl",
+        floor: 10.0,
+    },
+    // Table 4: a 25 Gbit/s AQ of a 100 Gbit/s core behaves like a physical
+    // 25 Gbit/s core to each CC algorithm — same throughput, and a virtual
+    // queuing delay that tracks the physical one (deep for drop-based CC,
+    // shallow for DCTCP) — in both directions.
+    TrendRule::AtMostFactorOf {
+        scenario: "table4_cc_behavior",
+        metric: "goodput_e1_gbps",
+        faster: "pq",
+        slower: "aq",
+        factor: 1.15,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "table4_cc_behavior",
+        metric: "goodput_e1_gbps",
+        faster: "aq",
+        slower: "pq",
+        factor: 1.15,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "table4_cc_behavior",
+        metric: "cc_qdelay_p99_us_e1",
+        faster: "pq",
+        slower: "aq",
+        factor: 2.0,
+    },
+    TrendRule::AtMostFactorOf {
+        scenario: "table4_cc_behavior",
+        metric: "cc_qdelay_p99_us_e1",
+        faster: "aq",
+        slower: "pq",
+        factor: 2.0,
+    },
+    // §6 AQ limits: a 100 Mbit/s entity reaches its allocation (0.094
+    // payload) with the physical queue's limit or a floored proportional
+    // one, and is kept from it by excess drops without the floor.
+    TrendRule::AtLeast {
+        scenario: "ablation_limit_policy",
+        metric: "goodput_e1_gbps",
+        approach: "aq",
+        floor: 0.085,
+    },
+    TrendRule::AtMost {
+        scenario: "ablation_limit_nofloor",
+        metric: "goodput_e1_gbps",
+        approach: "aq",
+        ceiling: 0.06,
+    },
+    // §6 work conservation: while entity B idles (phase 0) strict AQs pin
+    // entity A at its half, both mechanisms hand it the link; once B
+    // starts (phase 1) it gets going under all three.
+    TrendRule::AtMost {
+        scenario: "ablation_wc_strict",
+        metric: "goodput_p0_e1_gbps",
+        approach: "aq",
+        ceiling: 5.0,
+    },
+    TrendRule::AtMost {
+        scenario: "ablation_wc_strict",
+        metric: "phase_share_err_max",
+        approach: "aq",
+        ceiling: 0.05,
+    },
+    TrendRule::AtLeast {
+        scenario: "ablation_work_conservation",
+        metric: "goodput_p0_e1_gbps",
+        approach: "aq",
+        floor: 8.0,
+    },
+    TrendRule::AtLeast {
+        scenario: "ablation_work_conservation",
+        metric: "goodput_p1_e2_gbps",
+        approach: "aq",
+        floor: 2.0,
     },
 ];
 
@@ -521,6 +863,100 @@ mod tests {
         ]);
         let failures = check_trends(&slow_aq, DEFAULT_RULES);
         assert!(failures.iter().any(|f| f.contains("exceeds")));
+    }
+
+    /// One synthetic sweep per rule, just on the wrong side of the rule's
+    /// bound when `violated`, just on the right side otherwise.
+    fn sweep_at(rule: &TrendRule, violated: bool) -> Sweep {
+        let off = if violated { 0.01 } else { -0.01 };
+        match *rule {
+            TrendRule::AtLeast {
+                scenario,
+                metric,
+                approach,
+                floor,
+            } => sweep_of(&[(scenario, approach, "p=1", metric, floor - off)]),
+            TrendRule::AtMost {
+                scenario,
+                metric,
+                approach,
+                ceiling,
+            } => sweep_of(&[(scenario, approach, "p=1", metric, ceiling + off)]),
+            TrendRule::NotWorseThan {
+                scenario,
+                metric,
+                better,
+                worse,
+                slack,
+            } => sweep_of(&[
+                (scenario, better, "p=1", metric, 10.0 - slack - off),
+                (scenario, worse, "p=1", metric, 10.0),
+            ]),
+            TrendRule::AtMostFactorOf {
+                scenario,
+                metric,
+                faster,
+                slower,
+                factor,
+            } => sweep_of(&[
+                (scenario, faster, "p=1", metric, factor + off),
+                (scenario, slower, "p=1", metric, 1.0),
+            ]),
+            TrendRule::FlatAcrossParams {
+                scenario,
+                metric,
+                approach,
+                spread,
+            } => sweep_of(&[
+                (scenario, approach, "p=1", metric, 1.0),
+                (scenario, approach, "p=2", metric, 1.0 - spread - off),
+            ]),
+        }
+    }
+
+    #[test]
+    fn every_rule_guarding_a_paper_scenario_fires_when_its_claim_is_violated() {
+        let paper: std::collections::BTreeSet<String> = (crate::paper_spec().axes.into_iter())
+            .map(|a| a.scenario)
+            .collect();
+        let mut guarded = std::collections::BTreeSet::new();
+        for rule in DEFAULT_RULES
+            .iter()
+            .filter(|r| paper.contains(r.scenario()))
+        {
+            guarded.insert(rule.scenario());
+            let alone = std::slice::from_ref(rule);
+            let held = check_trends(&sweep_at(rule, false), alone);
+            assert!(held.is_empty(), "{rule:?} fires inside its bound: {held:?}");
+            let broken = sweep_at(rule, true);
+            let named = check_trends(&broken, alone);
+            assert_eq!(named.len(), 1, "{rule:?}: {named:?}");
+            assert!(named[0].starts_with(rule.scenario()), "{}", named[0]);
+            // ... and the gate as shipped names the same violation.
+            let shipped = check_trends(&broken, DEFAULT_RULES);
+            assert!(shipped.contains(&named[0]), "{rule:?} lost in {shipped:?}");
+        }
+        assert_eq!(guarded.len(), paper.len(), "a paper scenario has no rule");
+    }
+
+    #[test]
+    fn every_paper_axis_that_runs_aq_has_a_rule_about_aq() {
+        // The registry-coverage half of "each artifact states the paper's
+        // claim on the AQ side": a rule whose synthetic sweep involves the
+        // `aq` approach exists for every paper scenario run under AQ.
+        for axis in crate::paper_spec().axes {
+            if !axis.approaches.contains(&aq_bench::Approach::Aq) {
+                continue;
+            }
+            let about_aq = DEFAULT_RULES.iter().any(|r| {
+                r.scenario() == axis.scenario
+                    && sweep_at(r, false)
+                        .configs
+                        .keys()
+                        .any(|c| c.approach == "aq")
+            });
+            assert!(about_aq, "no AQ-side rule for `{}`", axis.scenario);
+        }
     }
 
     #[test]

@@ -218,6 +218,22 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Mirror a pool's counters and occupancy into the hub after a pool
+/// event. A free function over the two fields so the call sites can hold
+/// `self.pools` and `self.stats` at once.
+fn sample_pool(stats: &mut StatsHub, now: Time, node: NodeId, pool: &SharedBufferPool) {
+    stats.on_pool_sample(
+        now,
+        node,
+        pool.policy_name(),
+        pool.capacity_bytes(),
+        pool.occupancy(),
+        pool.rejects(),
+        pool.rejected_bytes(),
+        pool.marks(),
+    );
+}
+
 /// The simulator.
 pub struct Simulator {
     /// Current simulation time.
@@ -517,8 +533,10 @@ impl Simulator {
     /// Returns true if the event queue drained.
     pub fn run_until_idle(&mut self, max_events: u64) -> bool {
         self.start();
-        let mut budget = max_events;
-        while let Some(ev) = self.events.pop() {
+        for _ in 0..max_events {
+            let Some(ev) = self.events.pop() else {
+                return true;
+            };
             crate::invariant!(
                 ev.time >= self.now,
                 "event clock moved backwards: now={} event={}",
@@ -528,12 +546,8 @@ impl Simulator {
             self.now = ev.time;
             self.processed_events += 1;
             self.dispatch(ev.kind);
-            budget -= 1;
-            if budget == 0 {
-                return self.events.is_empty();
-            }
         }
-        true
+        self.events.is_empty()
     }
 
     /// Schedule start-of-run events (faults, host `on_start`, agents) if
@@ -818,16 +832,7 @@ impl Simulator {
                     }
                 }
                 Admission::Reject => {
-                    self.stats.on_pool_sample(
-                        now,
-                        node,
-                        pool.policy_name(),
-                        pool.capacity_bytes(),
-                        pool.occupancy(),
-                        pool.rejects(),
-                        pool.rejected_bytes(),
-                        pool.marks(),
-                    );
+                    sample_pool(&mut self.stats, now, node, pool);
                     let p = &mut self.net.ports[port.index()];
                     p.stats.queue_drops += 1;
                     self.stats
@@ -848,16 +853,7 @@ impl Simulator {
                 // a taildrop never leaks pool occupancy.
                 if let Some(pool) = self.pools[node.index()].as_mut() {
                     pool.commit(port, bytes);
-                    self.stats.on_pool_sample(
-                        now,
-                        node,
-                        pool.policy_name(),
-                        pool.capacity_bytes(),
-                        pool.occupancy(),
-                        pool.rejects(),
-                        pool.rejected_bytes(),
-                        pool.marks(),
-                    );
+                    sample_pool(&mut self.stats, now, node, pool);
                 }
                 self.try_transmit(port);
             }
@@ -907,16 +903,7 @@ impl Simulator {
                 // bytes are freed for other ports to claim.
                 if let Some(pool) = self.pools[node.index()].as_mut() {
                     pool.release(port, bytes);
-                    self.stats.on_pool_sample(
-                        now,
-                        node,
-                        pool.policy_name(),
-                        pool.capacity_bytes(),
-                        pool.occupancy(),
-                        pool.rejects(),
-                        pool.rejected_bytes(),
-                        pool.marks(),
-                    );
+                    sample_pool(&mut self.stats, now, node, pool);
                 }
                 self.events.push(now + dur, EventKind::TxComplete { port });
             }

@@ -154,3 +154,38 @@ fn simulation_is_deterministic() {
     let c = run(8);
     assert_eq!(a.0, c.0, "jitter must not change delivered byte counts");
 }
+
+/// `run_until_idle(n)` fires at most `n` events: a zero budget fires none
+/// (it used to underflow), and a budget of one stops after the first.
+#[test]
+fn run_until_idle_honours_zero_and_one_event_budgets() {
+    use aq_netsim::topology::dumbbell;
+    use aq_netsim::Simulator;
+
+    struct Ticker;
+    impl aq_netsim::HostApp for Ticker {
+        fn on_start(&mut self, ctx: &mut aq_netsim::HostCtx<'_>) {
+            ctx.arm_timer_in(Duration::from_nanos(100), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut aq_netsim::HostCtx<'_>, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut aq_netsim::HostCtx<'_>, _token: u64) {
+            ctx.arm_timer_in(Duration::from_nanos(100), 0);
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+    let d = dumbbell(
+        1,
+        Rate::from_gbps(10),
+        Duration::from_micros(10),
+        FifoConfig::default(),
+    );
+    let mut net = d.net;
+    net.set_app(d.left[0], Box::new(Ticker));
+    let mut sim = Simulator::new(net);
+    for (budget, fired) in [(0, 0), (1, 1), (1, 2), (0, 2), (3, 5)] {
+        assert!(!sim.run_until_idle(budget), "the ticker never goes idle");
+        assert_eq!(sim.processed_events, fired, "after a budget of {budget}");
+    }
+}

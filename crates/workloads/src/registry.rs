@@ -4,8 +4,8 @@
 //! scenarios *by name* and instantiate them over a parameter grid — the
 //! same way the paper's figures are trends over `(scenario × parameter ×
 //! seed)` points rather than single runs. This module holds the
-//! experiment-description vocabulary shared by the figure benches and the
-//! harness:
+//! experiment-description vocabulary of the one run path (`registry` →
+//! `aq_bench::build_experiment` → `aq_harness::sweep::execute_run`):
 //!
 //! * [`EntitySetup`] / [`Traffic`] / [`LongKind`] — what each entity
 //!   sends (moved here from `aq-bench` so scenario descriptions live with
@@ -16,10 +16,11 @@
 //!   entity setups plus a [`RunPlan`];
 //! * [`registry`] / [`find`] — the enumerable table of blueprints.
 //!
-//! The registry deliberately describes only the *workload* side; which
-//! sharing approach (PQ/AQ/PRL/DRL) wraps it, and on what topology, is
-//! the caller's axis (`aq_bench::build_dumbbell` takes an approach and an
-//! `ExpConfig` alongside the entity list).
+//! A plan describes the workload, the fabric and how the AQ control plane
+//! is configured when AQ is the approach; *which* sharing approach
+//! (PQ/AQ/PRL/DRL) wraps it is the caller's axis
+//! (`aq_bench::build_experiment` takes an approach and an `ExpConfig`
+//! alongside the plan).
 
 use aq_netsim::ids::EntityId;
 use aq_netsim::time::{Duration, Rate};
@@ -100,7 +101,6 @@ pub enum RunPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// Host-pair dumbbell with a single shared core bottleneck
-    /// (`aq_bench::build_dumbbell`).
     Dumbbell,
     /// k-ary ECMP fat tree; entities sit in the first pod (one edge
     /// switch each) and send to a shared remote pod, so the contention is
@@ -108,6 +108,16 @@ pub enum Topology {
     FatTree {
         /// Fat-tree arity (even, ≥ 2; `k = 4` is 16 hosts).
         k: usize,
+    },
+    /// Single-switch star of the entities' VMs under the hose model
+    /// (Fig. 2 / Table 3): every VM holds a `hose` inbound and outbound
+    /// bandwidth profile, and each entity sends from its own VMs to
+    /// everyone else's. PRL shapes every uplink at the profile, DRL
+    /// re-partitions within it, AQ meters each packet by its source VM's
+    /// ingress AQ and its destination VM's egress AQ.
+    Star {
+        /// Per-VM inbound and outbound profile.
+        hose: Rate,
     },
 }
 
@@ -283,6 +293,59 @@ pub struct PlanChurn {
     pub target_live: usize,
 }
 
+/// A scenario's own fabric, where it differs from the default
+/// 10 Gbit/s / 10 µs / 200 KB dumbbell of `aq_bench::ExpConfig`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FabricPlan {
+    /// Rate of every link.
+    pub link: Rate,
+    /// One-way propagation per link.
+    pub prop: Duration,
+    /// Physical-queue limit of the contended ports (bytes).
+    pub pq_limit: u64,
+    /// ECN threshold wherever ECN-based CC runs: the physical queue's
+    /// under PQ/PRL/DRL, the AQs' virtual one under AQ (bytes).
+    pub ecn_k: u64,
+    /// Table 4's environment pair: the entities share `slice` of the
+    /// fabric. Under PQ/PRL/DRL the dumbbell core *is* a `slice`-rate
+    /// link; under AQ the core runs at `link` rate and the controller
+    /// divides `slice` among the entities' AQs.
+    pub slice: Option<Rate>,
+}
+
+/// How the AQ controller sets AQ limits (mirrors `aq_core::LimitPolicy`,
+/// the two §6 policies; the physical-queue limit comes from the fabric).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LimitKind {
+    /// Every AQ gets the physical queue's limit.
+    #[default]
+    MatchPhysicalQueue,
+    /// The physical queue's limit divided by allocated bandwidth, never
+    /// below `min_bytes`.
+    ProportionalShare {
+        /// Floor on any AQ's limit (bytes).
+        min_bytes: u64,
+    },
+}
+
+/// What the AQ control plane does with bandwidth an entity is not using.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AqMode {
+    /// Every entity's AQ is deployed at setup at its weighted share of the
+    /// link and stays there (the paper's strict, non-work-conserving AQ).
+    #[default]
+    Strict,
+    /// §6 mechanism 1: egress-position AQs that let traffic bypass them
+    /// while the physical queue is empty.
+    BypassWhenIdle,
+    /// §6 mechanism 2: a controller re-divides the link by measured demand
+    /// every 10 ms, never below an active entity's weighted share.
+    Reallocate,
+    /// Fig. 9: an entity's AQ is granted when the entity starts, and the
+    /// link is re-divided by weight across the entities granted so far.
+    GrantOnJoin,
+}
+
 /// A fully-resolved scenario instance: the entities plus the run plan.
 #[derive(Debug, Clone)]
 pub struct ScenarioPlan {
@@ -300,6 +363,36 @@ pub struct ScenarioPlan {
     pub churn: Option<PlanChurn>,
     /// AQ-table register budget (`None` = unbounded tables).
     pub aq_budget: Option<PlanAqBudget>,
+    /// When each entity's traffic starts, in entity order (empty = all at
+    /// time zero). A staggered plan also distills per-phase goodputs.
+    pub starts: Vec<Duration>,
+    /// Link rates and queue limits (`None` = the `ExpConfig` defaults).
+    pub fabric: Option<FabricPlan>,
+    /// AQ-limit policy under the AQ approach.
+    pub aq_limit: LimitKind,
+    /// Work-conservation mode under the AQ approach.
+    pub aq_mode: AqMode,
+}
+
+impl ScenarioPlan {
+    /// `entities` driven per `run` on the default dumbbell: no faults, no
+    /// shared buffers, no churn, unbounded tables, everyone starts at
+    /// time zero, strict AQs with the physical queue's limit.
+    pub fn new(entities: Vec<EntitySetup>, run: RunPlan) -> ScenarioPlan {
+        ScenarioPlan {
+            entities,
+            run,
+            topology: Topology::Dumbbell,
+            faults: vec![],
+            buffers: None,
+            churn: None,
+            aq_budget: None,
+            starts: vec![],
+            fabric: None,
+            aq_limit: LimitKind::default(),
+            aq_mode: AqMode::default(),
+        }
+    }
 }
 
 /// One named parameter with its default value.
@@ -343,6 +436,20 @@ impl Params {
     /// Look up one parameter and round it to a count.
     pub fn get_usize(&self, name: &str) -> Option<usize> {
         self.get(name).map(|v| v.max(0.0).round() as usize)
+    }
+
+    /// A resolved parameter, as the scenario builders read it. Builders
+    /// only ever see [`ScenarioDef::resolve`]d assignments, which carry
+    /// every declared name — so a miss means the builder reads a name its
+    /// `params` list does not declare, and that is a registry bug.
+    fn val(&self, name: &str) -> f64 {
+        self.get(name)
+            .unwrap_or_else(|| panic!("registry bug: builder reads undeclared parameter `{name}`"))
+    }
+
+    /// [`val`](Params::val) rounded to a count.
+    fn count(&self, name: &str) -> usize {
+        self.val(name).max(0.0).round() as usize
     }
 
     /// Iterate `(name, value)` in name order.
@@ -453,190 +560,341 @@ fn ms(v: f64) -> Duration {
     Duration::from_micros((v.max(0.0) * 1000.0) as u64)
 }
 
-fn fairness_flows(p: &Params) -> ScenarioPlan {
-    let b_flows = p.get_usize("b_flows").unwrap_or(4).max(1);
-    ScenarioPlan {
-        entities: vec![
-            EntitySetup {
-                entity: EntityId(1),
-                n_vms: 1,
-                cc: CcAlgo::Cubic,
-                weight: 1,
-                traffic: Traffic::Long {
-                    n: 1,
-                    kind: LongKind::Tcp,
-                },
-            },
-            EntitySetup {
-                entity: EntityId(2),
-                n_vms: 1,
-                cc: CcAlgo::Cubic,
-                weight: 1,
-                traffic: Traffic::Long {
-                    n: b_flows,
-                    kind: LongKind::Tcp,
-                },
-            },
-        ],
-        run: RunPlan::FixedHorizon {
-            horizon: ms(p.get("horizon_ms").unwrap_or(40.0)),
-        },
-        topology: Topology::Dumbbell,
-        faults: vec![],
-        buffers: None,
-        churn: None,
-        aq_budget: None,
+/// The Swift configuration of every mixed-CC scenario: a 50 µs target
+/// queuing delay (the paper's Fig. 10 setting).
+const SWIFT: CcAlgo = CcAlgo::Swift {
+    target: Duration::from_micros(50),
+};
+
+fn entity(id: u32, n_vms: usize, cc: CcAlgo, weight: u64, traffic: Traffic) -> EntitySetup {
+    EntitySetup {
+        entity: EntityId(id),
+        n_vms,
+        cc,
+        weight,
+        traffic,
     }
+}
+
+/// One single-VM, weight-1 entity per `(flows, cc, kind)` row, all
+/// long-lived, for `horizon_ms` — Fig. 1 and Table 2.
+fn long_mix(rows: &[(usize, CcAlgo, LongKind)], horizon_ms: f64) -> ScenarioPlan {
+    let entities = (1..)
+        .zip(rows)
+        .map(|(id, &(n, cc, kind))| entity(id, 1, cc, 1, Traffic::Long { n, kind }))
+        .collect();
+    ScenarioPlan::new(
+        entities,
+        RunPlan::FixedHorizon {
+            horizon: ms(horizon_ms),
+        },
+    )
+}
+
+/// One weight-1 entity per `(vms, cc)` row, each replaying the closed
+/// web-search trace — Figs. 6, 7 and 10.
+fn closed_trace(
+    rows: &[(usize, CcAlgo)],
+    n_flows: usize,
+    size_scale: f64,
+    deadline_ms: f64,
+) -> ScenarioPlan {
+    let trace = Traffic::WebSearchClosed {
+        n_flows,
+        size_scale,
+    };
+    let entities = (1..)
+        .zip(rows)
+        .map(|(id, &(vms, cc))| entity(id, vms, cc, 1, trace.clone()))
+        .collect();
+    ScenarioPlan::new(
+        entities,
+        RunPlan::UntilComplete {
+            deadline: ms(deadline_ms),
+        },
+    )
+}
+
+/// The paper-scale closed trace of Figs. 6, 7 and 10: 64 flows of 8× the
+/// web-search sizes per entity, 20 s to finish.
+fn paper_trace(rows: &[(usize, CcAlgo)]) -> ScenarioPlan {
+    closed_trace(rows, 64, 8.0, 20_000.0)
+}
+
+/// Entity A with one long CUBIC flow against entity B with `b_flows`, at
+/// weights `1 : b_weight` — Fig. 8.
+fn one_vs_many(b_flows: usize, b_weight: u64, horizon_ms: f64) -> ScenarioPlan {
+    let long = |n| Traffic::Long {
+        n,
+        kind: LongKind::Tcp,
+    };
+    ScenarioPlan::new(
+        vec![
+            entity(1, 1, CcAlgo::Cubic, 1, long(1)),
+            entity(2, 1, CcAlgo::Cubic, b_weight, long(b_flows.max(1))),
+        ],
+        RunPlan::FixedHorizon {
+            horizon: ms(horizon_ms),
+        },
+    )
+}
+
+/// Two single-VM CUBIC entities with `n_flows` long flows each.
+fn two_equal_long(n_flows: usize, horizon_ms: f64) -> ScenarioPlan {
+    let tcp = LongKind::Tcp;
+    long_mix(&[(n_flows.max(1), CcAlgo::Cubic, tcp); 2], horizon_ms)
+}
+
+fn fairness_flows(p: &Params) -> ScenarioPlan {
+    one_vs_many(p.count("b_flows"), 1, p.val("horizon_ms"))
+}
+
+fn fig08_flow_count_isolation(p: &Params) -> ScenarioPlan {
+    one_vs_many(p.count("b_flows"), p.count("b_weight").max(1) as u64, 500.0)
+}
+
+fn fig08_equal_flows(p: &Params) -> ScenarioPlan {
+    one_vs_many(1, p.count("b_weight").max(1) as u64, 500.0)
 }
 
 fn completion_vms(p: &Params) -> ScenarioPlan {
-    let vms = p.get_usize("vms").unwrap_or(2).max(1);
-    let n_flows = p.get_usize("n_flows").unwrap_or(8).max(1);
-    let size_scale = p.get("size_scale").unwrap_or(2.0);
-    let mk = |entity| EntitySetup {
-        entity,
-        n_vms: vms,
-        cc: CcAlgo::Cubic,
-        weight: 1,
-        traffic: Traffic::WebSearchClosed {
-            n_flows,
-            size_scale,
-        },
+    closed_trace(
+        &[(p.count("vms").max(1), CcAlgo::Cubic); 2],
+        p.count("n_flows").max(1),
+        p.val("size_scale"),
+        p.val("deadline_ms"),
+    )
+}
+
+fn fig06_completion_vs_vms(p: &Params) -> ScenarioPlan {
+    paper_trace(&[(p.count("vms").max(1), CcAlgo::Cubic)])
+}
+
+fn fig06_one_vm(_: &Params) -> ScenarioPlan {
+    paper_trace(&[(1, CcAlgo::Cubic)])
+}
+
+fn fig07_entity_fairness(p: &Params) -> ScenarioPlan {
+    paper_trace(&[(1, CcAlgo::Cubic), (p.count("b_vms").max(1), CcAlgo::Cubic)])
+}
+
+fn fig10_cc_fairness(p: &Params) -> ScenarioPlan {
+    let (a, b) = match p.count("pair") {
+        0 => (CcAlgo::Cubic, CcAlgo::Dctcp),
+        1 => (CcAlgo::NewReno, CcAlgo::Dctcp),
+        _ => (CcAlgo::Cubic, SWIFT),
     };
-    ScenarioPlan {
-        entities: vec![mk(EntityId(1)), mk(EntityId(2))],
-        run: RunPlan::UntilComplete {
-            deadline: ms(p.get("deadline_ms").unwrap_or(5_000.0)),
-        },
-        topology: Topology::Dumbbell,
-        faults: vec![],
-        buffers: None,
-        churn: None,
-        aq_budget: None,
-    }
+    paper_trace(&[(4, a), (4, b)])
+}
+
+fn cc_mix(p: &Params) -> ScenarioPlan {
+    // `pair` selects which CC algorithms compete (Fig. 10's axes):
+    // 0 = CUBIC vs DCTCP, 1 = DCTCP vs Swift, 2 = CUBIC vs Swift.
+    let (a, b) = match p.count("pair") {
+        0 => (CcAlgo::Cubic, CcAlgo::Dctcp),
+        1 => (CcAlgo::Dctcp, SWIFT),
+        _ => (CcAlgo::Cubic, SWIFT),
+    };
+    closed_trace(
+        &[(1, a), (1, b)],
+        p.count("n_flows").max(1),
+        p.val("size_scale"),
+        p.val("deadline_ms"),
+    )
 }
 
 fn udp_tcp_share(p: &Params) -> ScenarioPlan {
-    let tcp_flows = p.get_usize("tcp_flows").unwrap_or(4).max(1);
-    let udp_gbps = p.get_usize("udp_gbps").unwrap_or(10).max(1);
-    ScenarioPlan {
-        entities: vec![
-            EntitySetup {
-                entity: EntityId(1),
-                n_vms: 1,
-                cc: CcAlgo::Cubic,
-                weight: 1,
-                traffic: Traffic::Long {
-                    n: 1,
-                    kind: LongKind::Udp(Rate::from_gbps(udp_gbps as u64)),
-                },
-            },
-            EntitySetup {
-                entity: EntityId(2),
-                n_vms: 1,
-                cc: CcAlgo::Cubic,
-                weight: 1,
-                traffic: Traffic::Long {
-                    n: tcp_flows,
-                    kind: LongKind::Tcp,
-                },
-            },
+    let udp = LongKind::Udp(Rate::from_gbps(p.count("udp_gbps").max(1) as u64));
+    long_mix(
+        &[
+            (1, CcAlgo::Cubic, udp),
+            (p.count("tcp_flows").max(1), CcAlgo::Cubic, LongKind::Tcp),
         ],
-        run: RunPlan::FixedHorizon {
-            horizon: ms(p.get("horizon_ms").unwrap_or(40.0)),
-        },
-        topology: Topology::Dumbbell,
-        faults: vec![],
-        buffers: None,
-        churn: None,
-        aq_budget: None,
+        p.val("horizon_ms"),
+    )
+}
+
+fn fig01_cc_interference(p: &Params) -> ScenarioPlan {
+    // Every pair crosses two of the paper's CC classes (drop-, ECN- and
+    // delay-based); the same-class pair is `fig01_same_class`.
+    let (a, b) = match p.count("pair") {
+        0 => (CcAlgo::Cubic, CcAlgo::Dctcp),
+        1 => (CcAlgo::NewReno, CcAlgo::Dctcp),
+        2 => (CcAlgo::Cubic, SWIFT),
+        3 => (CcAlgo::Dctcp, SWIFT),
+        _ => (CcAlgo::NewReno, SWIFT),
+    };
+    long_mix(&[(10, a, LongKind::Tcp), (10, b, LongKind::Tcp)], 400.0)
+}
+
+fn fig01_same_class(_: &Params) -> ScenarioPlan {
+    let tcp = LongKind::Tcp;
+    long_mix(
+        &[(10, CcAlgo::Cubic, tcp), (10, CcAlgo::NewReno, tcp)],
+        400.0,
+    )
+}
+
+fn table2_cc_sharing(p: &Params) -> ScenarioPlan {
+    use CcAlgo::{Cubic, Dctcp, Illinois, NewReno};
+    let tcp = LongKind::Tcp;
+    let rows: &[(usize, CcAlgo, LongKind)] = match p.count("row") {
+        0 => &[(5, Cubic, tcp), (5, Dctcp, tcp)],
+        1 => &[(5, NewReno, tcp), (5, Dctcp, tcp)],
+        2 => &[(5, Illinois, tcp), (5, Dctcp, tcp)],
+        3 => &[(5, Cubic, tcp), (5, SWIFT, tcp)],
+        4 => &[(5, Dctcp, tcp), (5, SWIFT, tcp)],
+        5 => &[(10, Dctcp, tcp), (5, NewReno, tcp)],
+        6 => &[(10, Dctcp, tcp), (5, SWIFT, tcp)],
+        _ => &[
+            (1, Cubic, LongKind::Udp(Rate::from_gbps(10))),
+            (3, Cubic, tcp),
+            (3, Dctcp, tcp),
+            (3, SWIFT, tcp),
+        ],
+    };
+    long_mix(rows, 1500.0)
+}
+
+fn table2_same_cc(_: &Params) -> ScenarioPlan {
+    two_equal_long(5, 1500.0)
+}
+
+fn fig09_udp_tcp(_: &Params) -> ScenarioPlan {
+    let udp = LongKind::Udp(Rate::from_gbps(10));
+    let tcp = (4, CcAlgo::Cubic, LongKind::Tcp);
+    ScenarioPlan {
+        starts: (0..5).map(|k| ms(k as f64 * 100.0)).collect(),
+        aq_mode: AqMode::GrantOnJoin,
+        ..long_mix(&[tcp, tcp, (1, CcAlgo::Cubic, udp), tcp, tcp], 700.0)
     }
 }
 
-/// The Swift target queuing delay used whenever a mixed-CC scenario puts
-/// a Swift entity on the fabric (the paper's Fig. 10 configuration).
-const SWIFT_TARGET_US: u64 = 50;
-
-fn cc_mix(p: &Params) -> ScenarioPlan {
-    let n_flows = p.get_usize("n_flows").unwrap_or(8).max(1);
-    let size_scale = p.get("size_scale").unwrap_or(2.0);
-    let swift = CcAlgo::Swift {
-        target: Duration::from_micros(SWIFT_TARGET_US),
-    };
-    // `pair` selects which CC algorithms compete (Fig. 10's axes):
-    // 0 = CUBIC vs DCTCP, 1 = DCTCP vs Swift, 2 = CUBIC vs Swift.
-    let (cc_a, cc_b) = match p.get_usize("pair").unwrap_or(0) {
-        0 => (CcAlgo::Cubic, CcAlgo::Dctcp),
-        1 => (CcAlgo::Dctcp, swift),
-        _ => (CcAlgo::Cubic, swift),
-    };
-    let mk = |entity, cc| EntitySetup {
-        entity,
-        n_vms: 1,
-        cc,
-        weight: 1,
-        traffic: Traffic::WebSearchClosed {
-            n_flows,
-            size_scale,
-        },
+fn table3_vm_profile(_: &Params) -> ScenarioPlan {
+    // VM A (entity 1) sends to B, C, D; B, C, D (entity 2) send to A. Both
+    // directions offer a full line of web-search traffic, so the enforced
+    // rate, not the demand, is what each approach reveals.
+    let line_rate = Traffic::WebSearch {
+        n_flows: 3000,
+        load: 1.0,
     };
     ScenarioPlan {
-        entities: vec![mk(EntityId(1), cc_a), mk(EntityId(2), cc_b)],
-        run: RunPlan::UntilComplete {
-            deadline: ms(p.get("deadline_ms").unwrap_or(5_000.0)),
+        topology: Topology::Star {
+            hose: Rate::from_gbps(5),
         },
-        topology: Topology::Dumbbell,
-        faults: vec![],
-        buffers: None,
-        churn: None,
-        aq_budget: None,
+        fabric: Some(FabricPlan {
+            link: Rate::from_gbps(25),
+            prop: Duration::from_micros(5),
+            pq_limit: 400_000,
+            ecn_k: 65_000,
+            slice: None,
+        }),
+        ..ScenarioPlan::new(
+            vec![
+                entity(1, 1, CcAlgo::Cubic, 1, line_rate.clone()),
+                entity(2, 3, CcAlgo::Cubic, 1, line_rate),
+            ],
+            RunPlan::FixedHorizon { horizon: ms(600.0) },
+        )
     }
+}
+
+fn table4_cc_behavior(p: &Params) -> ScenarioPlan {
+    let cc = match p.count("cc") {
+        0 => CcAlgo::Cubic,
+        1 => CcAlgo::NewReno,
+        _ => CcAlgo::Dctcp,
+    };
+    ScenarioPlan {
+        fabric: Some(FabricPlan {
+            link: Rate::from_gbps(100),
+            prop: Duration::from_micros(10),
+            pq_limit: 2_000_000,
+            ecn_k: 200_000,
+            slice: Some(Rate::from_gbps(25)),
+        }),
+        ..long_mix(&[(8, cc, LongKind::Tcp)], 400.0)
+    }
+}
+
+/// A 100 Mbit/s entity beside a 9.9 Gbit/s one (weights 1 : 99 of the
+/// 10 Gbit/s core) under the given AQ-limit policy — the §6 ablation.
+fn limit_ablation(aq_limit: LimitKind) -> ScenarioPlan {
+    let long = |n| Traffic::Long {
+        n,
+        kind: LongKind::Tcp,
+    };
+    ScenarioPlan {
+        aq_limit,
+        ..ScenarioPlan::new(
+            vec![
+                entity(1, 1, CcAlgo::Cubic, 1, long(2)),
+                entity(2, 1, CcAlgo::Cubic, 99, long(5)),
+            ],
+            RunPlan::FixedHorizon { horizon: ms(400.0) },
+        )
+    }
+}
+
+fn ablation_limit_policy(p: &Params) -> ScenarioPlan {
+    limit_ablation(match p.count("policy") {
+        0 => LimitKind::MatchPhysicalQueue,
+        _ => LimitKind::ProportionalShare { min_bytes: 30_000 },
+    })
+}
+
+fn ablation_limit_nofloor(_: &Params) -> ScenarioPlan {
+    limit_ablation(LimitKind::ProportionalShare { min_bytes: 0 })
+}
+
+/// Entity A active throughout, equal-weight entity B idle until 300 ms of
+/// 600 — the §6 work-conservation ablation.
+fn conservation_ablation(aq_mode: AqMode) -> ScenarioPlan {
+    ScenarioPlan {
+        starts: vec![Duration::ZERO, ms(300.0)],
+        aq_mode,
+        ..two_equal_long(4, 600.0)
+    }
+}
+
+fn ablation_work_conservation(p: &Params) -> ScenarioPlan {
+    conservation_ablation(match p.count("mode") {
+        0 => AqMode::BypassWhenIdle,
+        _ => AqMode::Reallocate,
+    })
+}
+
+fn ablation_wc_strict(_: &Params) -> ScenarioPlan {
+    conservation_ablation(AqMode::Strict)
 }
 
 fn interpod_fattree(p: &Params) -> ScenarioPlan {
-    let a_flows = p.get_usize("a_flows").unwrap_or(1).max(1);
-    let b_flows = p.get_usize("b_flows").unwrap_or(4).max(1);
-    let mk = |entity, n| EntitySetup {
-        entity,
-        n_vms: 2,
-        cc: CcAlgo::Cubic,
-        weight: 1,
-        traffic: Traffic::Long {
-            n,
-            kind: LongKind::Tcp,
-        },
+    let long = |n: usize| Traffic::Long {
+        n: n.max(1),
+        kind: LongKind::Tcp,
     };
     ScenarioPlan {
-        entities: vec![mk(EntityId(1), a_flows), mk(EntityId(2), b_flows)],
-        run: RunPlan::FixedHorizon {
-            horizon: ms(p.get("horizon_ms").unwrap_or(40.0)),
-        },
         topology: Topology::FatTree { k: 4 },
-        faults: vec![],
-        buffers: None,
-        churn: None,
-        aq_budget: None,
+        ..ScenarioPlan::new(
+            vec![
+                entity(1, 2, CcAlgo::Cubic, 1, long(p.count("a_flows"))),
+                entity(2, 2, CcAlgo::Cubic, 1, long(p.count("b_flows"))),
+            ],
+            RunPlan::FixedHorizon {
+                horizon: ms(p.val("horizon_ms")),
+            },
+        )
     }
 }
 
 fn linkflap_dumbbell(p: &Params) -> ScenarioPlan {
-    let n_flows = p.get_usize("n_flows").unwrap_or(4).max(1);
-    let flap_at = p.get("flap_at_ms").unwrap_or(10.0).max(0.0);
-    let flaps = p.get_usize("flaps").unwrap_or(2).max(1) as u32;
-    let down_ms = p.get("down_ms").unwrap_or(2.0).max(0.0);
-    let up_ms = p.get("up_ms").unwrap_or(3.0).max(0.0);
-    let loss_pct = p.get("loss_pct").unwrap_or(0.0).clamp(0.0, 100.0);
-    let blackout_ms = p.get("blackout_ms").unwrap_or(0.0).max(0.0);
-    let mk = |entity| EntitySetup {
-        entity,
-        n_vms: 1,
-        cc: CcAlgo::Cubic,
-        weight: 1,
-        traffic: Traffic::Long {
-            n: n_flows,
-            kind: LongKind::Tcp,
-        },
-    };
+    let flap_at = p.val("flap_at_ms").max(0.0);
+    let flaps = p.count("flaps").max(1) as u32;
+    let down_ms = p.val("down_ms").max(0.0);
+    let up_ms = p.val("up_ms").max(0.0);
+    let loss_pct = p.val("loss_pct").clamp(0.0, 100.0);
+    let blackout_ms = p.val("blackout_ms").max(0.0);
+    let horizon_ms = p.val("horizon_ms");
     let mut faults = vec![PlanFault::CoreLinkFlap {
         first_down_ms: flap_at,
         flaps,
@@ -646,10 +904,8 @@ fn linkflap_dumbbell(p: &Params) -> ScenarioPlan {
     if loss_pct > 0.0 {
         // The corruption window opens once the flap train ends, so the
         // recovering senders also ride a lossy core (1% = 10_000 ppm).
-        let train_end = flap_at + flaps as f64 * (down_ms + up_ms);
-        let horizon_ms = p.get("horizon_ms").unwrap_or(40.0);
         faults.push(PlanFault::CoreLinkLoss {
-            from_ms: train_end,
+            from_ms: flap_at + flaps as f64 * (down_ms + up_ms),
             until_ms: horizon_ms,
             loss_ppm: (loss_pct * 10_000.0).round() as u32,
         });
@@ -664,79 +920,43 @@ fn linkflap_dumbbell(p: &Params) -> ScenarioPlan {
         });
     }
     ScenarioPlan {
-        entities: vec![mk(EntityId(1)), mk(EntityId(2))],
-        run: RunPlan::FixedHorizon {
-            horizon: ms(p.get("horizon_ms").unwrap_or(40.0)),
-        },
-        topology: Topology::Dumbbell,
         faults,
-        buffers: None,
-        churn: None,
-        aq_budget: None,
+        ..two_equal_long(p.count("n_flows"), horizon_ms)
     }
 }
 
 fn aq_state_loss(p: &Params) -> ScenarioPlan {
-    let n_flows = p.get_usize("n_flows").unwrap_or(4).max(1);
-    let wipe_at = p.get("wipe_at_ms").unwrap_or(10.0).max(0.0);
-    let mk = |entity| EntitySetup {
-        entity,
-        n_vms: 1,
-        cc: CcAlgo::Cubic,
-        weight: 1,
-        traffic: Traffic::Long {
-            n: n_flows,
-            kind: LongKind::Tcp,
-        },
-    };
     ScenarioPlan {
-        entities: vec![mk(EntityId(1)), mk(EntityId(2))],
-        run: RunPlan::FixedHorizon {
-            horizon: ms(p.get("horizon_ms").unwrap_or(40.0)),
-        },
-        topology: Topology::Dumbbell,
-        faults: vec![PlanFault::AqReset { at_ms: wipe_at }],
-        buffers: None,
-        churn: None,
-        aq_budget: None,
+        faults: vec![PlanFault::AqReset {
+            at_ms: p.val("wipe_at_ms").max(0.0),
+        }],
+        ..two_equal_long(p.count("n_flows"), p.val("horizon_ms"))
     }
 }
 
 fn tenant_churn(p: &Params) -> ScenarioPlan {
-    let n_flows = p.get_usize("n_flows").unwrap_or(8).max(1);
-    let load = p.get("load").unwrap_or(0.25).clamp(0.01, 1.0);
-    let budget_aqs = p.get_usize("budget_aqs").unwrap_or(7).max(1);
-    let policy = match p.get_usize("policy").unwrap_or(0) {
+    let traffic = Traffic::WebSearch {
+        n_flows: p.count("n_flows").max(1),
+        load: p.val("load").clamp(0.01, 1.0),
+    };
+    let policy = match p.count("policy") {
         0 => OverflowKind::RejectNew,
         _ => OverflowKind::EvictIdle,
     };
-    let target = p.get_usize("churn_aqs").unwrap_or(4).max(1);
-    let cadence_us = p.get("churn_cadence_us").unwrap_or(50.0).max(1.0);
-    let first_ms = p.get("churn_start_ms").unwrap_or(5.0).max(0.0);
-    let horizon_ms = p.get("horizon_ms").unwrap_or(40.0);
-    let wipe_at = p.get("wipe_at_ms").unwrap_or(20.0).max(0.0);
+    let target = p.count("churn_aqs").max(1);
+    let cadence_us = p.val("churn_cadence_us").max(1.0);
+    let first_ms = p.val("churn_start_ms").max(0.0);
+    let horizon_ms = p.val("horizon_ms");
+    let wipe_at = p.val("wipe_at_ms").max(0.0);
     // Create ticks run from the first tick to the horizon at the cadence,
     // so the steady-state pressure lasts the remainder of the run.
     let ticks = (((horizon_ms - first_ms).max(0.0) * 1000.0) / cadence_us).floor() as usize;
-    let mk = |entity| EntitySetup {
-        entity,
-        n_vms: 1,
-        cc: CcAlgo::Cubic,
-        weight: 1,
-        traffic: Traffic::WebSearch { n_flows, load },
-    };
     ScenarioPlan {
-        entities: vec![mk(EntityId(1)), mk(EntityId(2)), mk(EntityId(3))],
-        run: RunPlan::FixedHorizon {
-            horizon: ms(horizon_ms),
-        },
-        topology: Topology::Dumbbell,
         faults: if wipe_at > 0.0 {
             vec![PlanFault::AqReset { at_ms: wipe_at }]
         } else {
             vec![]
         },
-        buffers: None,
         churn: Some(PlanChurn {
             first_ms,
             cadence_us,
@@ -748,9 +968,17 @@ fn tenant_churn(p: &Params) -> ScenarioPlan {
             target_live: target,
         }),
         aq_budget: Some(PlanAqBudget {
-            aqs: budget_aqs,
+            aqs: p.count("budget_aqs").max(1),
             policy,
         }),
+        ..ScenarioPlan::new(
+            (1..=3)
+                .map(|id| entity(id, 1, CcAlgo::Cubic, 1, traffic.clone()))
+                .collect(),
+            RunPlan::FixedHorizon {
+                horizon: ms(horizon_ms),
+            },
+        )
     }
 }
 
@@ -759,11 +987,10 @@ fn tenant_churn(p: &Params) -> ScenarioPlan {
 /// at 50 µs (mark) / 200 µs (reject) — at 10 Gbit/s those project to
 /// ~62 KB and ~250 KB of port backlog respectively.
 fn admission_kind(p: &Params) -> AdmissionKind {
-    match p.get_usize("admission").unwrap_or(0) {
+    let alpha = p.val("dt_alpha").clamp(0.001, 64.0);
+    match p.count("admission") {
         0 => AdmissionKind::StaticPartition,
-        1 => AdmissionKind::DynamicThreshold {
-            alpha: p.get("dt_alpha").unwrap_or(1.0).clamp(0.001, 64.0),
-        },
+        1 => AdmissionKind::DynamicThreshold { alpha },
         _ => AdmissionKind::DelayDriven {
             mark_us: 50,
             max_us: 200,
@@ -772,74 +999,107 @@ fn admission_kind(p: &Params) -> AdmissionKind {
 }
 
 fn pool_bytes(p: &Params) -> u64 {
-    (p.get("pool_kb").unwrap_or(150.0).max(1.0) * 1000.0).round() as u64
+    (p.val("pool_kb").max(1.0) * 1000.0).round() as u64
 }
 
 fn incast_sharedbuf(p: &Params) -> ScenarioPlan {
-    let senders = p.get_usize("senders").unwrap_or(4).max(1);
-    let flows = p.get_usize("flows").unwrap_or(8).max(1);
-    let mk = |entity| EntitySetup {
-        entity,
-        n_vms: senders,
-        cc: CcAlgo::Cubic,
-        weight: 1,
-        traffic: Traffic::Long {
-            n: flows,
-            kind: LongKind::Tcp,
-        },
+    let traffic = Traffic::Long {
+        n: p.count("flows").max(1),
+        kind: LongKind::Tcp,
     };
+    let senders = p.count("senders").max(1);
     ScenarioPlan {
-        entities: vec![mk(EntityId(1)), mk(EntityId(2))],
-        run: RunPlan::FixedHorizon {
-            horizon: ms(p.get("horizon_ms").unwrap_or(40.0)),
-        },
-        topology: Topology::Dumbbell,
-        faults: vec![],
         buffers: Some(BufferPlan {
             pool_bytes: pool_bytes(p),
             admission: admission_kind(p),
             aqm: AqmKind::Fifo,
         }),
-        churn: None,
-        aq_budget: None,
+        ..ScenarioPlan::new(
+            vec![
+                entity(1, senders, CcAlgo::Cubic, 1, traffic.clone()),
+                entity(2, senders, CcAlgo::Cubic, 1, traffic),
+            ],
+            RunPlan::FixedHorizon {
+                horizon: ms(p.val("horizon_ms")),
+            },
+        )
     }
 }
 
 fn websearch_aqm_zoo(p: &Params) -> ScenarioPlan {
-    let n_flows = p.get_usize("n_flows").unwrap_or(20).max(1);
-    let load = p.get("load").unwrap_or(0.8).clamp(0.05, 2.0);
-    let aqm = match p.get_usize("aqm").unwrap_or(0) {
+    let traffic = Traffic::WebSearch {
+        n_flows: p.count("n_flows").max(1),
+        load: p.val("load").clamp(0.05, 2.0),
+    };
+    let aqm = match p.count("aqm") {
         0 => AqmKind::Fifo,
         1 => AqmKind::DisaggRed,
         _ => AqmKind::L4sStep,
     };
-    let mk = |entity| EntitySetup {
-        entity,
-        n_vms: 2,
-        cc: CcAlgo::Dctcp,
-        weight: 1,
-        traffic: Traffic::WebSearch { n_flows, load },
-    };
     ScenarioPlan {
-        entities: vec![mk(EntityId(1)), mk(EntityId(2))],
-        run: RunPlan::FixedHorizon {
-            horizon: ms(p.get("horizon_ms").unwrap_or(40.0)),
-        },
-        topology: Topology::Dumbbell,
-        faults: vec![],
         buffers: Some(BufferPlan {
             pool_bytes: pool_bytes(p),
             admission: AdmissionKind::DynamicThreshold { alpha: 1.0 },
             aqm,
         }),
-        churn: None,
-        aq_budget: None,
+        ..ScenarioPlan::new(
+            vec![
+                entity(1, 2, CcAlgo::Dctcp, 1, traffic.clone()),
+                entity(2, 2, CcAlgo::Dctcp, 1, traffic),
+            ],
+            RunPlan::FixedHorizon {
+                horizon: ms(p.val("horizon_ms")),
+            },
+        )
     }
 }
 
 /// All registered scenarios, in name order.
 pub fn registry() -> &'static [ScenarioDef] {
     const REGISTRY: &[ScenarioDef] = &[
+        ScenarioDef {
+            name: "ablation_limit_nofloor",
+            summary: "§6 AQ-limit ablation, the failing setting: a 100 Mbit/s entity beside \
+                      a 9.9 Gbit/s one with AQ limits divided in proportion to bandwidth \
+                      and no floor (2 KB, under two packets) — excess drops keep the small \
+                      entity from its allocation",
+            params: &[],
+            build: ablation_limit_nofloor,
+        },
+        ScenarioDef {
+            name: "ablation_limit_policy",
+            summary: "§6 AQ-limit ablation, the two working settings: the same 100 Mbit/s \
+                      vs 9.9 Gbit/s pair with every AQ at the physical queue's limit, or \
+                      proportional limits with a 30 KB floor — the small entity reaches its \
+                      allocation",
+            params: &[ParamDef {
+                name: "policy",
+                default: 0.0,
+                help: "AQ-limit policy: 0 match the physical queue, 1 proportional with a \
+                       30 KB floor",
+            }],
+            build: ablation_limit_policy,
+        },
+        ScenarioDef {
+            name: "ablation_wc_strict",
+            summary: "§6 work-conservation ablation, the control: entity B idles until \
+                      300 ms of 600; strict AQs pin entity A at its half of the link even \
+                      while B is idle",
+            params: &[],
+            build: ablation_wc_strict,
+        },
+        ScenarioDef {
+            name: "ablation_work_conservation",
+            summary: "§6 work-conservation ablation, the two mechanisms: bypass-while-the-\
+                      queue-is-empty and periodic reallocation both let entity A use the \
+                      whole link while B idles, and still protect B once it starts",
+            params: &[ParamDef {
+                name: "mode",
+                default: 0.0,
+                help: "mechanism: 0 bypass when idle (egress AQs), 1 reallocate every 10 ms",
+            }],
+            build: ablation_work_conservation,
+        },
         ScenarioDef {
             name: "aq_state_loss",
             summary: "two equal TCP entities share the dumbbell core; the bottleneck \
@@ -939,6 +1199,106 @@ pub fn registry() -> &'static [ScenarioDef] {
                 },
             ],
             build: fairness_flows,
+        },
+        ScenarioDef {
+            name: "fig01_cc_interference",
+            summary: "Fig. 1: two entities of 10 long flows each, running CC algorithms of \
+                      different classes, share one physical queue for 400 ms — ECN-based \
+                      CC starves drop-based CC, everything starves delay-based CC",
+            params: &[ParamDef {
+                name: "pair",
+                default: 0.0,
+                help: "0 CUBIC+DCTCP, 1 NewReno+DCTCP, 2 CUBIC+Swift, 3 DCTCP+Swift, \
+                       4 NewReno+Swift",
+            }],
+            build: fig01_cc_interference,
+        },
+        ScenarioDef {
+            name: "fig01_same_class",
+            summary: "Fig. 1, the same-class pair: 10 CUBIC flows against 10 NewReno flows \
+                      (both drop-based) share the physical queue evenly",
+            params: &[],
+            build: fig01_same_class,
+        },
+        ScenarioDef {
+            name: "fig06_completion_vs_vms",
+            summary: "Fig. 6: one entity replays the paper-scale web-search trace (64 flows, \
+                      8× sizes) split over `vms` ≥ 2 VMs; completion time vs VM count",
+            params: &[ParamDef {
+                name: "vms",
+                default: 4.0,
+                help: "the entity's sending VMs",
+            }],
+            build: fig06_completion_vs_vms,
+        },
+        ScenarioDef {
+            name: "fig06_one_vm",
+            summary: "Fig. 6, the first point: the entity replays the paper-scale trace \
+                      from a single VM — no split to get wrong, so all four approaches \
+                      finish together",
+            params: &[],
+            build: fig06_one_vm,
+        },
+        ScenarioDef {
+            name: "fig07_entity_fairness",
+            summary: "Fig. 7: entity A (1 VM) and entity B (`b_vms` VMs) replay the \
+                      paper-scale trace at equal weights; ratio of their completion times",
+            params: &[ParamDef {
+                name: "b_vms",
+                default: 4.0,
+                help: "entity B's sending VMs",
+            }],
+            build: fig07_entity_fairness,
+        },
+        ScenarioDef {
+            name: "fig08_equal_flows",
+            summary: "Fig. 8, the first point: one long flow each for 500 ms at weights \
+                      1 : `b_weight` — nothing for the physical queue to get wrong, AQ \
+                      still splits by weight",
+            params: &[ParamDef {
+                name: "b_weight",
+                default: 1.0,
+                help: "entity B's weight (entity A's is 1)",
+            }],
+            build: fig08_equal_flows,
+        },
+        ScenarioDef {
+            name: "fig08_flow_count_isolation",
+            summary: "Fig. 8: entity A (1 long flow) vs entity B (`b_flows` ≥ 4 long flows) \
+                      for 500 ms at weights 1 : `b_weight`; share vs flow count",
+            params: &[
+                ParamDef {
+                    name: "b_flows",
+                    default: 16.0,
+                    help: "entity B's long-flow count",
+                },
+                ParamDef {
+                    name: "b_weight",
+                    default: 1.0,
+                    help: "entity B's weight (entity A's is 1)",
+                },
+            ],
+            build: fig08_flow_count_isolation,
+        },
+        ScenarioDef {
+            name: "fig09_udp_tcp",
+            summary: "Fig. 9: five single-VM entities join the link 100 ms apart — four \
+                      with 4 CUBIC flows, the third a 10 Gbit/s UDP blast — and run to \
+                      700 ms; under AQ each join is granted an equal-weight AQ and the \
+                      link is re-divided",
+            params: &[],
+            build: fig09_udp_tcp,
+        },
+        ScenarioDef {
+            name: "fig10_cc_fairness",
+            summary: "Fig. 10: two 4-VM entities with different CC algorithms replay the \
+                      paper-scale trace; completion-time fairness and total completion",
+            params: &[ParamDef {
+                name: "pair",
+                default: 0.0,
+                help: "0 CUBIC+DCTCP, 1 NewReno+DCTCP, 2 CUBIC+Swift",
+            }],
+            build: fig10_cc_fairness,
         },
         ScenarioDef {
             name: "incast_sharedbuf",
@@ -1055,6 +1415,47 @@ pub fn registry() -> &'static [ScenarioDef] {
                 },
             ],
             build: linkflap_dumbbell,
+        },
+        ScenarioDef {
+            name: "table2_cc_sharing",
+            summary: "Table 2: entities of long flows under different CC algorithms (and \
+                      one UDP blast) share the core for 1.5 s",
+            params: &[ParamDef {
+                name: "row",
+                default: 0.0,
+                help: "0 5 CUBIC+5 DCTCP, 1 5 NewReno+5 DCTCP, 2 5 Illinois+5 DCTCP, \
+                       3 5 CUBIC+5 Swift, 4 5 DCTCP+5 Swift, 5 10 DCTCP+5 NewReno, \
+                       6 10 DCTCP+5 Swift, 7 1 UDP+3 CUBIC+3 DCTCP+3 Swift",
+            }],
+            build: table2_cc_sharing,
+        },
+        ScenarioDef {
+            name: "table2_same_cc",
+            summary: "Table 2, the first row: 5 CUBIC flows against 5 CUBIC flows — with \
+                      one CC algorithm the physical queue shares evenly too",
+            params: &[],
+            build: table2_same_cc,
+        },
+        ScenarioDef {
+            name: "table3_vm_profile",
+            summary: "Table 3: four VMs on a 25 Gbit/s star, each with a 5 Gbit/s in / \
+                      5 Gbit/s out hose profile; VM A sends a full line of web-search \
+                      traffic to B, C, D (entity 1) while they send one to A (entity 2), \
+                      600 ms",
+            params: &[],
+            build: table3_vm_profile,
+        },
+        ScenarioDef {
+            name: "table4_cc_behavior",
+            summary: "Table 4: 8 long flows of one CC algorithm on a 25 Gbit/s physical \
+                      core (PQ) vs a 25 Gbit/s AQ of a 100 Gbit/s core (AQ), 400 ms; \
+                      throughput and the queuing delay the CC sees",
+            params: &[ParamDef {
+                name: "cc",
+                default: 0.0,
+                help: "0 CUBIC, 1 NewReno, 2 DCTCP",
+            }],
+            build: table4_cc_behavior,
         },
         ScenarioDef {
             name: "tenant_churn",
@@ -1228,7 +1629,11 @@ mod tests {
     #[test]
     fn every_scenario_builds_with_defaults() {
         for def in registry() {
-            let plan = def.plan(&Params::new()).expect("default plan");
+            // A builder that reads a name its `params` list does not
+            // declare panics in `Params::val`; name the scenario.
+            let plan = std::panic::catch_unwind(|| def.plan(&Params::new()))
+                .unwrap_or_else(|_| panic!("{}: builder reads an undeclared parameter", def.name))
+                .expect("default plan");
             assert!(!plan.entities.is_empty(), "{}: no entities", def.name);
             let mut ids: Vec<u32> = plan.entities.iter().map(|e| e.entity.0).collect();
             ids.sort_unstable();
@@ -1239,7 +1644,77 @@ mod tests {
                 "{}: duplicate entity ids",
                 def.name
             );
+            assert!(
+                plan.starts.is_empty() || plan.starts.len() == plan.entities.len(),
+                "{}: one start per entity",
+                def.name
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "registry bug: builder reads undeclared parameter `b_flows`")]
+    fn reading_an_undeclared_parameter_is_a_registry_bug() {
+        // What `every_scenario_builds_with_defaults` trips over: a builder
+        // handed a resolved set that lacks a name it reads.
+        fairness_flows(&Params::new());
+    }
+
+    #[test]
+    fn paper_scenarios_describe_the_grids_their_benches_hard_coded() {
+        let plan = |name: &str, params: &str| {
+            find(name)
+                .expect("registered")
+                .plan(&Params::parse(params).expect("parse"))
+                .expect("plan")
+        };
+        // Fig. 9: five joins 100 ms apart, the third a UDP blast.
+        let fig9 = plan("fig09_udp_tcp", "");
+        let starts: Vec<Duration> = (0..5).map(|k| Duration::from_millis(k * 100)).collect();
+        assert_eq!(fig9.starts, starts);
+        assert_eq!(fig9.aq_mode, AqMode::GrantOnJoin);
+        assert!(matches!(
+            fig9.entities[2].traffic,
+            Traffic::Long {
+                n: 1,
+                kind: LongKind::Udp(_)
+            }
+        ));
+        // Table 2's last row is the four-entity UDP mix; the others pair up.
+        assert_eq!(plan("table2_cc_sharing", "row=7").entities.len(), 4);
+        assert_eq!(plan("table2_cc_sharing", "row=6").entities.len(), 2);
+        // Table 3: 1 + 3 VMs on a 25G star with a 5G hose.
+        let t3 = plan("table3_vm_profile", "");
+        assert_eq!(
+            t3.topology,
+            Topology::Star {
+                hose: Rate::from_gbps(5)
+            }
+        );
+        assert_eq!(t3.fabric.expect("fabric").link, Rate::from_gbps(25));
+        let vms: Vec<usize> = t3.entities.iter().map(|e| e.n_vms).collect();
+        assert_eq!(vms, [1, 3]);
+        // Table 4: a 25G slice of a 100G fabric, per CC row.
+        let t4 = plan("table4_cc_behavior", "cc=2");
+        assert_eq!(t4.fabric.expect("fabric").slice, Some(Rate::from_gbps(25)));
+        assert_eq!(t4.entities[0].cc, CcAlgo::Dctcp);
+        // The §6 ablations: weights 1:99 and a late entity B.
+        let limit = plan("ablation_limit_policy", "policy=1");
+        assert_eq!(
+            limit.aq_limit,
+            LimitKind::ProportionalShare { min_bytes: 30_000 }
+        );
+        let weights: Vec<u64> = limit.entities.iter().map(|e| e.weight).collect();
+        assert_eq!(weights, [1, 99]);
+        let wc = plan("ablation_work_conservation", "mode=1");
+        assert_eq!(wc.aq_mode, AqMode::Reallocate);
+        assert_eq!(wc.starts, [Duration::ZERO, Duration::from_millis(300)]);
+        assert_eq!(plan("ablation_wc_strict", "").aq_mode, AqMode::Strict);
+        // Fig. 8's second axis is entity B's weight.
+        assert_eq!(
+            plan("fig08_flow_count_isolation", "b_weight=2").entities[1].weight,
+            2
+        );
     }
 
     #[test]
