@@ -130,16 +130,17 @@ impl ElasticSwitch {
         ports
     }
 
-    fn adjust(&mut self, net: &mut Network, ctx: &AgentCtx) {
+    fn adjust(&mut self, net: &mut Network, stats: &StatsHub, ctx: &AgentCtx) {
         let now = ctx.now;
         let dt_ns = self.interval.as_nanos().max(1);
         // Congestion: ports whose drop counters advanced this interval.
         let mut congested = vec![false; net.ports.len()];
         self.last_port_drops.resize(net.ports.len(), 0);
-        for (i, p) in net.ports.iter().enumerate() {
-            if p.stats.queue_drops > self.last_port_drops[i] {
+        for (i, last) in self.last_port_drops.iter_mut().enumerate() {
+            let drops = stats.port(PortId::from(i)).map_or(0, |ps| ps.queue_drops());
+            if drops > *last {
                 congested[i] = true;
-                self.last_port_drops[i] = p.stats.queue_drops;
+                *last = drops;
             }
         }
         // Pass 1: measure per-pair demand from every sender's shaper.
@@ -224,11 +225,11 @@ impl Agent for ElasticSwitch {
     fn on_timer(
         &mut self,
         net: &mut Network,
-        _stats: &mut StatsHub,
+        stats: &mut StatsHub,
         ctx: &mut AgentCtx,
         _token: u64,
     ) {
-        self.adjust(net, ctx);
+        self.adjust(net, stats, ctx);
         ctx.arm_timer_in(self.interval, 0);
     }
 }

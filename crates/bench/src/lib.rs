@@ -1260,7 +1260,8 @@ mod tests {
             assert_eq!(table.len(), live, "at {until_ms} ms");
             for id in 1..=live as u32 {
                 let share = Rate::from_gbps(10).scaled(1, live as u64);
-                assert_eq!(table.rate_of(AqTag(id)), Some(share), "AQ {id} of {live}");
+                let rate = table.get(AqTag(id)).map(|inst| inst.cfg.rate);
+                assert_eq!(rate, Some(share), "AQ {id} of {live}");
             }
         }
     }

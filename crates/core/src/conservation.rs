@@ -118,9 +118,11 @@ impl WorkConservingReallocator {
         // than one combined drain would, perturbing byte-exact baselines.
         for (id, bps) in alloc {
             let r = Rate::from_bps(bps);
-            if pipe.ingress_table.rate_of(id) != Some(r) {
-                let _ = pipe.ingress_table.update(id, |inst| inst.set_rate(now, r));
-            }
+            let _ = pipe.ingress_table.update(id, |inst| {
+                if inst.cfg.rate != r {
+                    inst.set_rate(now, r);
+                }
+            });
         }
         self.rounds += 1;
     }

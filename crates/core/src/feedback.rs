@@ -12,8 +12,7 @@
 //!   accumulated onto the packet for the receiver to echo.
 
 use crate::config::{AqInstance, CcPolicy};
-use crate::gap::{AGap, GapTrack};
-use aq_netsim::packet::{AqTag, Ecn, Packet};
+use aq_netsim::packet::{Ecn, Packet};
 use aq_netsim::time::Time;
 
 /// What the AQ decided for one packet.
@@ -32,62 +31,18 @@ pub enum AqVerdict {
     Drop,
 }
 
-/// Split-borrow view of one AQ's Algorithm-1/2 state.
-///
-/// The cache-packed [`AqTable`](crate::table::AqTable) stores AQ state as
-/// column vectors rather than whole [`AqInstance`]s; this view lets
-/// [`process_parts`] run Algorithm 2 directly on those rows (and on an
-/// `AqInstance`'s fields, via [`process_packet`]) so the algorithm exists
-/// exactly once.
-pub struct AqStateMut<'a> {
-    /// AQ id (diagnostics only — never branched on).
-    pub id: AqTag,
-    /// Feedback policy (Table 1 "CC fields").
-    pub cc: CcPolicy,
-    /// Maximum A-Gap in bytes (`aq.limit`).
-    pub limit_bytes: u64,
-    /// The streaming A-Gap (Algorithm 1 state).
-    pub gap: &'a mut AGap,
-    /// Forwarded-packet gap telemetry.
-    pub gap_track: &'a mut GapTrack,
-    /// Packets dropped by the AQ limit.
-    pub drops: &'a mut u64,
-    /// Packets CE-marked by this AQ.
-    pub marks: &'a mut u64,
-    /// Bytes arrived (demand measurement).
-    pub arrived_bytes: &'a mut u64,
-}
-
 /// Run Algorithm 2 for one packet arrival against one AQ, mutating the
-/// packet's ECN / virtual-delay fields according to the verdict.
+/// packet's ECN / virtual-delay fields according to the verdict. This is
+/// the only implementation: [`AqTable::process`](crate::table::AqTable::process)
+/// calls it on the row it stores.
 pub fn process_packet(aq: &mut AqInstance, now: Time, pkt: &mut Packet) -> AqVerdict {
-    process_parts(
-        AqStateMut {
-            id: aq.cfg.id,
-            cc: aq.cfg.cc,
-            limit_bytes: aq.cfg.limit_bytes,
-            gap: &mut aq.gap,
-            gap_track: &mut aq.gap_track,
-            drops: &mut aq.drops,
-            marks: &mut aq.marks,
-            arrived_bytes: &mut aq.arrived_bytes,
-        },
-        now,
-        pkt,
-    )
-}
-
-/// Algorithm 2 on a split-borrow state view — the form the SoA
-/// [`AqTable`](crate::table::AqTable) fast path calls without assembling
-/// an [`AqInstance`].
-pub fn process_parts(aq: AqStateMut<'_>, now: Time, pkt: &mut Packet) -> AqVerdict {
-    *aq.arrived_bytes += pkt.size as u64;
+    aq.arrived_bytes += pkt.size as u64;
     let gap = aq.gap.on_packet(now, pkt.size);
-    if gap > aq.limit_bytes {
+    if gap > aq.cfg.limit_bytes {
         // Lines 2–4: the packet never enters the network, so remove its
         // contribution from the gap.
         aq.gap.deduct(pkt.size);
-        *aq.drops += 1;
+        aq.drops += 1;
         return AqVerdict::Drop;
     }
     // Algorithm 2's post-condition for the forward path: the gap of every
@@ -95,10 +50,10 @@ pub fn process_parts(aq: AqStateMut<'_>, now: Time, pkt: &mut Packet) -> AqVerdi
     // above restored the pre-arrival gap, so the limit can never be
     // exceeded by a forwarded packet's contribution.
     aq_netsim::invariant!(
-        gap <= aq.limit_bytes,
+        gap <= aq.cfg.limit_bytes,
         "forwarding with gap {gap} above limit {} (aq={:?})",
-        aq.limit_bytes,
-        aq.id,
+        aq.cfg.limit_bytes,
+        aq.cfg.id,
     );
     // Gap telemetry covers forwarded packets only: the drop branch above
     // restored the pre-arrival gap, so observing here keeps the invariant
@@ -111,12 +66,12 @@ pub fn process_parts(aq: AqStateMut<'_>, now: Time, pkt: &mut Packet) -> AqVerdi
     // with AQ").
     let vd = aq.gap.virtual_delay().as_nanos();
     pkt.vdelay_ns = pkt.vdelay_ns.saturating_add(vd);
-    match aq.cc {
+    match aq.cfg.cc {
         CcPolicy::DropBased => AqVerdict::Forward,
         CcPolicy::EcnBased { threshold_bytes } => {
             if gap > threshold_bytes as u64 && pkt.ecn.can_mark() {
                 pkt.ecn = Ecn::CongestionExperienced;
-                *aq.marks += 1;
+                aq.marks += 1;
                 AqVerdict::ForwardMarked
             } else {
                 AqVerdict::Forward

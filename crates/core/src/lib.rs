@@ -58,7 +58,7 @@ pub mod table;
 pub use config::{AqConfig, AqInstance, CcPolicy, PackedAq, Position, PACKED_AQ_BYTES};
 pub use conservation::{ReallocatorConfig, WorkConservingReallocator};
 pub use controller::{AqController, AqRequest, BandwidthDemand, Grant, GrantError, LimitPolicy};
-pub use feedback::{process_packet, process_parts, AqStateMut, AqVerdict};
+pub use feedback::{process_packet, AqVerdict};
 pub use gap::{AGap, DGap, GapTrack, GAP_FRAC_BITS};
 pub use pipeline::{
     export_aq_table, AqPipeline, DegradeMode, DegradeState, DegradedRow, PipelineStats,

@@ -306,7 +306,7 @@ impl AqPipeline {
         tag: AqTag,
         pkt: &mut Packet,
     ) -> PipelineVerdict {
-        // `AqTable::process` runs Algorithm 1 + 2 on the packed rows and
+        // `AqTable::process` runs Algorithm 1 + 2 on the stored row and
         // handles post-wipe recovery bookkeeping.
         if let Some(verdict) = table.process(tag, now, pkt) {
             return Self::settle(verdict, stats);

@@ -1,5 +1,5 @@
-//! The AQ table — per-switch registry of deployed AQs, stored as a
-//! cache-packed structure of arrays.
+//! The AQ table — per-switch registry of deployed AQs, one stored row
+//! per AQ.
 //!
 //! Lookup is an indexed load on the 4-byte AQ id (R3: the abstraction must
 //! scale to millions of entities regardless of physical queue count). Ids
@@ -8,25 +8,21 @@
 //!
 //! ## Layout
 //!
-//! State is split by access frequency into dense parallel column vectors,
-//! mirroring how the paper packs each AQ into 15 bytes of register memory
-//! (4 B id · 3 B rate · 8 B limit/gap/time/CC):
-//!
-//! * `index` — id → dense row (the id bytes live here, as on the switch
-//!   where the id is the match key, not a register field);
-//! * `hot` — the per-packet enforcement state Algorithm 1 + 2 branch on:
-//!   gap, last-update time, rate, limit, CC policy (≈48 B per AQ — wider
-//!   than the switch's 15 B because the simulator keeps nanosecond clocks
-//!   and 2⁻¹⁶-byte fixed point instead of the quantized encodings of
-//!   [`PackedAq`](crate::config::PackedAq));
-//! * `cold` — counters, telemetry, and fault-recovery bookkeeping that are
-//!   written but never branched on in the forward path.
-//!
-//! The fast path is [`AqTable::process`], which runs Algorithm 2 directly
-//! on the rows via [`process_parts`]. [`AqTable::get`] and
-//! [`AqTable::iter`] assemble owned [`AqInstance`] snapshots for control
-//! and telemetry paths; arbitrary mutation goes through the closure-based
-//! [`AqTable::update`], which reassembles and writes back one row.
+//! The paper keeps an AQ as one 15-byte register entry (4 B id · 3 B rate ·
+//! 8 B limit/gap/time/CC) and runs Algorithm 1 + 2 as arithmetic over it.
+//! The table does the same at simulator precision: `index` maps id → dense
+//! row (the id is the match key, as on the switch), and each dense row is
+//! the [`AqInstance`] itself plus the idle clock eviction orders by. There
+//! is no second representation — [`AqTable::process`] runs
+//! [`process_packet`] on the stored instance, [`AqTable::get`] and
+//! [`AqTable::iter`] lend it out, and [`AqTable::update`] hands it to a
+//! closure. The row is wider than the switch's 15 B because the simulator
+//! keeps nanosecond clocks, 2⁻¹⁶-byte fixed point and telemetry instead of
+//! the quantized encodings of [`PackedAq`](crate::config::PackedAq); a
+//! `size_of` test pins it. Grouping the fields by access frequency would
+//! not help: every packet writes the counters and the idle clock beside
+//! the gap, so a cold probe touches the whole row either way
+//! (PERFORMANCE.md § "AQ state" has the measurement).
 //!
 //! [`AqTable::register_memory_bytes`] reports the switch register memory
 //! the deployed AQs occupy under the paper's 15-byte packed layout — the
@@ -44,11 +40,10 @@
 //! Occupancy never exceeds the budget at any point; the high-water mark is
 //! tracked in [`AqTable::peak_register_memory_bytes`].
 
-use crate::config::{AqConfig, AqInstance, CcPolicy, PACKED_AQ_BYTES};
-use crate::feedback::{process_parts, AqStateMut, AqVerdict};
-use crate::gap::{AGap, GapTrack};
+use crate::config::{AqConfig, AqInstance, PACKED_AQ_BYTES};
+use crate::feedback::{process_packet, AqVerdict};
 use aq_netsim::packet::{AqTag, Packet};
-use aq_netsim::time::{Rate, Time};
+use aq_netsim::time::Time;
 
 /// `index` value for "no AQ deployed under this id".
 const VACANT: u32 = u32::MAX;
@@ -93,58 +88,25 @@ pub enum DeployOutcome {
     Rejected,
 }
 
-/// Per-packet enforcement state: everything Algorithm 1 + 2 read to reach
-/// a verdict. One row ≈ 48 bytes, the simulator-precision analogue of the
-/// paper's 15-byte register entry (see module docs for the field mapping).
-#[derive(Debug, Clone)]
-struct HotRow {
-    /// Algorithm-1 state: `aq.gap`, `aq.last_time`, and the drain rate.
-    gap: AGap,
-    /// Allocated rate `R` as configured (kept alongside the gap's drain
-    /// rate so `update` closures that touch only `cfg.rate` round-trip).
-    rate: Rate,
-    /// Maximum A-Gap (`aq.limit`, bytes).
-    limit_bytes: u64,
-    /// Feedback policy.
-    cc: CcPolicy,
-}
-
-/// Counters, telemetry, and fault-recovery bookkeeping — written on the
-/// forward path but never branched on to decide a verdict.
-#[derive(Debug, Clone)]
-struct ColdRow {
-    /// The AQ id (also the key of this row's `index` entry).
-    id: AqTag,
-    /// Packets dropped by the AQ limit.
-    drops: u64,
-    /// Packets CE-marked by this AQ.
-    marks: u64,
-    /// Bytes arrived (demand measurement for work conservation).
-    arrived_bytes: u64,
-    /// Forwarded-packet gap summary.
-    gap_track: GapTrack,
+/// One stored AQ. `inst.cfg.id` is also the key of this row's `index`
+/// entry.
+#[derive(Debug)]
+struct Row {
+    inst: AqInstance,
     /// When this AQ last saw a packet (deploy time until the first
-    /// arrival). Drives [`OverflowPolicy::EvictIdle`] victim selection;
-    /// preserved across `update`/`wipe` write-backs.
+    /// arrival). Drives [`OverflowPolicy::EvictIdle`] victim selection.
+    /// Kept beside the instance rather than in it so that `update` and
+    /// `wipe`, which rewrite the instance, cannot perturb eviction order.
     last_arrival: Time,
-    /// Times this AQ's dynamic state was wiped by a fault.
-    wipes: u64,
-    /// When the most recent wipe happened.
-    wiped_at: Option<Time>,
-    /// Post-wipe re-convergence target (pre-wipe mean gap, capped).
-    recover_target_bytes: u64,
-    /// When the rebuilt gap first reached the recovery target.
-    recovered_at: Option<Time>,
 }
 
-/// Registry of deployed AQ instances, indexed by [`AqTag`], stored as
-/// dense parallel hot/cold column vectors (see module docs).
+/// Registry of deployed AQ instances, indexed by [`AqTag`] (see module
+/// docs).
 #[derive(Debug, Default)]
 pub struct AqTable {
     /// id → dense row, [`VACANT`] when the id is not deployed.
     index: Vec<u32>,
-    hot: Vec<HotRow>,
-    cold: Vec<ColdRow>,
+    rows: Vec<Row>,
     /// Register-memory budget in bytes (`None` = unbounded).
     budget_bytes: Option<u64>,
     /// What to do with a deploy that would overflow the budget.
@@ -163,8 +125,7 @@ impl AqTable {
         AqTable {
             // Slot 0 is the reserved "no AQ" id.
             index: vec![VACANT],
-            hot: Vec::new(),
-            cold: Vec::new(),
+            rows: Vec::new(),
             budget_bytes: None,
             policy: OverflowPolicy::default(),
             peak_bytes: 0,
@@ -212,73 +173,12 @@ impl AqTable {
     /// When the AQ with this id last saw a packet (its deploy time until
     /// the first arrival).
     pub fn last_arrival_of(&self, id: AqTag) -> Option<Time> {
-        Some(self.cold[self.dense(id)?].last_arrival)
+        Some(self.rows[self.dense(id)?].last_arrival)
     }
 
     fn dense(&self, id: AqTag) -> Option<usize> {
         let d = *self.index.get(id.0 as usize)?;
         (d != VACANT).then_some(d as usize)
-    }
-
-    fn rows(inst: AqInstance) -> (HotRow, ColdRow) {
-        (
-            HotRow {
-                gap: inst.gap,
-                rate: inst.cfg.rate,
-                limit_bytes: inst.cfg.limit_bytes,
-                cc: inst.cfg.cc,
-            },
-            ColdRow {
-                id: inst.cfg.id,
-                drops: inst.drops,
-                marks: inst.marks,
-                arrived_bytes: inst.arrived_bytes,
-                gap_track: inst.gap_track,
-                // Placeholder: deploy paths stamp the admit time, and
-                // `write_back` preserves the row's existing value.
-                last_arrival: Time::ZERO,
-                wipes: inst.wipes,
-                wiped_at: inst.wiped_at,
-                recover_target_bytes: inst.recover_target_bytes,
-                recovered_at: inst.recovered_at,
-            },
-        )
-    }
-
-    fn assemble(&self, d: usize) -> AqInstance {
-        let hot = &self.hot[d];
-        let cold = &self.cold[d];
-        AqInstance {
-            cfg: AqConfig {
-                id: cold.id,
-                rate: hot.rate,
-                limit_bytes: hot.limit_bytes,
-                cc: hot.cc,
-            },
-            gap: hot.gap.clone(),
-            drops: cold.drops,
-            marks: cold.marks,
-            arrived_bytes: cold.arrived_bytes,
-            gap_track: cold.gap_track.clone(),
-            wipes: cold.wipes,
-            wiped_at: cold.wiped_at,
-            recover_target_bytes: cold.recover_target_bytes,
-            recovered_at: cold.recovered_at,
-        }
-    }
-
-    /// Write an instance back into row `d`. The row keeps its id and
-    /// last-arrival stamp — a closure rewriting `cfg.id` cannot corrupt
-    /// the index, and control-path round-trips (`update`, `wipe`) do not
-    /// perturb eviction ordering.
-    fn write_back(&mut self, d: usize, inst: AqInstance) {
-        let id = self.cold[d].id;
-        let last_arrival = self.cold[d].last_arrival;
-        let (hot, mut cold) = Self::rows(inst);
-        cold.id = id;
-        cold.last_arrival = last_arrival;
-        self.hot[d] = hot;
-        self.cold[d] = cold;
     }
 
     /// Deploy an AQ. Replaces any previous AQ with the same id.
@@ -311,17 +211,17 @@ impl AqTable {
         if idx >= self.index.len() {
             self.index.resize(idx + 1, VACANT);
         }
+        let row = |cfg| Row {
+            inst: AqInstance::new(cfg),
+            last_arrival: now,
+        };
         if self.index[idx] != VACANT {
-            let d = self.index[idx] as usize;
-            let (hot, mut cold) = Self::rows(AqInstance::new(cfg));
-            cold.last_arrival = now;
-            self.hot[d] = hot;
-            self.cold[d] = cold;
+            self.rows[self.index[idx] as usize] = row(cfg);
             return DeployOutcome::Replaced;
         }
         let full = self
             .budget_bytes
-            .is_some_and(|b| (self.hot.len() + 1) * PACKED_AQ_BYTES > b as usize);
+            .is_some_and(|b| (self.rows.len() + 1) * PACKED_AQ_BYTES > b as usize);
         let evicted = if full {
             match self.policy {
                 OverflowPolicy::RejectNew => {
@@ -341,11 +241,8 @@ impl AqTable {
         } else {
             None
         };
-        let (hot, mut cold) = Self::rows(AqInstance::new(cfg));
-        cold.last_arrival = now;
-        self.index[idx] = u32::try_from(self.hot.len()).expect("more than u32::MAX AQs");
-        self.hot.push(hot);
-        self.cold.push(cold);
+        self.index[idx] = u32::try_from(self.rows.len()).expect("more than u32::MAX AQs");
+        self.rows.push(row(cfg));
         let occupied = self.register_memory_bytes() as u64;
         aq_netsim::invariant!(
             self.budget_bytes.is_none_or(|b| occupied <= b),
@@ -362,7 +259,10 @@ impl AqTable {
     /// on ties — a total order, so eviction is deterministic regardless of
     /// dense-row layout. Returns the victim's config.
     fn evict_idle(&mut self) -> Option<AqConfig> {
-        let victim = self.cold.iter().map(|c| (c.last_arrival, c.id)).min()?.1;
+        let victim = (self.rows.iter())
+            .map(|r| (r.last_arrival, r.inst.cfg.id))
+            .min()?
+            .1;
         self.evictions += 1;
         Some(self.remove(victim).expect("victim came from the table").cfg)
     }
@@ -372,112 +272,81 @@ impl AqTable {
     /// does not — iteration is by id, so observable order is unchanged).
     pub fn remove(&mut self, id: AqTag) -> Option<AqInstance> {
         let d = self.dense(id)?;
-        let out = self.assemble(d);
-        self.hot.swap_remove(d);
-        self.cold.swap_remove(d);
-        if d < self.hot.len() {
+        let out = self.rows.swap_remove(d).inst;
+        if let Some(resident) = self.rows.get(d) {
             // The former last row now sits at `d` — repoint its index entry.
-            let resident = self.cold[d].id;
-            self.index[resident.0 as usize] = u32::try_from(d).expect("dense index fits u32");
+            self.index[resident.inst.cfg.id.0 as usize] =
+                u32::try_from(d).expect("dense index fits u32");
         }
         self.index[id.0 as usize] = VACANT;
         Some(out)
     }
 
-    /// An owned snapshot of the deployed AQ with this id, assembled from
-    /// its hot/cold rows. Mutating the snapshot does not touch the table —
-    /// use [`AqTable::update`] or [`AqTable::process`] for that.
-    pub fn get(&self, id: AqTag) -> Option<AqInstance> {
-        Some(self.assemble(self.dense(id)?))
-    }
-
-    /// The allocated rate of a deployed AQ (hot-row read, no assembly).
-    pub fn rate_of(&self, id: AqTag) -> Option<Rate> {
-        Some(self.hot[self.dense(id)?].rate)
+    /// The deployed AQ with this id. Mutation goes through
+    /// [`AqTable::update`] or [`AqTable::process`].
+    pub fn get(&self, id: AqTag) -> Option<&AqInstance> {
+        Some(&self.rows[self.dense(id)?].inst)
     }
 
     /// The per-packet fast path: run Algorithm 1 + 2 for one arrival
-    /// against the AQ matching `id`, directly on the packed rows, and
-    /// update fault-recovery bookkeeping. `None` when no AQ carries this
-    /// id (the caller forwards untouched).
+    /// against the AQ matching `id` and update its idle clock and
+    /// fault-recovery bookkeeping. `None` when no AQ carries this id (the
+    /// caller forwards untouched).
     #[inline]
     pub fn process(&mut self, id: AqTag, now: Time, pkt: &mut Packet) -> Option<AqVerdict> {
         let d = self.dense(id)?;
-        let hot = &mut self.hot[d];
-        let cold = &mut self.cold[d];
-        cold.last_arrival = now;
-        let verdict = process_parts(
-            AqStateMut {
-                id: cold.id,
-                cc: hot.cc,
-                limit_bytes: hot.limit_bytes,
-                gap: &mut hot.gap,
-                gap_track: &mut cold.gap_track,
-                drops: &mut cold.drops,
-                marks: &mut cold.marks,
-                arrived_bytes: &mut cold.arrived_bytes,
-            },
-            now,
-            pkt,
-        );
-        // Fault-recovery bookkeeping (same rule as
-        // [`AqInstance::note_recovery`]): a wiped AQ counts as
-        // re-converged once it has processed a pre-wipe operating point's
-        // worth of arrivals; first crossing wins.
-        if cold.wiped_at.is_some()
-            && cold.recovered_at.is_none()
-            && cold.arrived_bytes >= cold.recover_target_bytes
-        {
-            cold.recovered_at = Some(now);
-        }
+        let row = &mut self.rows[d];
+        row.last_arrival = now;
+        let verdict = process_packet(&mut row.inst, now, pkt);
+        row.inst.note_recovery(now);
         Some(verdict)
     }
 
-    /// Mutate one deployed AQ through an assembled [`AqInstance`] view —
-    /// the control-path escape hatch (rate re-division, test setup).
-    /// Returns the closure's result, or `None` when the id is not
-    /// deployed. Changes to `cfg.id` are discarded on write-back.
+    /// Mutate one deployed AQ in place — the control-path escape hatch
+    /// (rate re-division, test setup). Returns the closure's result, or
+    /// `None` when the id is not deployed. The row keeps its id: a closure
+    /// rewriting `cfg.id` cannot corrupt the index.
     pub fn update<R>(&mut self, id: AqTag, f: impl FnOnce(&mut AqInstance) -> R) -> Option<R> {
         let d = self.dense(id)?;
-        let mut inst = self.assemble(d);
-        let out = f(&mut inst);
-        self.write_back(d, inst);
+        let inst = &mut self.rows[d].inst;
+        let out = f(inst);
+        inst.cfg.id = id;
         Some(out)
     }
 
     /// Number of deployed AQs.
     pub fn len(&self) -> usize {
-        self.hot.len()
+        self.rows.len()
     }
 
     /// Whether no AQs are deployed.
     pub fn is_empty(&self) -> bool {
-        self.hot.is_empty()
+        self.rows.is_empty()
     }
 
-    /// Iterate over owned snapshots of deployed AQs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = AqInstance> + '_ {
+    /// Iterate over deployed AQs in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &AqInstance> + '_ {
         self.index
             .iter()
             .filter(|d| **d != VACANT)
-            .map(|d| self.assemble(*d as usize))
+            .map(|d| &self.rows[*d as usize].inst)
     }
 
     /// Switch register memory under the paper's packed layout: 15 bytes per
     /// deployed AQ (Fig. 12's model).
     pub fn register_memory_bytes(&self) -> usize {
-        self.hot.len() * PACKED_AQ_BYTES
+        self.rows.len() * PACKED_AQ_BYTES
     }
 
     /// Wipe the dynamic state of every deployed AQ at `now` (fault
     /// injection: the switch rebooted and lost its registers).
     /// Configurations survive — the controller re-deploys them — but gaps,
     /// counters, and telemetry restart from zero and must be rebuilt from
-    /// subsequent arrivals (see [`AqInstance::wiped`]).
+    /// subsequent arrivals (see [`AqInstance::wiped`]). Idle clocks are
+    /// control-plane state and survive too.
     pub fn wipe(&mut self, now: Time) {
-        for d in 0..self.hot.len() {
-            let wiped = self.assemble(d).wiped(now);
-            self.write_back(d, wiped);
+        for row in &mut self.rows {
+            row.inst = row.inst.wiped(now);
         }
     }
 }
@@ -569,37 +438,17 @@ mod tests {
     }
 
     #[test]
-    fn hot_row_stays_within_one_cache_line() {
-        // The cache-packing claim PERFORMANCE.md documents: the state the
-        // forward path branches on fits well inside a 64-byte line.
+    fn stored_row_is_one_instance_plus_its_idle_clock() {
+        // What `core.table.host_bytes_per_aq` measures, beside the 4-byte
+        // index entry: 160 B of instance (32 config + 24 gap + 24 counters
+        // + 32 gap track + 48 fault recovery), the 8 B idle clock, and 8 B
+        // of padding to the gap track's 16-byte alignment. Raise the pin
+        // only together with PERFORMANCE.md § "AQ state".
         assert!(
-            std::mem::size_of::<HotRow>() <= 64,
-            "HotRow grew to {} bytes",
-            std::mem::size_of::<HotRow>()
+            std::mem::size_of::<Row>() <= 176,
+            "Row grew to {} bytes",
+            std::mem::size_of::<Row>()
         );
-    }
-
-    #[test]
-    fn process_matches_the_instance_path_bit_for_bit() {
-        // Same trace through table.process and through a standalone
-        // AqInstance + process_packet: verdicts and final state agree.
-        let mut t = AqTable::new();
-        t.deploy(cfg(1));
-        let mut inst = AqInstance::new(cfg(1));
-        for k in 0..200u64 {
-            let now = Time::from_nanos(k * 700);
-            let mut a = pkt(60_000);
-            let mut b = a.clone();
-            let via_table = t.process(AqTag(1), now, &mut a).expect("deployed");
-            let via_inst = crate::feedback::process_packet(&mut inst, now, &mut b);
-            assert_eq!(via_table, via_inst, "verdict diverged at packet {k}");
-            assert_eq!(a.vdelay_ns, b.vdelay_ns);
-        }
-        let snap = t.get(AqTag(1)).unwrap();
-        assert_eq!(snap.gap.bytes(), inst.gap.bytes());
-        assert_eq!(snap.drops, inst.drops);
-        assert_eq!(snap.arrived_bytes, inst.arrived_bytes);
-        assert!(snap.drops > 0, "trace should exercise the drop branch");
     }
 
     #[test]
@@ -611,26 +460,22 @@ mod tests {
     }
 
     #[test]
-    fn update_round_trips_through_the_rows() {
+    fn update_mutates_the_stored_row_and_keeps_its_id() {
         let mut t = AqTable::new();
         t.deploy(cfg(4));
         let r = Rate::from_gbps(7);
-        t.update(AqTag(4), |inst| inst.set_rate(Time::from_micros(1), r))
-            .expect("deployed");
-        assert_eq!(t.rate_of(AqTag(4)), Some(r));
-        let snap = t.get(AqTag(4)).unwrap();
-        assert_eq!(snap.cfg.rate, r);
-        assert_eq!(snap.gap.rate(), r);
+        t.update(AqTag(4), |inst| {
+            inst.set_rate(Time::from_micros(1), r);
+            inst.cfg.id = AqTag(5);
+        })
+        .expect("deployed");
+        let inst = t.get(AqTag(4)).unwrap();
+        assert_eq!(
+            (inst.cfg.id, inst.cfg.rate, inst.gap.rate()),
+            (AqTag(4), r, r)
+        );
+        assert!(t.get(AqTag(5)).is_none());
         assert!(t.update(AqTag(9), |_| ()).is_none());
-    }
-
-    #[test]
-    fn get_returns_a_detached_snapshot() {
-        let mut t = AqTable::new();
-        t.deploy(cfg(1));
-        let mut snap = t.get(AqTag(1)).unwrap();
-        snap.drops = 99;
-        assert_eq!(t.get(AqTag(1)).unwrap().drops, 0);
     }
 
     #[test]

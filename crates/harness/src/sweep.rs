@@ -94,17 +94,6 @@ pub struct SweepSpec {
     pub axes: Vec<SweepAxis>,
 }
 
-/// Parse an approach name (case-insensitive).
-pub fn parse_approach(name: &str) -> Option<Approach> {
-    match name.to_ascii_lowercase().as_str() {
-        "pq" => Some(Approach::Pq),
-        "aq" => Some(Approach::Aq),
-        "prl" => Some(Approach::Prl),
-        "drl" => Some(Approach::Drl),
-        _ => None,
-    }
-}
-
 /// Expand a spec into its run points, validated, key-sorted, deduplicated.
 pub fn expand(spec: &SweepSpec) -> Result<Vec<RunPoint>, String> {
     let mut points: BTreeMap<RunKey, RunPoint> = BTreeMap::new();

@@ -179,8 +179,6 @@ pub enum NodeKind {
     Switch {
         /// Pipeline stages, run in order on every forwarded packet.
         pipelines: Vec<Box<dyn SwitchPipeline>>,
-        /// Packets dropped by pipeline verdicts (e.g. AQ limit drops).
-        pipeline_drops: u64,
     },
 }
 

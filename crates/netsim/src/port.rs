@@ -10,22 +10,6 @@ use crate::packet::Packet;
 use crate::queue::QueueDiscipline;
 use crate::time::{Duration, Time};
 
-/// Per-port cumulative transmit/drop counters kept on the port itself.
-///
-/// These are the port's own cheap counters, updated inline by the
-/// transmitter; the richer per-port telemetry (byte conservation, drop
-/// causes, occupancy series) lives in [`crate::stats::PortStats`] inside
-/// the [`crate::stats::StatsHub`].
-#[derive(Debug, Default, Clone)]
-pub struct PortCounters {
-    /// Packets fully serialized onto the wire.
-    pub tx_pkts: u64,
-    /// Bytes fully serialized onto the wire.
-    pub tx_bytes: u64,
-    /// Packets rejected by the queue discipline (taildrop / limiter drop).
-    pub queue_drops: u64,
-}
-
 /// An output port.
 pub struct Port {
     /// This port's id.
@@ -45,8 +29,6 @@ pub struct Port {
     /// A `PortWake` event is pending for this time; used to suppress
     /// duplicate wake events for shaped queues.
     pub wake_at: Option<Time>,
-    /// Cumulative counters.
-    pub stats: PortCounters,
     /// Memo of the last serialization-time computation `(wire bytes,
     /// duration)`. Traffic on a port is dominated by one or two frame
     /// sizes (MSS data one way, ACKs the other), and the link rate is
@@ -67,7 +49,6 @@ impl Port {
             in_flight: None,
             launch_downs: 0,
             wake_at: None,
-            stats: PortCounters::default(),
             // Matches the real computation for 0 bytes (0 bits → 0 ns), so
             // the memo is valid from the start.
             tx_memo: (0, Duration::ZERO),

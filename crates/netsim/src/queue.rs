@@ -421,11 +421,6 @@ impl DisaggRedQueue {
         self.pending
     }
 
-    /// Current EWMA backlog (white box for tests).
-    pub fn avg_backlog_bytes(&self) -> u64 {
-        self.avg
-    }
-
     fn check_conservation(&self) {
         crate::invariant!(
             self.enqueued_bytes == self.dequeued_bytes + self.dropped_bytes + self.backlog,

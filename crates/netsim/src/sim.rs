@@ -126,14 +126,6 @@ impl Network {
         assert_eq!(ports.len(), 1, "{node} is multi-homed; route explicitly");
         ports[0]
     }
-
-    /// Cumulative drops in switch pipelines at `node` (0 for hosts).
-    pub fn pipeline_drops(&self, node: NodeId) -> u64 {
-        match &self.nodes[node.index()].kind {
-            NodeKind::Switch { pipeline_drops, .. } => *pipeline_drops,
-            NodeKind::Host { .. } => 0,
-        }
-    }
 }
 
 /// Timer requests an agent makes during a callback.
@@ -398,16 +390,6 @@ impl Simulator {
         &self.faults.totals
     }
 
-    /// Whether `link` is currently up (always true without link faults).
-    pub fn link_is_up(&self, link: LinkId) -> bool {
-        self.faults.link_up[link.index()]
-    }
-
-    /// Whether `node` is currently blacked out by a host-pause fault.
-    pub fn host_is_paused(&self, node: NodeId) -> bool {
-        self.faults.paused[node.index()]
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> Time {
         self.now
@@ -508,7 +490,8 @@ impl Simulator {
     }
 
     /// Run until simulation time `t` (inclusive of events at `t`); the
-    /// clock then reads `t`.
+    /// clock then reads `t`. A `t` already in the past is a no-op: the
+    /// clock never moves backwards.
     pub fn run_until(&mut self, t: Time) {
         self.start();
         while let Some(et) = self.events.peek_time() {
@@ -526,7 +509,7 @@ impl Simulator {
             self.processed_events += 1;
             self.dispatch(ev.kind);
         }
-        self.now = t;
+        self.now = self.now.max(t);
     }
 
     /// Run until no events remain or `max_events` more have fired.
@@ -833,8 +816,6 @@ impl Simulator {
                 }
                 Admission::Reject => {
                     sample_pool(&mut self.stats, now, node, pool);
-                    let p = &mut self.net.ports[port.index()];
-                    p.stats.queue_drops += 1;
                     self.stats
                         .on_port_queue_drop(node, port, bytes, DropCause::SharedBufferReject);
                     self.stats.on_drop(entity);
@@ -858,7 +839,6 @@ impl Simulator {
                 self.try_transmit(port);
             }
             Enqueued::Dropped(_, cause) => {
-                p.stats.queue_drops += 1;
                 self.stats.on_port_queue_drop(node, port, bytes, cause);
                 self.stats.on_drop(entity);
             }
@@ -930,8 +910,6 @@ impl Simulator {
             self.try_transmit(port);
             return;
         }
-        p.stats.tx_pkts += 1;
-        p.stats.tx_bytes += pkt.size as u64;
         self.stats.on_port_tx(p.node, port, pkt.size as u64);
         let link = &self.net.links[lidx];
         let to = link.to_node;
@@ -1020,29 +998,15 @@ impl Simulator {
         let now = self.now;
         // Ingress pipelines.
         let entity = pkt.entity;
-        let verdict = {
-            let NodeKind::Switch {
-                pipelines,
-                pipeline_drops,
-            } = &mut self.net.nodes[node.index()].kind
-            else {
-                unreachable!()
-            };
-            let mut v = PipelineVerdict::Forward;
-            for pipe in pipelines.iter_mut() {
-                match pipe.ingress(now, &mut pkt) {
-                    PipelineVerdict::Forward => {}
-                    dropped => {
-                        v = dropped;
-                        break;
-                    }
-                }
-            }
-            if v != PipelineVerdict::Forward {
-                *pipeline_drops += 1;
-            }
-            v
+        let NodeKind::Switch { pipelines } = &mut self.net.nodes[node.index()].kind else {
+            unreachable!()
         };
+        // The first stage that does not forward decides; later stages
+        // never see the packet.
+        let verdict = (pipelines.iter_mut())
+            .map(|pipe| pipe.ingress(now, &mut pkt))
+            .find(|v| *v != PipelineVerdict::Forward)
+            .unwrap_or(PipelineVerdict::Forward);
         if verdict != PipelineVerdict::Forward {
             // Attribute the pipeline drop to the port the packet would
             // have taken (the routing decision is deterministic, so the
@@ -1068,29 +1032,13 @@ impl Simulator {
         };
         // Egress pipelines.
         let backlog = self.net.ports[out_port.index()].queue.backlog_bytes();
-        let verdict = {
-            let NodeKind::Switch {
-                pipelines,
-                pipeline_drops,
-            } = &mut self.net.nodes[node.index()].kind
-            else {
-                unreachable!()
-            };
-            let mut v = PipelineVerdict::Forward;
-            for pipe in pipelines.iter_mut() {
-                match pipe.egress(now, &mut pkt, out_port, backlog) {
-                    PipelineVerdict::Forward => {}
-                    dropped => {
-                        v = dropped;
-                        break;
-                    }
-                }
-            }
-            if v != PipelineVerdict::Forward {
-                *pipeline_drops += 1;
-            }
-            v
+        let NodeKind::Switch { pipelines } = &mut self.net.nodes[node.index()].kind else {
+            unreachable!()
         };
+        let verdict = (pipelines.iter_mut())
+            .map(|pipe| pipe.egress(now, &mut pkt, out_port, backlog))
+            .find(|v| *v != PipelineVerdict::Forward)
+            .unwrap_or(PipelineVerdict::Forward);
         match verdict {
             PipelineVerdict::Forward => {}
             PipelineVerdict::Drop => {

@@ -211,11 +211,6 @@ impl Rate {
         self.0
     }
 
-    /// Rate in (fractional) Gbit/s. For reporting only.
-    pub fn as_gbps_f64(self) -> f64 {
-        self.0 as f64 / 1e9
-    }
-
     /// Time to serialize `bytes` at this rate, rounded up to the next
     /// nanosecond. Returns a very large duration for [`Rate::ZERO`] so a
     /// zero-rate shaper simply never releases.

@@ -47,7 +47,6 @@ impl NetBuilder {
             id,
             kind: NodeKind::Switch {
                 pipelines: Vec::new(),
-                pipeline_drops: 0,
             },
             ports: Vec::new(),
         });

@@ -155,12 +155,9 @@ fn simulation_is_deterministic() {
     assert_eq!(a.0, c.0, "jitter must not change delivered byte counts");
 }
 
-/// `run_until_idle(n)` fires at most `n` events: a zero budget fires none
-/// (it used to underflow), and a budget of one stops after the first.
-#[test]
-fn run_until_idle_honours_zero_and_one_event_budgets() {
+/// A one-host simulation whose app re-arms a 100 ns timer forever.
+fn ticker_sim() -> aq_netsim::Simulator {
     use aq_netsim::topology::dumbbell;
-    use aq_netsim::Simulator;
 
     struct Ticker;
     impl aq_netsim::HostApp for Ticker {
@@ -183,9 +180,33 @@ fn run_until_idle_honours_zero_and_one_event_budgets() {
     );
     let mut net = d.net;
     net.set_app(d.left[0], Box::new(Ticker));
-    let mut sim = Simulator::new(net);
+    aq_netsim::Simulator::new(net)
+}
+
+/// `run_until_idle(n)` fires at most `n` events: a zero budget fires none
+/// (it used to underflow), and a budget of one stops after the first.
+#[test]
+fn run_until_idle_honours_zero_and_one_event_budgets() {
+    let mut sim = ticker_sim();
     for (budget, fired) in [(0, 0), (1, 1), (1, 2), (0, 2), (3, 5)] {
         assert!(!sim.run_until_idle(budget), "the ticker never goes idle");
         assert_eq!(sim.processed_events, fired, "after a budget of {budget}");
     }
+}
+
+/// `run_until(t)` with `t` already in the past fires nothing and leaves
+/// the clock alone (it used to set `now = t`, so a report captured
+/// afterwards stamped the earlier time over bytes delivered later).
+#[test]
+fn run_until_an_earlier_time_leaves_the_clock_alone() {
+    let mut sim = ticker_sim();
+    sim.run_until(Time::from_nanos(450));
+    let fired = sim.processed_events;
+    assert!(fired >= 4, "ticks at 100..=400 ns, got {fired} events");
+    sim.run_until(Time::from_nanos(250));
+    assert_eq!(sim.now(), Time::from_nanos(450));
+    assert_eq!(sim.processed_events, fired);
+    sim.run_until(Time::from_nanos(500));
+    assert_eq!(sim.now(), Time::from_nanos(500));
+    assert_eq!(sim.processed_events, fired + 1);
 }

@@ -74,11 +74,6 @@ impl TransportHost {
         self.receivers.get(&flow)
     }
 
-    /// UDP sender state of a flow this host originates.
-    pub fn udp_sender(&self, flow: FlowId) -> Option<&UdpSender> {
-        self.udp.get(&flow)
-    }
-
     /// All active sender flow-ids (diagnostics).
     pub fn sender_flows(&self) -> impl Iterator<Item = &FlowId> {
         self.senders.keys()

@@ -149,11 +149,6 @@ impl SenderFlow {
         self.cc.cwnd()
     }
 
-    /// Congestion-control algorithm name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// Smoothed RTT estimate, if any sample has been taken.
     pub fn srtt(&self) -> Option<Duration> {
         (self.srtt_ns > 0.0).then(|| Duration::from_nanos(self.srtt_ns as u64))

@@ -35,21 +35,15 @@ pub struct WorkloadSpec {
     pub load: f64,
     /// The reference link whose capacity defines the load.
     pub capacity: Rate,
-    /// AQ tags applied to every flow's packets.
-    pub aq_ingress: AqTag,
-    /// Egress-position AQ tag.
-    pub aq_egress: AqTag,
-    /// Delay-signal source for delay-based CC.
-    pub delay_signal: DelaySignal,
-    /// Workload start time.
-    pub start: Time,
     /// RNG seed (sizes, arrivals, and endpoints all derive from it).
     pub seed: u64,
 }
 
 impl WorkloadSpec {
     /// A plain web-search workload: `n_flows` flows at `load`, uniformly
-    /// random endpoints, no AQ tags.
+    /// random endpoints, arrivals from time zero. Flows come out untagged
+    /// with a measured-RTT delay signal; the harness that knows the AQ
+    /// grants tags them.
     #[allow(clippy::too_many_arguments)]
     pub fn web_search(
         entity: EntityId,
@@ -69,25 +63,8 @@ impl WorkloadSpec {
             n_flows,
             load,
             capacity,
-            aq_ingress: AqTag::NONE,
-            aq_egress: AqTag::NONE,
-            delay_signal: DelaySignal::MeasuredRtt,
-            start: Time::ZERO,
             seed,
         }
-    }
-
-    /// Tag all flows with AQ ids (builder style).
-    pub fn with_aq(mut self, ingress: AqTag, egress: AqTag) -> WorkloadSpec {
-        self.aq_ingress = ingress;
-        self.aq_egress = egress;
-        self
-    }
-
-    /// Use virtual delay as the delay signal (builder style).
-    pub fn with_virtual_delay(mut self) -> WorkloadSpec {
-        self.delay_signal = DelaySignal::VirtualDelay;
-        self
     }
 
     /// Generate the concrete flows. Flow ids are
@@ -100,13 +77,13 @@ impl WorkloadSpec {
             dsts: self.dsts.clone(),
         };
         let mut rng = SmallRng::seed_from_u64(self.seed);
-        let mut t = self.start;
+        let mut t = Time::ZERO;
         let mut flows = Vec::with_capacity(self.n_flows);
         for i in 0..self.n_flows {
             t += arrivals.next_gap(&mut rng);
             let bytes = dist.sample(&mut rng);
             let (src, dst) = matrix.pick(&mut rng, i);
-            let mut spec = FlowSpec::sized_tcp(
+            flows.push(FlowSpec::sized_tcp(
                 FlowId(flow_id_base + i as u32),
                 self.entity,
                 src,
@@ -114,20 +91,9 @@ impl WorkloadSpec {
                 self.cc,
                 bytes,
                 t,
-            )
-            .with_aq(self.aq_ingress, self.aq_egress);
-            spec.delay_signal = self.delay_signal;
-            flows.push(spec);
+            ));
         }
         flows
-    }
-
-    /// Total payload bytes the generated workload will transfer.
-    pub fn total_bytes(&self, flow_id_base: u32) -> u64 {
-        self.generate(flow_id_base)
-            .iter()
-            .map(|f| f.bytes.unwrap_or(0))
-            .sum()
     }
 }
 
@@ -149,14 +115,6 @@ pub struct ClosedWorkload {
     pub cc: CcAlgo,
     /// Total number of flows across all VMs.
     pub n_flows: usize,
-    /// AQ tags applied to every flow's packets.
-    pub aq_ingress: AqTag,
-    /// Egress-position AQ tag.
-    pub aq_egress: AqTag,
-    /// Delay-signal source for delay-based CC.
-    pub delay_signal: DelaySignal,
-    /// Start of the first flow on every VM.
-    pub start: Time,
     /// Flow-size multiplier. The published trace's sizes make sub-RTT
     /// flows at data-center RTTs, so a one-flow-deep closed loop becomes
     /// latency-bound and the bottleneck never saturates; scaling sizes
@@ -168,7 +126,8 @@ pub struct ClosedWorkload {
 }
 
 impl ClosedWorkload {
-    /// A plain closed-loop web-search workload.
+    /// A plain closed-loop web-search workload; every VM's first flow
+    /// starts at time zero, untagged (see [`WorkloadSpec::web_search`]).
     pub fn web_search(
         entity: EntityId,
         srcs: Vec<NodeId>,
@@ -183,10 +142,6 @@ impl ClosedWorkload {
             dsts,
             cc,
             n_flows,
-            aq_ingress: AqTag::NONE,
-            aq_egress: AqTag::NONE,
-            delay_signal: DelaySignal::MeasuredRtt,
-            start: Time::ZERO,
             size_scale: 1.0,
             seed,
         }
@@ -196,13 +151,6 @@ impl ClosedWorkload {
     pub fn with_size_scale(mut self, scale: f64) -> ClosedWorkload {
         assert!(scale > 0.0);
         self.size_scale = scale;
-        self
-    }
-
-    /// Tag all flows with AQ ids (builder style).
-    pub fn with_aq(mut self, ingress: AqTag, egress: AqTag) -> ClosedWorkload {
-        self.aq_ingress = ingress;
-        self.aq_egress = egress;
         self
     }
 
@@ -226,9 +174,7 @@ impl ClosedWorkload {
             };
             let id = FlowId(flow_id_base + i as u32);
             let mut spec =
-                FlowSpec::sized_tcp(id, self.entity, src, dst, self.cc, bytes, self.start)
-                    .with_aq(self.aq_ingress, self.aq_egress);
-            spec.delay_signal = self.delay_signal;
+                FlowSpec::sized_tcp(id, self.entity, src, dst, self.cc, bytes, Time::ZERO);
             if let Some(prev) = tails[vm] {
                 spec = spec.chained_after(prev);
             }

@@ -163,7 +163,8 @@ fn aq_rate_limits_udp_in_absolute_mode() {
         "UDP limited to {gp} Gbps payload, want ~1.887 — even though the physical queue never builds"
     );
     // The entity's excess was dropped in the AQ pipeline, not the FIFO.
-    assert!(sim.net.pipeline_drops(d.sw_left) > 0);
+    let pipe = sim.net.pipeline_mut::<AqPipeline>(d.sw_left, 0);
+    assert!(pipe.expect("deployed above").stats.drops > 0);
 }
 
 #[test]

@@ -49,7 +49,7 @@ fn ecmp_spreads_an_entity_across_core_paths() {
             sim.net.nodes[c.index()]
                 .ports
                 .iter()
-                .any(|p| sim.net.ports[p.index()].stats.tx_pkts > 100)
+                .any(|p| sim.stats.port(*p).is_some_and(|ps| ps.tx_pkts > 100))
         })
         .count();
     assert!(
@@ -122,8 +122,9 @@ fn edge_aq_limits_an_entity_across_all_its_ecmp_paths() {
         (2.2..=2.9).contains(&gp),
         "entity limited to ~2.83 Gbps payload across all paths, got {gp}"
     );
+    let pipe = sim.net.pipeline_mut::<AqPipeline>(ft.edge[0], 0);
     assert!(
-        sim.net.pipeline_drops(ft.edge[0]) > 0,
+        pipe.expect("deployed above").stats.drops > 0,
         "AQ enforced at the ToR"
     );
 }

@@ -17,6 +17,7 @@ use aq_bench::report::RunReport;
 use aq_bench::{
     build_dumbbell, build_experiment, Approach, EntitySetup, ExpConfig, LongKind, Traffic,
 };
+use augmented_queue::core::AqPipeline;
 use augmented_queue::netsim::fault::{FaultKind, FaultPlan};
 use augmented_queue::netsim::queue::FifoQueue;
 use augmented_queue::netsim::time::{Duration, Rate, Time};
@@ -110,10 +111,12 @@ fn aq_limit_drops_are_attributed_but_outside_the_byte_identity() {
 
     // AQ-limit drops happen upstream of the queue; the hub attributes them
     // to the victim's egress port, and the per-port counts add up to the
-    // switch's pipeline drop counter.
+    // pipeline's own drop counter (kept by `AqPipeline`, not fed by the
+    // simulator — an independent count).
     let core_node = exp.sim.stats.port(exp.core_port).expect("core port").node;
     let attributed: u64 = exp.sim.stats.ports().map(|(_, ps)| ps.aq_drops).sum();
-    let pipeline = exp.sim.net.pipeline_drops(core_node);
+    let pipe = exp.sim.net.pipeline_mut::<AqPipeline>(core_node, 0);
+    let pipeline = pipe.expect("the dumbbell's AQ pipeline").stats.drops;
     assert!(pipeline > 0, "the bully's AQ should be dropping");
     assert_eq!(
         attributed, pipeline,
