@@ -235,7 +235,7 @@ mod tests {
         let a = rates[&1] as f64;
         let b = rates[&2] as f64;
         assert!((a - b).abs() / a.max(b) < 0.01, "{a} vs {b}");
-        assert!(a >= 4.9e9 && a <= 5.6e9);
+        assert!((4.9e9..=5.6e9).contains(&a), "{a}");
     }
 
     #[test]

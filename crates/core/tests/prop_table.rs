@@ -153,10 +153,11 @@ fn check(
     for id in IDS {
         match model.get(&id) {
             Some((inst, last)) => {
-                let row = table.get(AqTag(id));
-                prop_assert!(row.is_some(), "model has id {id}, table does not");
+                let row = table.get(AqTag(id)).ok_or_else(|| {
+                    TestCaseError::fail(format!("model has id {id}, table does not"))
+                })?;
                 prop_assert_eq!(
-                    image(row.unwrap()),
+                    image(row),
                     image(inst),
                     "row diverged from the standalone instance for id {}",
                     id

@@ -348,17 +348,16 @@ impl Sweep {
                     fields.len()
                 ));
             };
-            let num = |s: &str, what: &str| -> Result<f64, String> {
-                s.parse::<f64>()
-                    .map_err(|_| format!("sweep.csv line {}: bad {what} `{s}`", lineno + 2))
-            };
+            let bad =
+                |what: &str, s: &str| format!("sweep.csv line {}: bad {what} `{s}`", lineno + 2);
+            let num = |s: &str, what: &str| s.parse::<f64>().map_err(|_| bad(what, s));
             let config = ConfigKey {
                 scenario: scenario.clone(),
                 approach: approach.clone(),
                 params: params.clone(),
             };
             let agg = Aggregate {
-                n: num(n, "n")? as u64,
+                n: n.parse().map_err(|_| bad("n", n))?,
                 min: num(min, "min")?,
                 mean: num(mean, "mean")?,
                 max: num(max, "max")?,
@@ -481,6 +480,19 @@ mod tests {
                            fairness_flows,aq,a=1,b=2,jain_goodput,3,0.9,0.91,0.92,0.01\n";
         let err = Sweep::parse_csv(bare_params).expect_err("unquoted params");
         assert!(err.contains("line 2: expected 9 fields, got 10"), "{err}");
+    }
+
+    #[test]
+    fn csv_seed_count_must_be_a_whole_number() {
+        let header = "scenario,approach,params,metric,n,min,mean,max,ci95\n";
+        let row =
+            |n: &str| format!("s,aq,\"a=1\",m,3,0.9,0.91,0.92,0.01\ns,aq,\"a=1\",x,{n},1,1,1,0\n");
+        assert!(Sweep::parse_csv(&format!("{header}{}", row("2"))).is_ok());
+        for n in ["-3", "2.5", "NaN", "", "1e3"] {
+            let err = Sweep::parse_csv(&format!("{header}{}", row(n)))
+                .expect_err("a seed count is a u64");
+            assert_eq!(err, format!("sweep.csv line 3: bad n `{n}`"));
+        }
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! dense, and these are touched on every packet event); flow and AQ
 //! records stay in `BTreeMap`s. Both layouts iterate in id order, so any
 //! serialized report is deterministic.
+//!
+//! The delay samples are the one part of the hub that grows with every
+//! delivered packet (two per data delivery, physical and virtual), so a
+//! [`DelayRecorder`] keeps each exactly once, in 4 bytes when it fits
+//! `u32` nanoseconds, and sorts in place for percentiles: 8 bytes per
+//! delivery for the whole run, report included.
 
 use crate::ids::{EntityId, FlowId, NodeId, PortId};
 use crate::queue::DropCause;
@@ -203,38 +209,67 @@ impl std::fmt::Debug for WindowedCounter {
     }
 }
 
-/// Collects delay samples (nanoseconds) and reports percentiles.
+/// Collects delay samples (nanoseconds) and reports nearest-rank
+/// percentiles.
 ///
-/// Percentile queries sort lazily: the first [`percentile`] call after new
-/// samples arrive sorts once into an internal cache, and subsequent queries
-/// reuse it, so asking for p50/p99/p999 in a report costs one sort total.
+/// Each sample is stored exactly once: a delay below 2³² ns (≈ 4.3 s)
+/// in 4 bytes, a longer one in 8. Every wide sample is larger than every
+/// narrow one, so the two vectors sorted one after the other are the
+/// whole sample set in order. They are sorted in place, behind a
+/// `RefCell`, the first time [`percentile`] or `Debug` needs order after
+/// new samples arrive; asking for p50/p99 in a report costs one sort
+/// total and no copy.
 ///
 /// [`percentile`]: DelayRecorder::percentile
 #[derive(Clone, Default)]
 pub struct DelayRecorder {
-    samples: Vec<u64>,
-    /// Sorted copy of `samples`, rebuilt lazily. Since [`record`] only ever
-    /// appends, the cache is stale exactly when its length differs from
-    /// `samples.len()`.
-    ///
-    /// [`record`]: DelayRecorder::record
-    sorted: RefCell<Vec<u64>>,
+    samples: RefCell<Samples>,
+}
+
+/// The storage behind a [`DelayRecorder`].
+#[derive(Clone, Default)]
+struct Samples {
+    /// Samples below 2³² ns.
+    narrow: Vec<u32>,
+    /// Samples of 2³² ns and more.
+    wide: Vec<u64>,
+    /// Whether both vectors are in ascending order.
+    sorted: bool,
+}
+
+impl Samples {
+    fn len(&self) -> usize {
+        self.narrow.len() + self.wide.len()
+    }
+
+    fn sort(&mut self) {
+        if !self.sorted {
+            self.narrow.sort_unstable();
+            self.wide.sort_unstable();
+            self.sorted = true;
+        }
+    }
 }
 
 impl DelayRecorder {
     /// Record one delay sample.
     pub fn record(&mut self, ns: u64) {
-        self.samples.push(ns);
+        let s = self.samples.get_mut();
+        match u32::try_from(ns) {
+            Ok(narrow) => s.narrow.push(narrow),
+            Err(_) => s.wide.push(ns),
+        }
+        s.sorted = false;
     }
 
     /// Number of samples collected.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.samples.borrow().len()
     }
 
     /// Whether no samples were collected.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.len() == 0
     }
 
     /// The `p`-th percentile by nearest-rank, or `None` when empty or
@@ -242,51 +277,53 @@ impl DelayRecorder {
     /// minimum sample, `p >= 100` the maximum. (A NaN `p` used to cast to
     /// rank 0 and silently return the minimum; it is now rejected.)
     pub fn percentile(&self, p: f64) -> Option<u64> {
-        if self.samples.is_empty() || p.is_nan() {
+        let mut s = self.samples.borrow_mut();
+        let len = s.len();
+        if len == 0 || p.is_nan() {
             return None;
         }
-        let p = p.clamp(0.0, 100.0);
-        let mut sorted = self.sorted.borrow_mut();
-        if sorted.len() != self.samples.len() {
-            sorted.clear();
-            sorted.extend_from_slice(&self.samples);
-            sorted.sort_unstable();
-        }
-        let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-        Some(sorted[rank.clamp(1, sorted.len()) - 1])
-    }
-
-    /// Arithmetic mean, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        Some(self.samples.iter().map(|s| *s as f64).sum::<f64>() / self.samples.len() as f64)
+        s.sort();
+        let rank = ((p.clamp(0.0, 100.0) / 100.0) * len as f64).ceil() as usize;
+        let i = rank.clamp(1, len) - 1;
+        Some(match s.narrow.get(i) {
+            Some(&ns) => u64::from(ns),
+            None => s.wide[i - s.narrow.len()],
+        })
     }
 
     /// Fold another recorder's samples into this one. Percentiles and the
     /// (sorted) `Debug` rendering are order-blind, so merging is exact.
     pub fn merge(&mut self, other: DelayRecorder) {
-        self.samples.extend(other.samples);
+        let other = other.samples.into_inner();
+        let s = self.samples.get_mut();
+        s.narrow.extend(other.narrow);
+        s.wide.extend(other.wide);
+        s.sorted = false;
+    }
+}
+
+impl std::fmt::Debug for Samples {
+    /// One list, narrow samples first (ascending once sorted).
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let narrow = self.narrow.iter().map(|&ns| u64::from(ns));
+        f.debug_list()
+            .entries(narrow.chain(self.wide.iter().copied()))
+            .finish()
     }
 }
 
 impl std::fmt::Debug for DelayRecorder {
-    /// Prints the recorded samples in *sorted* order — the lazy sort cache
-    /// is query state, and the raw insertion order would leak which sink
-    /// (single-threaded hub, or one of several shard hubs merged back
-    /// together) collected each sample. Every statistic the recorder
-    /// exports is order-blind, so sorting loses nothing and makes the
-    /// determinism e2e digest agree across engines.
+    /// Prints the recorded samples in *sorted* order — the raw insertion
+    /// order would leak which sink (single-threaded hub, or one of several
+    /// shard hubs merged back together) collected each sample, and
+    /// whether a percentile query has sorted them yet. Every statistic
+    /// the recorder exports is order-blind, so sorting loses nothing and
+    /// makes the determinism e2e digest agree across engines.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sorted = self.sorted.borrow_mut();
-        if sorted.len() != self.samples.len() {
-            sorted.clear();
-            sorted.extend_from_slice(&self.samples);
-            sorted.sort_unstable();
-        }
+        let mut s = self.samples.borrow_mut();
+        s.sort();
         f.debug_struct("DelayRecorder")
-            .field("samples", &*sorted)
+            .field("samples", &*s)
             .finish()
     }
 }
@@ -1258,7 +1295,7 @@ mod tests {
         d.record(10);
         d.record(30);
         assert_eq!(d.percentile(100.0), Some(30));
-        // The sorted cache must be invalidated by the new sample.
+        // The new sample lands unsorted and must be sorted in.
         d.record(20);
         assert_eq!(d.percentile(50.0), Some(20));
         assert_eq!(d.percentile(100.0), Some(30));
@@ -1267,7 +1304,7 @@ mod tests {
     #[test]
     fn percentile_queries_leave_the_debug_digest_unchanged() {
         // The determinism e2e digests `{:?}` of the whole hub; the lazy
-        // sort cache must therefore stay invisible, or merely *reading*
+        // in-place sort must therefore stay invisible, or merely *reading*
         // percentiles in a report would change the digest bytes.
         let mut d = DelayRecorder::default();
         for s in [50u64, 10, 40, 20, 30] {

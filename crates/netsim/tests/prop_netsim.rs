@@ -1,12 +1,116 @@
 //! Property tests for the simulator substrate: exact unit arithmetic,
-//! FIFO conservation, and end-to-end determinism.
+//! FIFO conservation, delay percentiles, and end-to-end determinism.
 
 use aq_netsim::ids::{EntityId, FlowId, NodeId};
 use aq_netsim::packet::Packet;
 use aq_netsim::queue::{Enqueued, FifoConfig, FifoQueue, QueueDiscipline};
-use aq_netsim::stats::WindowedCounter;
+use aq_netsim::stats::{DelayRecorder, WindowedCounter};
 use aq_netsim::time::{Duration, Rate, Time, NS_PER_SEC};
 use proptest::prelude::*;
+
+/// Every `p` a [`DelayRecorder`] is asked for after each op: out of range
+/// and non-finite values beside the ones reports use.
+const PERCENTILES: [f64; 10] = [
+    f64::NAN,
+    f64::NEG_INFINITY,
+    0.0,
+    0.1,
+    50.0,
+    99.0,
+    99.9,
+    100.0,
+    250.0,
+    f64::INFINITY,
+];
+
+/// A delay sample drawn from one byte: mostly small queuing delays, and
+/// one in four from the values around the 4-byte boundary or `u64::MAX`.
+fn delay(b: u8) -> u64 {
+    let edge = u64::from(u32::MAX);
+    match b {
+        0..=191 => u64::from(b) * 1_009,
+        _ => [edge - 1, edge, edge + 1, u64::MAX][usize::from(b % 4)],
+    }
+}
+
+/// A recorder holding `delay(b)` for each byte.
+fn recorder_of(bytes: &[u8]) -> DelayRecorder {
+    let mut d = DelayRecorder::default();
+    for &b in bytes {
+        d.record(delay(b));
+    }
+    d
+}
+
+/// Compare `rec` with the naive model: the samples in a `Vec`, a sorted
+/// copy, and nearest rank read off it.
+fn check_recorder(rec: &DelayRecorder, model: &[u64]) -> Result<(), TestCaseError> {
+    let mut sorted = model.to_vec();
+    sorted.sort_unstable();
+    prop_assert_eq!(rec.len(), sorted.len());
+    prop_assert_eq!(rec.is_empty(), sorted.is_empty());
+    for p in PERCENTILES {
+        let want = (!sorted.is_empty() && !p.is_nan()).then(|| {
+            let rank = (p.clamp(0.0, 100.0) / 100.0 * sorted.len() as f64).ceil() as usize;
+            sorted[rank.clamp(1, sorted.len()) - 1]
+        });
+        prop_assert_eq!(rec.percentile(p), want, "p = {} over {:?}", p, sorted);
+    }
+    prop_assert_eq!(
+        format!("{rec:?}"),
+        format!("DelayRecorder {{ samples: {sorted:?} }}")
+    );
+    Ok(())
+}
+
+proptest! {
+    /// A `DelayRecorder` agrees with a plain sorted `Vec<u64>` on length,
+    /// every percentile and its `Debug` text after every op — single and
+    /// batched records on both sides of 2³², merges of sorted and unsorted
+    /// recorders, clones — whatever sorting the queries before it did.
+    #[test]
+    fn delay_recorder_matches_a_sorted_vec(
+        ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..60),
+    ) {
+        let mut rec = DelayRecorder::default();
+        let mut model: Vec<u64> = Vec::new();
+        for (op, x) in ops {
+            let bytes = x.to_le_bytes();
+            match op % 6 {
+                0 | 1 => {
+                    rec.record(delay(bytes[0]));
+                    model.push(delay(bytes[0]));
+                }
+                2 => {
+                    for b in bytes {
+                        rec.record(delay(b));
+                        model.push(delay(b));
+                    }
+                }
+                3 => {
+                    let other = recorder_of(&bytes[..usize::from(op / 6 % 9)]);
+                    if op >= 128 {
+                        // A queried recorder arrives sorted.
+                        let _ = other.percentile(50.0);
+                    }
+                    model.extend(bytes[..other.len()].iter().map(|&b| delay(b)));
+                    rec.merge(other);
+                }
+                4 => {
+                    let copy = rec.clone();
+                    check_recorder(&copy, &model)?;
+                    rec = copy;
+                }
+                _ => {
+                    let mut fresh = DelayRecorder::default();
+                    fresh.merge(rec);
+                    rec = fresh;
+                }
+            }
+            check_recorder(&rec, &model)?;
+        }
+    }
+}
 
 proptest! {
     /// `transmit_time` is exact up to its documented round-up: sending the

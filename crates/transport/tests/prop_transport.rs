@@ -41,11 +41,9 @@ proptest! {
         let mut r = ReceiverFlow::new(FlowId(1));
         let mut stats = StatsHub::new();
         stats.register_flow(FlowId(1), EntityId(1), n * 1000, Time::ZERO);
-        let mut delivered = 0u64;
         for (i, seq) in order.iter().enumerate() {
             let mut ctx = HostCtx::new(Time::from_micros(i as u64), NodeId(1), &mut stats);
             r.on_data(&mut ctx, &data(*seq, *seq == n - 1));
-            delivered += 1;
             prop_assert!(r.sack_hi() >= r.cum_ack());
             prop_assert!(r.cum_ack() <= n);
             // Duplicate injection: re-deliver an already-seen segment.
@@ -53,7 +51,6 @@ proptest! {
                 let mut ctx = HostCtx::new(Time::from_micros(i as u64), NodeId(1), &mut stats);
                 r.on_data(&mut ctx, &data(*seq, *seq == n - 1));
             }
-            let _ = delivered;
         }
         prop_assert_eq!(r.cum_ack(), n, "all segments reassembled");
         prop_assert!(r.completed, "flow completed");

@@ -49,7 +49,7 @@ fn run(use_aq: bool, rep: &mut RunReport) -> Vec<(String, f64)> {
         },
     );
     let mut net = d.net;
-    let mut tags = vec![AqTag::NONE; 3];
+    let mut tags = [AqTag::NONE; 3];
     if use_aq {
         let mut ctl = AqController::new(
             Rate::from_gbps(LINK_GBPS),

@@ -49,14 +49,19 @@ fn main() {
         position: Position::Ingress,
         limit_override: None,
     };
-    let tenant_a = controller.request(request(CcPolicy::DropBased)).unwrap();
-    let tenant_b = controller.request(request(CcPolicy::DropBased)).unwrap();
+    let tenant_a = controller
+        .request(request(CcPolicy::DropBased))
+        .expect("weighted grants admit");
+    let tenant_b = controller
+        .request(request(CcPolicy::DropBased))
+        .expect("weighted grants admit");
+    let rate = |id| controller.rate_of(id).expect("a granted AQ has a rate");
     println!(
         "granted: tenant A -> {:?} at {}, tenant B -> {:?} at {}",
         tenant_a.id,
-        controller.rate_of(tenant_a.id).unwrap(),
+        rate(tenant_a.id),
         tenant_b.id,
-        controller.rate_of(tenant_b.id).unwrap(),
+        rate(tenant_b.id),
     );
 
     // 3. Data plane: deploy every granted AQ into a pipeline on the
