@@ -11,6 +11,10 @@
 //! The physical queue (PQ) baseline needs no code here: it is the
 //! simulator's native [`aq_netsim::FifoQueue`].
 
+// Determinism policy (DESIGN §5a): float equality is
+// representation-fragile.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+
 pub mod drr;
 pub mod elastic;
 pub mod htb;

@@ -121,6 +121,11 @@ impl AqInstance {
     /// continued traffic.
     pub fn wiped(&self, now: Time) -> AqInstance {
         let mean = self.gap_track.mean_bytes();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a mean of u64 gap samples fits u64; `as` drops only the fraction, \
+                      and the limit caps it"
+        )]
         let target = (mean as u64).min(self.cfg.limit_bytes);
         let mut fresh = AqInstance::new(self.cfg.clone());
         fresh.wipes = self.wipes + 1;
@@ -179,13 +184,18 @@ impl PackedAq {
     pub fn encode(inst: &AqInstance) -> PackedAq {
         let mut b = [0u8; 15];
         b[0..4].copy_from_slice(&inst.cfg.id.0.to_be_bytes());
-        let mbps = (inst.cfg.rate.as_bps() / 1_000_000).min(0xFF_FFFF) as u32; // aq-lint: allow(no-narrowing-cast)
+        let mbps = (inst.cfg.rate.as_bps() / 1_000_000).min(0xFF_FFFF) as u32;
         b[4..7].copy_from_slice(&mbps.to_be_bytes()[1..4]);
         let limit_kb = (inst.cfg.limit_bytes / 1000).min(0xFFFF) as u16;
         b[7..9].copy_from_slice(&limit_kb.to_be_bytes());
-        let gap = inst.gap.bytes().min(0xFF_FFFF) as u32; // aq-lint: allow(no-narrowing-cast)
+        let gap = inst.gap.bytes().min(0xFF_FFFF) as u32;
         b[9..12].copy_from_slice(&gap.to_be_bytes()[1..4]);
-        let us16 = (inst.gap.last_time().as_nanos() / 1000) as u16; // wraps
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the register holds 16 bits of µs and wraps every 65.536 ms by design; \
+                      pinned by `tests::last_time_is_16_bits_of_us`"
+        )]
+        let us16 = (inst.gap.last_time().as_nanos() / 1000) as u16;
         b[12..14].copy_from_slice(&us16.to_be_bytes());
         b[14] = match inst.cfg.cc {
             CcPolicy::DropBased => 0,
@@ -210,7 +220,6 @@ impl PackedAq {
         let cc = match b[14] >> 6 {
             0 => CcPolicy::DropBased,
             1 => CcPolicy::EcnBased {
-                // aq-lint: allow(no-narrowing-cast) -- 6-bit field, cannot truncate
                 threshold_bytes: (b[14] & 0x3F) as u32 * 25_000,
             },
             _ => CcPolicy::DelayBased,
@@ -291,6 +300,57 @@ mod tests {
         });
         let (decoded, _, _) = PackedAq::encode(&inst).decode();
         assert_eq!(decoded.cc, CcPolicy::DelayBased);
+    }
+
+    // The four quantisation errors `encode` documents, pinned at today's
+    // values.
+
+    #[test]
+    fn last_time_is_16_bits_of_us() {
+        // 66 ms = 66 000 µs ≡ 464 (mod 65 536): the register cannot tell
+        // an AQ last updated at 66 ms from one updated at 0.464 ms.
+        let mut late = AqInstance::new(cfg(1, 10));
+        late.gap.on_packet(Time::from_millis(66), 1500);
+        let mut early = AqInstance::new(cfg(1, 10));
+        early.gap.on_packet(Time::from_micros(464), 1500);
+        let (_, _, us_late) = PackedAq::encode(&late).decode();
+        let (_, _, us_early) = PackedAq::encode(&early).decode();
+        assert_eq!((us_late, us_early), (464, 464));
+    }
+
+    #[test]
+    fn gap_saturates_at_24_bits() {
+        let mut inst = AqInstance::new(cfg(1, 10));
+        inst.gap.on_packet(Time::ZERO, 20_000_000);
+        assert_eq!(inst.gap.bytes(), 20_000_000);
+        let (_, gap, _) = PackedAq::encode(&inst).decode();
+        assert_eq!(gap, 0xFF_FFFF);
+    }
+
+    #[test]
+    fn limit_is_floored_to_kb() {
+        let mut c = cfg(1, 10);
+        c.limit_bytes = 150_999;
+        let (decoded, _, _) = PackedAq::encode(&AqInstance::new(c)).decode();
+        assert_eq!(decoded.limit_bytes, 150_000);
+    }
+
+    #[test]
+    fn ecn_threshold_is_coded_in_25_kb_steps() {
+        let held = |threshold_bytes: u32| {
+            let mut c = cfg(1, 10);
+            c.cc = CcPolicy::EcnBased { threshold_bytes };
+            match PackedAq::encode(&AqInstance::new(c)).decode().0.cc {
+                CcPolicy::EcnBased { threshold_bytes } => threshold_bytes,
+                other => panic!("ECN policy decoded as {other:?}"),
+            }
+        };
+        // aq-bench's virtual ECN K (30 KB) and the star fabric's 65 KB.
+        assert_eq!(held(30_000), 25_000);
+        assert_eq!(held(65_000), 50_000);
+        // Six bits: 63 steps is the largest threshold the register holds.
+        assert_eq!(held(1_575_000), 63 * 25_000);
+        assert_eq!(held(10_000_000), 63 * 25_000);
     }
 
     #[test]

@@ -69,6 +69,11 @@ impl WorkConservingReallocator {
             let prev = self.last_arrived.get(id).copied().unwrap_or(0);
             let delta = inst.arrived_bytes.saturating_sub(prev);
             self.last_arrived.insert(*id, inst.arrived_bytes);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "bytes that arrived within one interval, as a rate: bounded by the \
+                          links feeding the AQ, far below 2⁶⁴ bps"
+            )]
             let bps = (delta as u128 * 8 * aq_netsim::time::NS_PER_SEC as u128
                 / interval.as_nanos().max(1) as u128) as u64;
             // Headroom: let an AQ that filled its current allocation probe

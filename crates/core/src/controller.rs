@@ -158,7 +158,13 @@ impl AqController {
                         if total_w == 0 {
                             Rate::ZERO
                         } else {
-                            Rate::from_bps((spare as u128 * w as u128 / total_w as u128) as u64)
+                            #[expect(
+                                clippy::cast_possible_truncation,
+                                reason = "w ≤ total_w, which sums these entries' weights, \
+                                          so the share is ≤ spare"
+                            )]
+                            let bps = (spare as u128 * w as u128 / total_w as u128) as u64;
+                            Rate::from_bps(bps)
                         }
                     }
                 };
@@ -236,6 +242,11 @@ impl AqController {
                 pq_limit_bytes,
                 min_bytes,
             } => {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "`request` admits no rate above capacity, so the share is \
+                              ≤ pq_limit_bytes"
+                )]
                 let share = (pq_limit_bytes as u128 * e.rate.as_bps() as u128
                     / self.capacity.as_bps().max(1) as u128) as u64;
                 share.max(min_bytes)

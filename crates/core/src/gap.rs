@@ -35,7 +35,7 @@ const SUB: u64 = 1 << GAP_FRAC_BITS;
 fn drained_sub(rate: Rate, delta: Duration) -> u64 {
     let num = delta.as_nanos() as u128 * rate.as_bps() as u128 * SUB as u128;
     let den = 8u128 * NS_PER_SEC as u128;
-    (num / den).min(u64::MAX as u128) as u64
+    u64::try_from(num / den).unwrap_or(u64::MAX)
 }
 
 /// The A-Gap accumulator of one AQ (Algorithm 1 state: `aq.gap`,
@@ -149,7 +149,7 @@ impl AGap {
             self.bytes(),
             self.rate.as_bps(),
         );
-        Duration::from_nanos(ns.min(u64::MAX as u128) as u64)
+        Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 
     /// Timestamp of the last update.
@@ -254,6 +254,11 @@ impl DGap {
     }
 
     /// Current signed gap in bytes (toward zero rounding).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "|D| is bounded by the bytes sent or drained in a Fig. 3(a) trace, \
+                  far below 2⁶³"
+    )]
     pub fn bytes(&self) -> i64 {
         (self.gap_sub / SUB as i128) as i64
     }
@@ -308,8 +313,10 @@ mod tests {
         let mut last = 0u64;
         for &(t_ns, size) in trace {
             let delta = t_ns - last;
-            let drain = (delta as u128 * rate.as_bps() as u128 * SUB as u128
-                / (8 * NS_PER_SEC as u128)) as u64;
+            let drain = u64::try_from(
+                delta as u128 * rate.as_bps() as u128 * SUB as u128 / (8 * NS_PER_SEC as u128),
+            )
+            .unwrap();
             reference_sub = reference_sub.saturating_sub(drain) + size as u64 * SUB;
             last = t_ns;
             let got = g.on_packet(Time::from_nanos(t_ns), size);
@@ -379,6 +386,7 @@ mod tests {
         // below R after each burst (the deeper the higher the last peak),
         // then ramps multiplicatively until the measure reads 20 KB over.
         // Returns the arrival rate at which each of 4 bursts is cut.
+        #[expect(clippy::cast_possible_truncation, reason = "rates in [1, 100] Gbps")]
         fn peaks(mut measure: impl FnMut(Time, u32) -> i64) -> Vec<f64> {
             let mut t_ns = 0u64;
             let mut send = |bps: f64| {

@@ -221,7 +221,7 @@ impl AqTable {
         }
         let full = self
             .budget_bytes
-            .is_some_and(|b| (self.rows.len() + 1) * PACKED_AQ_BYTES > b as usize);
+            .is_some_and(|b| ((self.rows.len() + 1) * PACKED_AQ_BYTES) as u64 > b);
         let evicted = if full {
             match self.policy {
                 OverflowPolicy::RejectNew => {

@@ -21,8 +21,9 @@
 //!   grids, every run report gated by the invariant oracle.
 //!
 //! Parallelism lives *only* here: every individual `Simulator` run stays
-//! single-threaded and deterministic, and the `no-thread-in-sim` lint
-//! rule (crates/analysis) keeps threads out of the sim crates.
+//! single-threaded and deterministic, and the root `clippy.toml` bans
+//! threads everywhere but the sweep pool and the sharded engine's one
+//! `thread::scope`.
 
 pub mod agg;
 pub mod diff;

@@ -5,15 +5,22 @@
 //! `Simulator` execution; the pool only decides *when* each run executes,
 //! never *what* it computes. Results come back indexed by task id, so the
 //! caller's merge order — and therefore every byte of merged output — is
-//! independent of scheduling. (The sim crates themselves are barred from
-//! threads by the `no-thread-in-sim` lint rule; this crate is the
-//! sanctioned home of `std::thread`.)
+//! independent of scheduling. (The root `clippy.toml` bars threads from
+//! every other module but the sharded engine's one `thread::scope`; this
+//! one is the sanctioned home of `std::thread`.)
 //!
 //! There is one pool, [`run_supervised`]: hang-proof (a supervisor thread
 //! enforces a per-task wall-clock budget, so one stuck run cannot stall a
 //! whole sweep) and panic-isolating (a panicking task fails only its own
 //! slot). The wall clock is read *only* by the supervisor — never by
-//! simulation code, which the `no-wall-clock` lint rule enforces.
+//! simulation code, which the root `clippy.toml` enforces.
+
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the one sanctioned home of worker threads and the wall clock: \
+              the supervisor's per-task budget"
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,8 +143,9 @@ const OVERDUE_GRACE: Duration = Duration::from_millis(25);
 /// the grid. `timeout: None` disables the watchdog.
 ///
 /// The deadline is checked only here, from the supervisor: simulation code
-/// stays free of wall-clock reads (see the `no-wall-clock` lint
-/// rule), and the sim's own outputs remain deterministic.
+/// stays free of wall-clock reads (`Instant::now` is a disallowed method
+/// in the root `clippy.toml`), and the sim's own outputs remain
+/// deterministic.
 pub fn run_supervised<T, F>(
     n_tasks: usize,
     jobs: usize,

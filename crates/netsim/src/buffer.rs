@@ -114,6 +114,10 @@ impl DynamicThreshold {
     /// A DT policy with the given `alpha` (clamped to `[0, 64]`, rounded
     /// to per-mille precision).
     pub fn new(alpha: f64) -> DynamicThreshold {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "alpha is clamped to [0, 64], so this is ≤ 64 000 (a NaN alpha casts to 0)"
+        )]
         let alpha_milli = (alpha.clamp(0.0, 64.0) * 1000.0).round() as u64;
         DynamicThreshold { alpha_milli }
     }
@@ -127,7 +131,10 @@ impl DynamicThreshold {
 impl AdmissionPolicy for DynamicThreshold {
     fn admit(&self, ctx: &AdmissionCtx) -> Admission {
         let free = ctx.capacity_bytes.saturating_sub(ctx.occupancy_bytes);
-        // alpha*free fits in u64: free <= capacity and alpha <= 64.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "free ≤ capacity and alpha ≤ 64: at most 64 buffers' worth of bytes"
+        )]
         let threshold = (free as u128 * self.alpha_milli as u128 / 1000) as u64;
         if ctx.port_occupancy_bytes + ctx.pkt_bytes > threshold {
             Admission::Reject

@@ -171,7 +171,7 @@ impl ChurnPlan {
     /// followed (a few ticks later) by a create of a *different* id before
     /// the destroyed id returns, so eviction, re-admission, and id-reuse
     /// paths all run.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per train knob")]
     pub fn tenant_train(
         mut self,
         node: NodeId,

@@ -224,6 +224,10 @@ impl EventQueue {
                 EPOCH_SHIFT
             };
             if (t >> parent_shift) == (self.pos >> parent_shift) {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "masked to SLOTS - 1, so the slot index is < SLOTS"
+                )]
                 let idx = ((t >> SHIFT[level]) & (SLOTS as u64 - 1)) as usize;
                 self.slots[level * SLOTS + idx].push(ev);
                 self.occ[level][idx / 64] |= 1u64 << (idx % 64);
@@ -269,6 +273,10 @@ impl EventQueue {
     /// next occupied level-0 slot, cascading parent slots (and finally
     /// the overflow's next epoch) down as the position crosses their
     /// windows.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "each `cur` is masked to SLOTS - 1, so the slot index is < SLOTS"
+    )]
     fn refill(&mut self) {
         loop {
             if self.cursor < self.batch.len() || self.len == 0 {

@@ -42,6 +42,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// Determinism policy (DESIGN §5a): float equality is
+// representation-fragile, and byte/time counters are 64-bit here, so a
+// narrowing cast names its bound in an `#[expect]`.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+#![warn(clippy::cast_possible_truncation)]
 
 pub mod buffer;
 pub mod churn;

@@ -141,7 +141,7 @@ pub struct Packet {
 
 impl Packet {
     /// Build a full-size data segment.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per header field")]
     pub fn data(
         flow: FlowId,
         entity: EntityId,

@@ -149,10 +149,11 @@ impl ShardedSim {
     /// shards, the plan does not cover the node set, there is no
     /// cross-shard link at all, or some cross-shard link has zero
     /// propagation delay (no lookahead window).
-    // The large `Err` variant is the point of the API: callers get the
-    // untouched simulator back by value so the fallback path costs no
-    // allocation and no copy of the network.
-    #[allow(clippy::result_large_err)]
+    #[expect(
+        clippy::result_large_err,
+        reason = "the large `Err` is the point of the API: callers get the untouched \
+                  simulator back by value, so the fallback costs no allocation or copy"
+    )]
     pub fn partition(
         sim: Simulator,
         plan: &ShardPlan,
@@ -387,6 +388,11 @@ impl ShardedSim {
         let owner = &self.owner;
         let pending = &mut self.pending;
         let lookahead = self.lookahead;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the sharded engine's workers meet only at barriers and Mutex-guarded \
+                      shard cells, and deliver cross-shard messages in (time, seq) order"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {

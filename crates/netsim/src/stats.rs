@@ -102,6 +102,10 @@ impl WindowedCounter {
             return idx;
         }
         let w = self.window.as_nanos();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a window index: horizon / window, which `buckets` must hold anyway"
+        )]
         let idx = (ns / w) as usize;
         let start = idx as u64 * w;
         self.cached = (start, start + w, idx);
@@ -126,7 +130,10 @@ impl WindowedCounter {
     /// than the recorded bucket count, so padding cannot truncate.
     pub fn padded_len(&self, end: Time) -> usize {
         let w = self.window.as_nanos();
-        // aq-lint: allow(no-narrowing-cast) -- window count, horizon/window small
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a window count: horizon / window, which `buckets` must hold anyway"
+        )]
         let covering = end.as_nanos().div_ceil(w) as usize;
         covering.max(self.buckets.len())
     }
@@ -179,14 +186,16 @@ impl WindowedCounter {
 
     /// Average throughput in bits/s over `[from, to)`, counting empty
     /// windows as zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "window indexes: horizon / window, which `buckets` must hold anyway"
+    )]
     pub fn avg_bps(&self, from: Time, to: Time) -> f64 {
         if to <= from {
             return 0.0;
         }
         let w = self.window.as_nanos();
-        // aq-lint: allow(no-narrowing-cast) -- window indexes, horizon/window small
         let first = (from.as_nanos() / w) as usize;
-        // aq-lint: allow(no-narrowing-cast) -- window index, horizon/window small
         let last = (to.as_nanos().saturating_sub(1) / w) as usize;
         let mut bytes = 0u64;
         for i in first..=last {
@@ -283,6 +292,10 @@ impl DelayRecorder {
             return None;
         }
         s.sort();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "p is clamped to [0, 100] and not NaN, so the rank is ≤ len"
+        )]
         let rank = ((p.clamp(0.0, 100.0) / 100.0) * len as f64).ceil() as usize;
         let i = rank.clamp(1, len) - 1;
         Some(match s.narrow.get(i) {
@@ -927,7 +940,7 @@ impl StatsHub {
     /// counters are mirrored absolutely from the pool — like
     /// [`PortStats::ecn_marks`], so repeated samples are idempotent — and
     /// `occupancy_bytes` feeds the per-window peak series.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per pool counter")]
     pub fn on_pool_sample(
         &mut self,
         now: Time,

@@ -220,18 +220,22 @@ impl Rate {
         }
         let bits = bytes as u128 * 8;
         let ns = (bits * NS_PER_SEC as u128).div_ceil(self.0 as u128);
-        Duration(ns.min(u64::MAX as u128) as u64)
+        Duration(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 
     /// Whole bytes drained in `d` at this rate, rounded down.
     pub fn bytes_in(self, d: Duration) -> u64 {
         let bits = self.0 as u128 * d.0 as u128 / NS_PER_SEC as u128;
-        (bits / 8).min(u64::MAX as u128) as u64
+        u64::try_from(bits / 8).unwrap_or(u64::MAX)
     }
 
     /// Scale this rate by the exact ratio `num/den` (integer arithmetic).
     ///
     /// Used by weighted-mode bandwidth division: `link.scaled(w_i, w_total)`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "every caller passes a share, num ≤ den, so the result is ≤ self"
+    )]
     pub fn scaled(self, num: u64, den: u64) -> Rate {
         assert!(den > 0, "rate scale denominator must be positive");
         Rate((self.0 as u128 * num as u128 / den as u128) as u64)

@@ -9,6 +9,10 @@
 //! The entry point is [`TransportHost`], the [`aq_netsim::HostApp`]
 //! installed on every simulated host; flows are described by [`FlowSpec`].
 
+// Determinism policy (DESIGN §5a): float equality is
+// representation-fragile.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+
 pub mod cc;
 pub mod flow;
 pub mod host;

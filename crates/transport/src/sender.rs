@@ -355,7 +355,7 @@ impl SenderFlow {
     }
 
     /// Handle one ACK.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per ACK field")]
     pub fn on_ack(
         &mut self,
         ctx: &mut HostCtx<'_>,

@@ -14,6 +14,10 @@
 //!   ([`EntitySetup`]/[`Traffic`] descriptions enumerable by name) that
 //!   the sweep harness instantiates over parameter grids and seed sets.
 
+// Determinism policy (DESIGN §5a): float equality is
+// representation-fragile.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
+
 pub mod arrivals;
 pub mod matrix;
 pub mod registry;

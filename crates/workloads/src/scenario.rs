@@ -44,7 +44,7 @@ impl WorkloadSpec {
     /// random endpoints, arrivals from time zero. Flows come out untagged
     /// with a measured-RTT delay signal; the harness that knows the AQ
     /// grants tags them.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per scenario knob")]
     pub fn web_search(
         entity: EntityId,
         srcs: Vec<NodeId>,
@@ -214,7 +214,7 @@ pub fn add_flows(net: &mut Network, flows: Vec<FlowSpec>) {
 
 /// Convenience: `n` long-lived flows of one entity between fixed endpoint
 /// pairs, round-robin over `pairs`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one argument per FlowSpec field")]
 pub fn long_flows(
     entity: EntityId,
     pairs: &[(NodeId, NodeId)],

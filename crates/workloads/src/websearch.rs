@@ -44,6 +44,7 @@ impl FlowSizeDist {
 
     /// A custom distribution from CDF knots (must start at probability
     /// 0.0, end at 1.0, and be non-decreasing in both coordinates).
+    #[expect(clippy::float_cmp, reason = "end knots must be literally 0.0 and 1.0")]
     pub fn from_knots(knots: Vec<(u64, f64)>) -> FlowSizeDist {
         assert!(knots.len() >= 2, "need at least two knots");
         assert_eq!(knots[0].1, 0.0, "first knot must be at p=0");
