@@ -161,9 +161,11 @@ impl AGap {
 /// Streaming summary of the A-Gap values carried by an AQ's *forwarded*
 /// packets — the per-AQ telemetry behind `StatsHub` AQ summaries.
 ///
-/// Only three words of state (count, sum, max), so tracking costs nothing
-/// next to the gap update itself, and no samples are stored: the summary
-/// is exact for max and mean, which is what the run reports need.
+/// Only count, sum and max, so tracking costs nothing next to the gap
+/// update itself, and no samples are stored: the summary is exact for max
+/// and mean, which is what the run reports need. The sum is 128 bits held
+/// as two `u64` words with an explicit carry, so the struct keeps 8-byte
+/// alignment (a `u128` field would pad every AQ row to 16).
 ///
 /// ```
 /// use aq_core::GapTrack;
@@ -178,7 +180,9 @@ impl AGap {
 #[derive(Debug, Clone, Default)]
 pub struct GapTrack {
     samples: u64,
-    sum_bytes: u128,
+    /// The sum of observed gaps is `sum_hi · 2⁶⁴ + sum_lo`.
+    sum_lo: u64,
+    sum_hi: u64,
     max_bytes: u64,
 }
 
@@ -186,7 +190,9 @@ impl GapTrack {
     /// Record one observed gap value (bytes).
     pub fn observe(&mut self, gap_bytes: u64) {
         self.samples += 1;
-        self.sum_bytes += gap_bytes as u128;
+        let (lo, carry) = self.sum_lo.overflowing_add(gap_bytes);
+        self.sum_lo = lo;
+        self.sum_hi += u64::from(carry);
         self.max_bytes = self.max_bytes.max(gap_bytes);
     }
 
@@ -205,7 +211,8 @@ impl GapTrack {
         if self.samples == 0 {
             return 0.0;
         }
-        self.sum_bytes as f64 / self.samples as f64
+        let sum = (u128::from(self.sum_hi) << 64) | u128::from(self.sum_lo);
+        sum as f64 / self.samples as f64
     }
 }
 
@@ -267,6 +274,7 @@ impl DGap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const GBPS: u64 = 1_000_000_000;
 
@@ -359,6 +367,52 @@ mod tests {
         // Next 1 us drains only 500 bytes at the new rate.
         g.drain_to(Time::from_micros(2));
         assert_eq!(g.bytes(), 6500);
+    }
+
+    /// `GapTrack` against a `u128` reference sum: same sample count, max
+    /// and mean bits.
+    fn check_gap_track(values: &[u64]) -> Result<(), TestCaseError> {
+        let mut t = GapTrack::default();
+        values.iter().for_each(|&v| t.observe(v));
+        let sum: u128 = values.iter().map(|&v| u128::from(v)).sum();
+        let n = values.len() as u64;
+        let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+        let max = values.iter().copied().max().unwrap_or(0);
+        let got = (t.samples(), t.max_bytes(), t.mean_bytes().to_bits());
+        let want = (n, max, mean.to_bits());
+        prop_assert_eq!(got, want, "{:?}: got {:?}, want {:?}", values, got, want);
+        Ok(())
+    }
+
+    #[test]
+    fn gap_track_sum_carries_into_the_high_word() {
+        let cases: &[&[u64]] = &[
+            &[],
+            &[0],
+            &[1000, 3000],
+            &[u64::MAX],
+            &[u64::MAX, 1],
+            // Four wraps of the low word.
+            &[u64::MAX; 5],
+            // Five wraps, each landing the low word exactly on zero.
+            &[1 << 63; 10],
+            &[u64::MAX, u64::MAX - 1, 2, 3, u64::MAX / 2, u64::MAX / 2 + 2],
+        ];
+        for values in cases {
+            check_gap_track(values).unwrap();
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn gap_track_matches_a_u128_sum(
+            values in prop::collection::vec(
+                prop_oneof![0u64..100_000, (u64::MAX - 100_000)..u64::MAX, any::<u64>()],
+                0..64,
+            )
+        ) {
+            check_gap_track(&values)?;
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod pipeline;
 pub mod resources;
 pub mod table;
 
-pub use config::{AqConfig, AqInstance, CcPolicy, PackedAq, Position, PACKED_AQ_BYTES};
+pub use config::{AqConfig, AqInstance, CcPolicy, PackedAq, Position, Recovery, PACKED_AQ_BYTES};
 pub use conservation::{ReallocatorConfig, WorkConservingReallocator};
 pub use controller::{AqController, AqRequest, BandwidthDemand, Grant, GrantError, LimitPolicy};
 pub use feedback::{process_packet, AqVerdict};

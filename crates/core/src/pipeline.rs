@@ -37,30 +37,28 @@ use aq_netsim::time::{Rate, Time};
 use std::collections::BTreeMap;
 
 /// Export an end-of-run [`AqSummary`] for every AQ deployed in `table`
-/// into the hub, keyed by `(tag, position)`. Idempotent: re-exporting
-/// replaces the previous summary, so reports may be captured repeatedly
-/// during a run.
+/// into the hub, keyed by `(tag, position)`, in one batch. Idempotent:
+/// re-exporting replaces the previous summary, so reports may be captured
+/// repeatedly during a run.
 ///
 /// Free function (rather than a table method) so harnesses that drive an
 /// [`AqTable`] directly — without a pipeline or simulator, like the
 /// scalability example — can still publish telemetry.
 pub fn export_aq_table(table: &AqTable, position: AqPosition, hub: &mut StatsHub) {
-    for inst in table.iter() {
-        hub.record_aq_summary(AqSummary {
-            tag: inst.cfg.id.0,
-            position,
-            rate_bps: inst.cfg.rate.as_bps(),
-            limit_bytes: inst.cfg.limit_bytes,
-            arrived_bytes: inst.arrived_bytes,
-            limit_drops: inst.drops,
-            marks: inst.marks,
-            gap_samples: inst.gap_track.samples(),
-            max_gap_bytes: inst.gap_track.max_bytes(),
-            mean_gap_bytes: inst.gap_track.mean_bytes(),
-            wipes: inst.wipes,
-            reconverge_ns: inst.reconverge_ns(),
-        });
-    }
+    hub.record_aq_summaries(table.iter().map(|inst| AqSummary {
+        tag: inst.cfg.id.0,
+        position,
+        rate_bps: inst.cfg.rate.as_bps(),
+        limit_bytes: inst.cfg.limit_bytes,
+        arrived_bytes: inst.arrived_bytes,
+        limit_drops: inst.drops,
+        marks: inst.marks,
+        gap_samples: inst.gap_track.samples(),
+        max_gap_bytes: inst.gap_track.max_bytes(),
+        mean_gap_bytes: inst.gap_track.mean_bytes(),
+        wipes: inst.wipes(),
+        reconverge_ns: inst.reconverge_ns(),
+    }));
 }
 
 /// Work-conservation policy (§6 Discussions).
@@ -448,7 +446,7 @@ impl SwitchPipeline for AqPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CcPolicy;
+    use crate::config::{CcPolicy, Recovery};
     use aq_netsim::ids::{EntityId, FlowId, NodeId};
     use aq_netsim::time::Rate;
 
@@ -565,12 +563,16 @@ mod tests {
         assert_eq!(ing.gap.bytes(), 0);
         assert_eq!((ing.drops, ing.arrived_bytes), (0, 0));
         assert_eq!(ing.gap_track.samples(), 0);
-        assert_eq!(ing.wipes, 1);
-        assert_eq!(ing.wiped_at, Some(Time::from_millis(1)));
         // Pre-wipe mean gap (one 1060 B sample) becomes the target.
-        assert_eq!(ing.recover_target_bytes, 1060);
+        let armed = Recovery {
+            wipes: 1,
+            wiped_at: Time::from_millis(1),
+            target_bytes: 1060,
+            recovered_at: None,
+        };
+        assert_eq!(ing.recovery.as_deref(), Some(&armed));
         assert_eq!(ing.reconverge_ns(), u64::MAX); // not yet rebuilt
-        assert_eq!(pipe.egress_table.get(AqTag(2)).unwrap().wipes, 1);
+        assert_eq!(pipe.egress_table.get(AqTag(2)).unwrap().wipes(), 1);
     }
 
     #[test]
@@ -581,18 +583,17 @@ mod tests {
         let mut p = pkt(1, 0);
         pipe.ingress(Time::ZERO, &mut p);
         pipe.on_fault_reset(Time::from_millis(1));
-        let target = pipe
-            .ingress_table
-            .get(AqTag(1))
-            .unwrap()
-            .recover_target_bytes;
-        assert_eq!(target, 1060);
+        let recovery = |pipe: &AqPipeline| {
+            let inst = pipe.ingress_table.get(AqTag(1)).unwrap();
+            inst.recovery.as_deref().cloned().expect("wiped")
+        };
+        assert_eq!(recovery(&pipe).target_bytes, 1060);
         // First post-wipe arrival rebuilds the gap past the target (the
         // wiped gap restarts at zero, one packet lands it at 1060).
         let mut q = pkt(1, 0);
         pipe.ingress(Time::from_millis(2), &mut q);
+        assert_eq!(recovery(&pipe).recovered_at, Some(Time::from_millis(2)));
         let inst = pipe.ingress_table.get(AqTag(1)).unwrap();
-        assert_eq!(inst.recovered_at, Some(Time::from_millis(2)));
         assert_eq!(inst.reconverge_ns(), 1_000_000);
         // The exported summary carries the recovery window.
         let mut hub = aq_netsim::StatsHub::new();

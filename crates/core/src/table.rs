@@ -16,13 +16,17 @@
 //! is no second representation — [`AqTable::process`] runs
 //! [`process_packet`] on the stored instance, [`AqTable::get`] and
 //! [`AqTable::iter`] lend it out, and [`AqTable::update`] hands it to a
-//! closure. The row is wider than the switch's 15 B because the simulator
-//! keeps nanosecond clocks, 2⁻¹⁶-byte fixed point and telemetry instead of
-//! the quantized encodings of [`PackedAq`](crate::config::PackedAq); a
-//! `size_of` test pins it. Grouping the fields by access frequency would
-//! not help: every packet writes the counters and the idle clock beside
-//! the gap, so a cold probe touches the whole row either way
-//! (PERFORMANCE.md § "AQ state" has the measurement).
+//! closure. The row is 128 B, wider than the switch's 15 B because the
+//! simulator keeps nanosecond clocks, 2⁻¹⁶-byte fixed point and telemetry
+//! instead of the quantized encodings of
+//! [`PackedAq`](crate::config::PackedAq); a `size_of` test pins it. State
+//! only a fault wipe creates ([`Recovery`](crate::config::Recovery)) sits
+//! behind one pointer, so a million never-wiped rows do not carry it, and
+//! no field needs more than 8-byte alignment, so the row has no padding.
+//! Grouping the fields by access frequency would not help: every packet
+//! writes the counters and the idle clock beside the gap, so a cold probe
+//! touches the whole row either way (PERFORMANCE.md § "AQ state" has the
+//! measurement).
 //!
 //! [`AqTable::register_memory_bytes`] reports the switch register memory
 //! the deployed AQs occupy under the paper's 15-byte packed layout — the
@@ -354,7 +358,7 @@ impl AqTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CcPolicy;
+    use crate::config::{CcPolicy, Recovery};
     use aq_netsim::ids::{EntityId, FlowId, NodeId};
     use aq_netsim::time::Rate;
 
@@ -440,15 +444,12 @@ mod tests {
     #[test]
     fn stored_row_is_one_instance_plus_its_idle_clock() {
         // What `core.table.host_bytes_per_aq` measures, beside the 4-byte
-        // index entry: 160 B of instance (32 config + 24 gap + 24 counters
-        // + 32 gap track + 48 fault recovery), the 8 B idle clock, and 8 B
-        // of padding to the gap track's 16-byte alignment. Raise the pin
-        // only together with PERFORMANCE.md § "AQ state".
-        assert!(
-            std::mem::size_of::<Row>() <= 176,
-            "Row grew to {} bytes",
-            std::mem::size_of::<Row>()
-        );
+        // index entry: 120 B of instance (32 config + 24 gap + 24 counters
+        // + 32 gap track + 8 recovery pointer) and the 8 B idle clock, with
+        // no padding. Move the pin only together with PERFORMANCE.md
+        // § "AQ state".
+        assert_eq!(std::mem::size_of::<AqInstance>(), 120);
+        assert_eq!(std::mem::size_of::<Row>(), 128);
     }
 
     #[test]
@@ -583,14 +584,13 @@ mod tests {
         t.process(AqTag(7), Time::from_micros(4), &mut pkt(60_000));
         let stale = t.remove(AqTag(7)).expect("deployed");
         assert!(stale.arrived_bytes > 0);
-        assert_eq!(stale.wipes, 1);
+        assert_eq!(stale.wipes(), 1);
         t.deploy(cfg(7));
         let fresh = t.get(AqTag(7)).unwrap();
         assert_eq!(fresh.gap_track.samples(), 0);
         assert_eq!(fresh.gap_track.max_bytes(), 0);
         assert_eq!((fresh.drops, fresh.marks, fresh.arrived_bytes), (0, 0, 0));
-        assert_eq!((fresh.wipes, fresh.wiped_at), (0, None));
-        assert_eq!(fresh.recover_target_bytes, 0);
+        assert_eq!((fresh.wipes(), &fresh.recovery), (0, &None));
         assert_eq!(fresh.gap.bytes(), 0);
     }
 
@@ -636,13 +636,54 @@ mod tests {
         let snap = t.get(AqTag(1)).unwrap();
         assert_eq!(snap.gap.bytes(), 0);
         // One 1060 B arrival (1000 B payload + 60 B header) sets the mean.
-        assert_eq!((snap.wipes, snap.recover_target_bytes), (1, 1060));
+        let armed = Recovery {
+            wipes: 1,
+            wiped_at: Time::from_millis(1),
+            target_bytes: 1060,
+            recovered_at: None,
+        };
+        assert_eq!(snap.recovery.as_deref(), Some(&armed));
         // One post-wipe arrival rebuilds the gap past the target.
         t.process(AqTag(1), Time::from_millis(2), &mut pkt(1000))
             .expect("deployed");
-        assert_eq!(
-            t.get(AqTag(1)).unwrap().recovered_at,
-            Some(Time::from_millis(2))
-        );
+        let rec = t.get(AqTag(1)).unwrap().recovery.as_deref();
+        assert_eq!(rec.and_then(|r| r.recovered_at), Some(Time::from_millis(2)));
+    }
+
+    #[test]
+    fn recovery_is_allocated_only_by_a_wipe() {
+        let mut t = AqTable::new();
+        let untouched = |t: &AqTable| {
+            let inst = t.get(AqTag(1)).unwrap();
+            (inst.recovery.is_none(), inst.wipes(), inst.reconverge_ns())
+        };
+        t.deploy(cfg(1));
+        assert_eq!(untouched(&t), (true, 0, 0));
+        t.process(AqTag(1), Time::from_micros(1), &mut pkt(1000));
+        assert_eq!(untouched(&t), (true, 0, 0));
+        t.update(AqTag(1), |inst| {
+            inst.set_rate(Time::from_micros(2), Rate::from_gbps(2))
+        });
+        assert_eq!(untouched(&t), (true, 0, 0));
+        t.remove(AqTag(1)).expect("deployed");
+        t.deploy(cfg(1));
+        assert_eq!(untouched(&t), (true, 0, 0));
+
+        // The second wipe counts on and re-arms from the post-wipe mean:
+        // two 1060 B arrivals observe gaps of 1060 and 2120 (1590 mean).
+        t.process(AqTag(1), Time::from_micros(3), &mut pkt(1000));
+        t.wipe(Time::from_micros(4));
+        t.process(AqTag(1), Time::from_micros(5), &mut pkt(1000));
+        t.process(AqTag(1), Time::from_micros(5), &mut pkt(1000));
+        t.wipe(Time::from_micros(6));
+        let inst = t.get(AqTag(1)).unwrap();
+        let rearmed = Recovery {
+            wipes: 2,
+            wiped_at: Time::from_micros(6),
+            target_bytes: 1590,
+            recovered_at: None,
+        };
+        assert_eq!(inst.recovery.as_deref(), Some(&rearmed));
+        assert_eq!((inst.wipes(), inst.reconverge_ns()), (2, u64::MAX));
     }
 }

@@ -125,8 +125,8 @@ fn image(i: &AqInstance) -> impl PartialEq + std::fmt::Debug {
             i.gap_track.max_bytes(),
             i.gap_track.mean_bytes().to_bits(),
         ),
-        (i.wipes, i.wiped_at, i.recover_target_bytes, i.recovered_at),
-        i.reconverge_ns(),
+        i.recovery.clone(),
+        (i.wipes(), i.reconverge_ns()),
     )
 }
 

@@ -232,13 +232,11 @@ impl Rate {
     /// Scale this rate by the exact ratio `num/den` (integer arithmetic).
     ///
     /// Used by weighted-mode bandwidth division: `link.scaled(w_i, w_total)`.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "every caller passes a share, num ≤ den, so the result is ≤ self"
-    )]
+    /// A ratio above 1 that would overflow saturates at `u64::MAX` bps.
     pub fn scaled(self, num: u64, den: u64) -> Rate {
         assert!(den > 0, "rate scale denominator must be positive");
-        Rate((self.0 as u128 * num as u128 / den as u128) as u64)
+        let bps = self.0 as u128 * num as u128 / den as u128;
+        Rate(u64::try_from(bps).unwrap_or(u64::MAX))
     }
 }
 
@@ -303,6 +301,12 @@ mod tests {
         let link = Rate::from_gbps(10);
         assert_eq!(link.scaled(1, 2), Rate::from_gbps(5));
         assert_eq!(link.scaled(2, 3).as_bps(), 6_666_666_666);
+    }
+
+    #[test]
+    fn scaled_saturates_instead_of_wrapping() {
+        assert_eq!(Rate::from_bps(u64::MAX).scaled(3, 2).as_bps(), u64::MAX);
+        assert_eq!(Rate::from_bps(u64::MAX).scaled(1, 1).as_bps(), u64::MAX);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! the sweep harness's regression gate compares AQ against the
 //! baselines, so they must honor the same byte-identical contract.
 //!
-//! Everything that could break this is policed elsewhere: the
-//! `no-os-entropy` / `no-wall-clock` / `no-hash-collections` lint rules
-//! (tests/static_analysis.rs) ban the sources of host-dependent state,
-//! and the vendored `rand` has no entropy-based constructors at all.
+//! Everything that could break this is policed elsewhere: the root
+//! `clippy.toml` bans the sources of host-dependent state (wall clocks,
+//! hash collections, threads) and `tests/lint_policy.rs` shows each rule
+//! fires, and the vendored `rand` has no entropy-based constructors at
+//! all.
 
 use aq_bench::report::RunReport;
 use aq_bench::{

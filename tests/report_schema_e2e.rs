@@ -76,24 +76,24 @@ fn report_json(label: &str, c: &[u64]) -> String {
     );
     // Rows differ in more than their position, so that a moved position is
     // a new row and not a second copy of the other one.
-    for (i, position) in [AqPosition::Ingress, AqPosition::Egress]
+    let positions = [AqPosition::Ingress, AqPosition::Egress]
         .into_iter()
-        .enumerate()
-    {
-        hub.record_aq_summary(AqSummary {
-            tag: (c(18) % u64::from(u32::MAX / 4)) as u32 + i as u32,
-            position,
-            rate_bps: c(19),
-            limit_bytes: c(20),
-            arrived_bytes: c(21),
-            limit_drops: c(22),
-            marks: c(23),
-            gap_samples: c(24),
-            max_gap_bytes: c(25),
-            mean_gap_bytes: c(26) as f64 / 1024.0,
-            wipes: c(27),
-            reconverge_ns: if c(28) % 3 == 0 { u64::MAX } else { c(28) },
-        });
+        .enumerate();
+    hub.record_aq_summaries(positions.clone().map(|(i, position)| AqSummary {
+        tag: (c(18) % u64::from(u32::MAX / 4)) as u32 + i as u32,
+        position,
+        rate_bps: c(19),
+        limit_bytes: c(20),
+        arrived_bytes: c(21),
+        limit_drops: c(22),
+        marks: c(23),
+        gap_samples: c(24),
+        max_gap_bytes: c(25),
+        mean_gap_bytes: c(26) as f64 / 1024.0,
+        wipes: c(27),
+        reconverge_ns: if c(28) % 3 == 0 { u64::MAX } else { c(28) },
+    }));
+    for (i, position) in positions {
         hub.record_table_summary(AqTableSummary {
             node: NodeId(n.0 + i as u32),
             position,
