@@ -1331,7 +1331,7 @@ mod tests {
         for (scenario, params, limit) in [
             ("ablation_limit_policy", "policy=0", 200_000),
             ("ablation_limit_policy", "policy=1", 30_000),
-            ("ablation_limit_nofloor", "", 2_000),
+            ("ablation_limit_policy", "policy=2", 2_000),
         ] {
             let plan = plan_of(scenario, params);
             let mut exp = build_experiment(Approach::Aq, &plan, ExpConfig::default());
@@ -1342,7 +1342,7 @@ mod tests {
         }
         // §6 work conservation: entity B idles until 300 ms.
         for (scenario, params, conserves) in [
-            ("ablation_wc_strict", "", false),
+            ("ablation_work_conservation", "mode=2", false),
             ("ablation_work_conservation", "mode=0", true),
             ("ablation_work_conservation", "mode=1", true),
         ] {

@@ -154,24 +154,21 @@ pub fn paper_spec() -> SweepSpec {
             axis(
                 "fig01_cc_interference",
                 &[Pq],
-                &["pair=0", "pair=1", "pair=2", "pair=3", "pair=4"],
+                &["pair=0", "pair=1", "pair=2", "pair=3", "pair=4", "pair=5"],
                 &[1],
             ),
-            axis("fig01_same_class", &[Pq], &[], &[1]),
             axis(
                 "table2_cc_sharing",
                 &[Pq, Aq],
                 &[
-                    "row=0", "row=1", "row=2", "row=3", "row=4", "row=5", "row=6", "row=7",
+                    "row=0", "row=1", "row=2", "row=3", "row=4", "row=5", "row=6", "row=7", "row=8",
                 ],
                 &[1],
             ),
-            axis("table2_same_cc", &[Pq, Aq], &[], &[1]),
-            axis("fig06_one_vm", all, &[], &[1, 2, 3]),
             axis(
                 "fig06_completion_vs_vms",
                 all,
-                &["vms=2", "vms=4", "vms=8"],
+                &["vms=1", "vms=2", "vms=4", "vms=8"],
                 &[1, 2, 3],
             ),
             axis(
@@ -180,18 +177,17 @@ pub fn paper_spec() -> SweepSpec {
                 &["b_vms=1", "b_vms=2", "b_vms=4", "b_vms=8"],
                 &[2, 3, 4],
             ),
-            axis("fig08_equal_flows", &[Pq, Aq], &[], &[1]),
-            axis("fig08_equal_flows", &[Aq], &["b_weight=2"], &[1]),
             axis(
                 "fig08_flow_count_isolation",
                 &[Pq, Aq],
-                &["b_flows=4", "b_flows=16", "b_flows=64"],
+                &["b_flows=1", "b_flows=4", "b_flows=16", "b_flows=64"],
                 &[1],
             ),
             axis(
                 "fig08_flow_count_isolation",
                 &[Aq],
                 &[
+                    "b_flows=1,b_weight=2",
                     "b_flows=4,b_weight=2",
                     "b_flows=16,b_weight=2",
                     "b_flows=64,b_weight=2",
@@ -215,17 +211,15 @@ pub fn paper_spec() -> SweepSpec {
             axis(
                 "ablation_limit_policy",
                 &[Aq],
-                &["policy=0", "policy=1"],
+                &["policy=0", "policy=1", "policy=2"],
                 &[1],
             ),
-            axis("ablation_limit_nofloor", &[Aq], &[], &[1]),
             axis(
                 "ablation_work_conservation",
                 &[Aq],
-                &["mode=0", "mode=1"],
+                &["mode=0", "mode=1", "mode=2"],
                 &[1],
             ),
-            axis("ablation_wc_strict", &[Aq], &[], &[1]),
         ],
     }
 }
@@ -315,10 +309,10 @@ mod tests {
     #[test]
     fn paper_spec_expands_to_the_documented_size() {
         let points = sweep::expand(&paper_spec()).expect("paper expands");
-        // Fig. 1: 5 + 1 (PQ). Table 2: (8 + 1) x 2. Figs. 6, 7: (1 + 3) and
-        // 4 points x 4 approaches x 3 seeds. Fig. 8: (1 + 3) x 2 at 1:1 +
-        // (1 + 3) (AQ) at 1:2. Fig. 9: 2. Fig. 10: 3 x 4. Table 3: 4.
-        // Table 4: 3 x 2. Ablations (AQ): 2 + 1 and 2 + 1.
+        // Fig. 1: 6 (PQ). Table 2: 9 x 2. Figs. 6, 7: 4 points x 4
+        // approaches x 3 seeds. Fig. 8: 4 x 2 at 1:1 + 4 (AQ) at 1:2.
+        // Fig. 9: 2. Fig. 10: 3 x 4. Table 3: 4. Table 4: 3 x 2.
+        // Ablations (AQ): 3 and 3.
         assert_eq!(points.len(), 6 + 18 + 48 + 48 + 12 + 2 + 12 + 4 + 6 + 3 + 3);
         // Every scenario the smoke/extended grids do not run is a paper
         // artifact and must be on an axis here.
@@ -340,8 +334,8 @@ mod tests {
     #[test]
     fn nightly_spec_covers_every_scenario_and_approach() {
         let points = sweep::expand(&nightly_spec()).expect("nightly expands");
-        // 27 scenarios x 4 approaches x 5 seeds at the default grid point.
-        assert_eq!(points.len(), 540);
+        // 21 scenarios x 4 approaches x 5 seeds at the default grid point.
+        assert_eq!(points.len(), 420);
     }
 
     #[test]

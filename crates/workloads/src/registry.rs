@@ -653,10 +653,6 @@ fn fig08_flow_count_isolation(p: &Params) -> ScenarioPlan {
     one_vs_many(p.count("b_flows"), p.count("b_weight").max(1) as u64, 500.0)
 }
 
-fn fig08_equal_flows(p: &Params) -> ScenarioPlan {
-    one_vs_many(1, p.count("b_weight").max(1) as u64, 500.0)
-}
-
 fn completion_vms(p: &Params) -> ScenarioPlan {
     closed_trace(
         &[(p.count("vms").max(1), CcAlgo::Cubic); 2],
@@ -668,10 +664,6 @@ fn completion_vms(p: &Params) -> ScenarioPlan {
 
 fn fig06_completion_vs_vms(p: &Params) -> ScenarioPlan {
     paper_trace(&[(p.count("vms").max(1), CcAlgo::Cubic)])
-}
-
-fn fig06_one_vm(_: &Params) -> ScenarioPlan {
-    paper_trace(&[(1, CcAlgo::Cubic)])
 }
 
 fn fig07_entity_fairness(p: &Params) -> ScenarioPlan {
@@ -715,24 +707,17 @@ fn udp_tcp_share(p: &Params) -> ScenarioPlan {
 }
 
 fn fig01_cc_interference(p: &Params) -> ScenarioPlan {
-    // Every pair crosses two of the paper's CC classes (drop-, ECN- and
-    // delay-based); the same-class pair is `fig01_same_class`.
+    // Pairs 0-4 cross two of the paper's CC classes (drop-, ECN- and
+    // delay-based); pair 5 is the same-class control.
     let (a, b) = match p.count("pair") {
         0 => (CcAlgo::Cubic, CcAlgo::Dctcp),
         1 => (CcAlgo::NewReno, CcAlgo::Dctcp),
         2 => (CcAlgo::Cubic, SWIFT),
         3 => (CcAlgo::Dctcp, SWIFT),
+        5 => (CcAlgo::Cubic, CcAlgo::NewReno),
         _ => (CcAlgo::NewReno, SWIFT),
     };
     long_mix(&[(10, a, LongKind::Tcp), (10, b, LongKind::Tcp)], 400.0)
-}
-
-fn fig01_same_class(_: &Params) -> ScenarioPlan {
-    let tcp = LongKind::Tcp;
-    long_mix(
-        &[(10, CcAlgo::Cubic, tcp), (10, CcAlgo::NewReno, tcp)],
-        400.0,
-    )
 }
 
 fn table2_cc_sharing(p: &Params) -> ScenarioPlan {
@@ -746,6 +731,7 @@ fn table2_cc_sharing(p: &Params) -> ScenarioPlan {
         4 => &[(5, Dctcp, tcp), (5, SWIFT, tcp)],
         5 => &[(10, Dctcp, tcp), (5, NewReno, tcp)],
         6 => &[(10, Dctcp, tcp), (5, SWIFT, tcp)],
+        8 => &[(5, Cubic, tcp); 2],
         _ => &[
             (1, Cubic, LongKind::Udp(Rate::from_gbps(10))),
             (3, Cubic, tcp),
@@ -754,10 +740,6 @@ fn table2_cc_sharing(p: &Params) -> ScenarioPlan {
         ],
     };
     long_mix(rows, 1500.0)
-}
-
-fn table2_same_cc(_: &Params) -> ScenarioPlan {
-    two_equal_long(5, 1500.0)
 }
 
 fn fig09_udp_tcp(_: &Params) -> ScenarioPlan {
@@ -839,12 +821,9 @@ fn limit_ablation(aq_limit: LimitKind) -> ScenarioPlan {
 fn ablation_limit_policy(p: &Params) -> ScenarioPlan {
     limit_ablation(match p.count("policy") {
         0 => LimitKind::MatchPhysicalQueue,
+        2 => LimitKind::ProportionalShare { min_bytes: 0 },
         _ => LimitKind::ProportionalShare { min_bytes: 30_000 },
     })
-}
-
-fn ablation_limit_nofloor(_: &Params) -> ScenarioPlan {
-    limit_ablation(LimitKind::ProportionalShare { min_bytes: 0 })
 }
 
 /// Entity A active throughout, equal-weight entity B idle until 300 ms of
@@ -860,12 +839,9 @@ fn conservation_ablation(aq_mode: AqMode) -> ScenarioPlan {
 fn ablation_work_conservation(p: &Params) -> ScenarioPlan {
     conservation_ablation(match p.count("mode") {
         0 => AqMode::BypassWhenIdle,
+        2 => AqMode::Strict,
         _ => AqMode::Reallocate,
     })
-}
-
-fn ablation_wc_strict(_: &Params) -> ScenarioPlan {
-    conservation_ablation(AqMode::Strict)
 }
 
 fn interpod_fattree(p: &Params) -> ScenarioPlan {
@@ -1058,45 +1034,30 @@ fn websearch_aqm_zoo(p: &Params) -> ScenarioPlan {
 pub fn registry() -> &'static [ScenarioDef] {
     const REGISTRY: &[ScenarioDef] = &[
         ScenarioDef {
-            name: "ablation_limit_nofloor",
-            summary: "§6 AQ-limit ablation, the failing setting: a 100 Mbit/s entity beside \
-                      a 9.9 Gbit/s one with AQ limits divided in proportion to bandwidth \
-                      and no floor (2 KB, under two packets) — excess drops keep the small \
-                      entity from its allocation",
-            params: &[],
-            build: ablation_limit_nofloor,
-        },
-        ScenarioDef {
             name: "ablation_limit_policy",
-            summary: "§6 AQ-limit ablation, the two working settings: the same 100 Mbit/s \
-                      vs 9.9 Gbit/s pair with every AQ at the physical queue's limit, or \
-                      proportional limits with a 30 KB floor — the small entity reaches its \
-                      allocation",
+            summary: "§6 AQ-limit ablation: a 100 Mbit/s entity beside a 9.9 Gbit/s one \
+                      reaches its allocation with every AQ at the physical queue's limit or \
+                      proportional limits with a 30 KB floor; without the floor (2 KB, \
+                      under two packets) excess drops keep it from its allocation",
             params: &[ParamDef {
                 name: "policy",
                 default: 0.0,
                 help: "AQ-limit policy: 0 match the physical queue, 1 proportional with a \
-                       30 KB floor",
+                       30 KB floor, 2 proportional with no floor",
             }],
             build: ablation_limit_policy,
         },
         ScenarioDef {
-            name: "ablation_wc_strict",
-            summary: "§6 work-conservation ablation, the control: entity B idles until \
-                      300 ms of 600; strict AQs pin entity A at its half of the link even \
-                      while B is idle",
-            params: &[],
-            build: ablation_wc_strict,
-        },
-        ScenarioDef {
             name: "ablation_work_conservation",
-            summary: "§6 work-conservation ablation, the two mechanisms: bypass-while-the-\
-                      queue-is-empty and periodic reallocation both let entity A use the \
-                      whole link while B idles, and still protect B once it starts",
+            summary: "§6 work-conservation ablation: entity B idles until 300 ms of 600; \
+                      bypass-while-the-queue-is-empty and periodic reallocation both let \
+                      entity A use the whole link meanwhile and still protect B once it \
+                      starts, while strict AQs pin A at its half",
             params: &[ParamDef {
                 name: "mode",
                 default: 0.0,
-                help: "mechanism: 0 bypass when idle (egress AQs), 1 reallocate every 10 ms",
+                help: "mechanism: 0 bypass when idle (egress AQs), 1 reallocate every 10 ms, \
+                       2 none (strict AQs)",
             }],
             build: ablation_work_conservation,
         },
@@ -1204,40 +1165,27 @@ pub fn registry() -> &'static [ScenarioDef] {
             name: "fig01_cc_interference",
             summary: "Fig. 1: two entities of 10 long flows each, running CC algorithms of \
                       different classes, share one physical queue for 400 ms — ECN-based \
-                      CC starves drop-based CC, everything starves delay-based CC",
+                      CC starves drop-based CC, everything starves delay-based CC; two \
+                      drop-based algorithms (pair 5) share evenly",
             params: &[ParamDef {
                 name: "pair",
                 default: 0.0,
                 help: "0 CUBIC+DCTCP, 1 NewReno+DCTCP, 2 CUBIC+Swift, 3 DCTCP+Swift, \
-                       4 NewReno+Swift",
+                       4 NewReno+Swift, 5 CUBIC+NewReno (same class)",
             }],
             build: fig01_cc_interference,
         },
         ScenarioDef {
-            name: "fig01_same_class",
-            summary: "Fig. 1, the same-class pair: 10 CUBIC flows against 10 NewReno flows \
-                      (both drop-based) share the physical queue evenly",
-            params: &[],
-            build: fig01_same_class,
-        },
-        ScenarioDef {
             name: "fig06_completion_vs_vms",
             summary: "Fig. 6: one entity replays the paper-scale web-search trace (64 flows, \
-                      8× sizes) split over `vms` ≥ 2 VMs; completion time vs VM count",
+                      8× sizes) split over `vms` VMs; completion time vs VM count (one VM \
+                      has no split to get wrong, so all four approaches finish together)",
             params: &[ParamDef {
                 name: "vms",
                 default: 4.0,
                 help: "the entity's sending VMs",
             }],
             build: fig06_completion_vs_vms,
-        },
-        ScenarioDef {
-            name: "fig06_one_vm",
-            summary: "Fig. 6, the first point: the entity replays the paper-scale trace \
-                      from a single VM — no split to get wrong, so all four approaches \
-                      finish together",
-            params: &[],
-            build: fig06_one_vm,
         },
         ScenarioDef {
             name: "fig07_entity_fairness",
@@ -1251,20 +1199,8 @@ pub fn registry() -> &'static [ScenarioDef] {
             build: fig07_entity_fairness,
         },
         ScenarioDef {
-            name: "fig08_equal_flows",
-            summary: "Fig. 8, the first point: one long flow each for 500 ms at weights \
-                      1 : `b_weight` — nothing for the physical queue to get wrong, AQ \
-                      still splits by weight",
-            params: &[ParamDef {
-                name: "b_weight",
-                default: 1.0,
-                help: "entity B's weight (entity A's is 1)",
-            }],
-            build: fig08_equal_flows,
-        },
-        ScenarioDef {
             name: "fig08_flow_count_isolation",
-            summary: "Fig. 8: entity A (1 long flow) vs entity B (`b_flows` ≥ 4 long flows) \
+            summary: "Fig. 8: entity A (1 long flow) vs entity B (`b_flows` long flows) \
                       for 500 ms at weights 1 : `b_weight`; share vs flow count",
             params: &[
                 ParamDef {
@@ -1419,22 +1355,17 @@ pub fn registry() -> &'static [ScenarioDef] {
         ScenarioDef {
             name: "table2_cc_sharing",
             summary: "Table 2: entities of long flows under different CC algorithms (and \
-                      one UDP blast) share the core for 1.5 s",
+                      one UDP blast) share the core for 1.5 s; with one CC algorithm \
+                      (row 8) the physical queue shares evenly too",
             params: &[ParamDef {
                 name: "row",
                 default: 0.0,
                 help: "0 5 CUBIC+5 DCTCP, 1 5 NewReno+5 DCTCP, 2 5 Illinois+5 DCTCP, \
                        3 5 CUBIC+5 Swift, 4 5 DCTCP+5 Swift, 5 10 DCTCP+5 NewReno, \
-                       6 10 DCTCP+5 Swift, 7 1 UDP+3 CUBIC+3 DCTCP+3 Swift",
+                       6 10 DCTCP+5 Swift, 7 1 UDP+3 CUBIC+3 DCTCP+3 Swift, \
+                       8 5 CUBIC+5 CUBIC",
             }],
             build: table2_cc_sharing,
-        },
-        ScenarioDef {
-            name: "table2_same_cc",
-            summary: "Table 2, the first row: 5 CUBIC flows against 5 CUBIC flows — with \
-                      one CC algorithm the physical queue shares evenly too",
-            params: &[],
-            build: table2_same_cc,
         },
         ScenarioDef {
             name: "table3_vm_profile",
@@ -1709,12 +1640,20 @@ mod tests {
         let wc = plan("ablation_work_conservation", "mode=1");
         assert_eq!(wc.aq_mode, AqMode::Reallocate);
         assert_eq!(wc.starts, [Duration::ZERO, Duration::from_millis(300)]);
-        assert_eq!(plan("ablation_wc_strict", "").aq_mode, AqMode::Strict);
+        assert_eq!(
+            plan("ablation_work_conservation", "mode=2").aq_mode,
+            AqMode::Strict
+        );
         // Fig. 8's second axis is entity B's weight.
         assert_eq!(
             plan("fig08_flow_count_isolation", "b_weight=2").entities[1].weight,
             2
         );
+        // The CC controls of Fig. 1 and Table 2 are values on their axes.
+        let ccs = |p: ScenarioPlan| p.entities.iter().map(|e| e.cc).collect::<Vec<_>>();
+        let fig1 = ccs(plan("fig01_cc_interference", "pair=5"));
+        assert_eq!(fig1, [CcAlgo::Cubic, CcAlgo::NewReno]);
+        assert_eq!(ccs(plan("table2_cc_sharing", "row=8")), [CcAlgo::Cubic; 2]);
     }
 
     #[test]
