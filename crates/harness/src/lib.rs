@@ -37,11 +37,12 @@ use aq_bench::Approach;
 use aq_workloads::registry::Params;
 use sweep::{SweepAxis, SweepSpec};
 
-/// The committed-baseline smoke sweep: 7 scenarios × 2 approaches ×
+/// The committed-baseline smoke sweep: 8 scenarios × 2 approaches ×
 /// small grids × 3 seeds. Small enough for CI, wide enough to exercise
 /// fairness, UDP/TCP sharing, and completion trends plus both
-/// fault-injection scenarios (link flaps and AQ state loss) and the
-/// shared-buffer layer (admission-policy and AQM axes) end to end.
+/// fault-injection scenarios (link flaps and AQ state loss), the
+/// shared-buffer layer (admission-policy and AQM axes) and tenant churn
+/// (the AQ table's overflow policies) end to end.
 pub fn smoke_spec() -> SweepSpec {
     let p = |s: &str| Params::parse(s).expect("static smoke grid parses");
     SweepSpec {

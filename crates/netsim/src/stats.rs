@@ -23,11 +23,11 @@
 //! records stay in `BTreeMap`s. Both layouts iterate in id order, so any
 //! serialized report is deterministic.
 //!
-//! The delay samples are the one part of the hub that grows with every
-//! delivered packet (two per data delivery, physical and virtual), so a
-//! [`DelayRecorder`] keeps each exactly once, in 4 bytes when it fits
-//! `u32` nanoseconds, and sorts in place for percentiles: 8 bytes per
-//! delivery for the whole run, report included.
+//! The delay samples arrive with every delivered packet (two per data
+//! delivery, physical and virtual), so a [`DelayRecorder`] keeps them as
+//! sorted `(value, count)` runs, merged in place a batch at a time: 8
+//! bytes per *distinct* delay below 2³² ns, not per delivery, and at
+//! most one staged batch to sort at report time.
 
 use crate::ids::{EntityId, FlowId, NodeId, PortId};
 use crate::queue::DropCause;
@@ -221,13 +221,14 @@ impl std::fmt::Debug for WindowedCounter {
 /// Collects delay samples (nanoseconds) and reports nearest-rank
 /// percentiles.
 ///
-/// Each sample is stored exactly once: a delay below 2³² ns (≈ 4.3 s)
-/// in 4 bytes, a longer one in 8. Every wide sample is larger than every
-/// narrow one, so the two vectors sorted one after the other are the
-/// whole sample set in order. They are sorted in place, behind a
-/// `RefCell`, the first time [`percentile`] or `Debug` needs order after
-/// new samples arrive; asking for p50/p99 in a report costs one sort
-/// total and no copy.
+/// Delays below 2³² ns (≈ 4.3 s) are kept as a sorted list of
+/// `(value, count)` runs, 8 bytes per *distinct* delay, so memory grows
+/// with the spread of the delays, not with packets. New samples are
+/// staged unsorted and merged into the runs in place a batch at a time,
+/// which costs O(1) per sample amortised. A longer delay is stored as
+/// is, in 8 bytes; every one of those is larger than every run.
+/// [`percentile`] and `Debug` merge what is staged, behind a `RefCell`,
+/// and walk the runs by cumulative count.
 ///
 /// [`percentile`]: DelayRecorder::percentile
 #[derive(Clone, Default)]
@@ -235,28 +236,123 @@ pub struct DelayRecorder {
     samples: RefCell<Samples>,
 }
 
+/// Fewest staged samples that trigger a merge on the record path; above
+/// `2 * STAGE_MIN` runs, half the run count does.
+const STAGE_MIN: usize = 4096;
+
 /// The storage behind a [`DelayRecorder`].
 #[derive(Clone, Default)]
 struct Samples {
-    /// Samples below 2³² ns.
-    narrow: Vec<u32>,
+    /// Merged samples below 2³² ns as ascending `(value, count)` runs. A
+    /// value whose count would pass `u32::MAX` continues in a second run
+    /// of the same value, so the values are non-decreasing and only the
+    /// last run of a value may be short of full.
+    runs: Vec<(u32, u32)>,
+    /// The sum of the counts in `runs`.
+    merged: usize,
+    /// Samples below 2³² ns recorded since the last merge, unsorted.
+    staged: Vec<u32>,
     /// Samples of 2³² ns and more.
     wide: Vec<u64>,
-    /// Whether both vectors are in ascending order.
+    /// Whether `wide` is in ascending order.
     sorted: bool,
+}
+
+/// How many runs `total` samples of one value take.
+fn runs_for(total: u64) -> usize {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "at most the number of samples held, which fits usize"
+    )]
+    let n = total.div_ceil(u64::from(u32::MAX)) as usize;
+    n.max(1)
 }
 
 impl Samples {
     fn len(&self) -> usize {
-        self.narrow.len() + self.wide.len()
+        self.merged + self.staged.len() + self.wide.len()
     }
 
-    fn sort(&mut self) {
+    /// Sort `staged` and merge it into `runs` in place: count the values
+    /// `runs` lacks, grow it by that many, and fill it from the back.
+    fn merge_staged(&mut self) {
+        if self.staged.is_empty() {
+            return;
+        }
+        self.staged.sort_unstable();
+        let (runs, staged) = (&mut self.runs, &self.staged);
+        let mut extra = 0;
+        let mut j = 0;
+        for group in staged.chunk_by(|a, b| a == b) {
+            let (v, n) = (group[0], group.len() as u64);
+            // The last run of `v`, the one a merge tops up, if any.
+            while runs.get(j + 1).is_some_and(|r| r.0 <= v) {
+                j += 1;
+            }
+            extra += match runs.get(j).filter(|r| r.0 == v) {
+                Some(r) => runs_for(u64::from(r.1) + n) - 1,
+                None => runs_for(n),
+            };
+        }
+        let mut read = runs.len();
+        runs.resize(read + extra, (0, 0));
+        let mut write = runs.len();
+        for group in staged.chunk_by(|a, b| a == b).rev() {
+            let v = group[0];
+            while read > 0 && runs[read - 1].0 > v {
+                read -= 1;
+                write -= 1;
+                runs[write] = runs[read];
+            }
+            let mut total = group.len() as u64;
+            if read > 0 && runs[read - 1].0 == v {
+                read -= 1;
+                total += u64::from(runs[read].1);
+            }
+            // The short run last, behind any full ones.
+            while total > 0 {
+                let count = (total - 1) % u64::from(u32::MAX) + 1;
+                write -= 1;
+                runs[write] = (v, u32::try_from(count).expect("count <= u32::MAX"));
+                total -= count;
+            }
+        }
+        self.merged += staged.len();
+        self.staged.clear();
+        crate::invariant!(
+            read == write
+                && self.runs.windows(2).all(|w| w[0].0 <= w[1].0)
+                && self.runs.iter().all(|r| r.1 > 0)
+                && self.runs.iter().map(|r| r.1 as usize).sum::<usize>() == self.merged,
+            "delay runs out of order, empty or miscounted after a merge: \
+             read={read} write={write} merged={} runs={:?}",
+            self.merged,
+            self.runs
+        );
+    }
+
+    /// Bring everything into order for a read, and free the staging
+    /// buffer: a recorder that is read is usually done recording.
+    fn settle(&mut self) {
+        self.merge_staged();
+        self.staged = Vec::new();
         if !self.sorted {
-            self.narrow.sort_unstable();
             self.wide.sort_unstable();
             self.sorted = true;
         }
+    }
+}
+
+/// Append `count` samples of `v` to ascending runs, topping up the last
+/// run when it holds `v`.
+fn push_run(runs: &mut Vec<(u32, u32)>, v: u32, mut count: u32) {
+    if let Some(last) = runs.last_mut().filter(|r| r.0 == v) {
+        let add = count.min(u32::MAX - last.1);
+        last.1 += add;
+        count -= add;
+    }
+    if count > 0 {
+        runs.push((v, count));
     }
 }
 
@@ -265,10 +361,17 @@ impl DelayRecorder {
     pub fn record(&mut self, ns: u64) {
         let s = self.samples.get_mut();
         match u32::try_from(ns) {
-            Ok(narrow) => s.narrow.push(narrow),
-            Err(_) => s.wide.push(ns),
+            Ok(narrow) => {
+                s.staged.push(narrow);
+                if s.staged.len() >= STAGE_MIN.max(s.runs.len() / 2) {
+                    s.merge_staged();
+                }
+            }
+            Err(_) => {
+                s.wide.push(ns);
+                s.sorted = false;
+            }
         }
-        s.sorted = false;
     }
 
     /// Number of samples collected.
@@ -291,34 +394,59 @@ impl DelayRecorder {
         if len == 0 || p.is_nan() {
             return None;
         }
-        s.sort();
+        s.settle();
         #[expect(
             clippy::cast_possible_truncation,
             reason = "p is clamped to [0, 100] and not NaN, so the rank is ≤ len"
         )]
         let rank = ((p.clamp(0.0, 100.0) / 100.0) * len as f64).ceil() as usize;
-        let i = rank.clamp(1, len) - 1;
-        Some(match s.narrow.get(i) {
-            Some(&ns) => u64::from(ns),
-            None => s.wide[i - s.narrow.len()],
-        })
+        let mut i = rank.clamp(1, len) - 1;
+        if i >= s.merged {
+            return Some(s.wide[i - s.merged]);
+        }
+        for &(v, n) in &s.runs {
+            match i.checked_sub(n as usize) {
+                Some(rest) => i = rest,
+                None => return Some(u64::from(v)),
+            }
+        }
+        unreachable!("rank {rank} lies within the {} merged samples", s.merged)
     }
 
     /// Fold another recorder's samples into this one. Percentiles and the
     /// (sorted) `Debug` rendering are order-blind, so merging is exact.
     pub fn merge(&mut self, other: DelayRecorder) {
-        let other = other.samples.into_inner();
+        let mut other = other.samples.into_inner();
         let s = self.samples.get_mut();
-        s.narrow.extend(other.narrow);
+        s.merge_staged();
+        other.merge_staged();
+        let (a, b) = (std::mem::take(&mut s.runs), other.runs);
+        let mut runs = Vec::with_capacity(a.len() + b.len());
+        let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
+        loop {
+            let next = match (a.peek(), b.peek()) {
+                (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+                (Some(_), _) => a.next(),
+                (None, _) => b.next(),
+            };
+            let Some((v, n)) = next else { break };
+            push_run(&mut runs, v, n);
+        }
+        s.runs = runs;
+        s.merged += other.merged;
         s.wide.extend(other.wide);
         s.sorted = false;
     }
 }
 
 impl std::fmt::Debug for Samples {
-    /// One list, narrow samples first (ascending once sorted).
+    /// One list: the runs expanded, then the wide samples (ascending once
+    /// settled). Staged samples are not shown; callers settle first.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let narrow = self.narrow.iter().map(|&ns| u64::from(ns));
+        let narrow = self
+            .runs
+            .iter()
+            .flat_map(|&(v, n)| std::iter::repeat_n(u64::from(v), n as usize));
         f.debug_list()
             .entries(narrow.chain(self.wide.iter().copied()))
             .finish()
@@ -326,15 +454,16 @@ impl std::fmt::Debug for Samples {
 }
 
 impl std::fmt::Debug for DelayRecorder {
-    /// Prints the recorded samples in *sorted* order — the raw insertion
-    /// order would leak which sink (single-threaded hub, or one of several
-    /// shard hubs merged back together) collected each sample, and
-    /// whether a percentile query has sorted them yet. Every statistic
-    /// the recorder exports is order-blind, so sorting loses nothing and
-    /// makes the determinism e2e digest agree across engines.
+    /// Prints every recorded sample in *sorted* order, one entry per
+    /// sample — the raw insertion order would leak which sink
+    /// (single-threaded hub, or one of several shard hubs merged back
+    /// together) collected each sample, and how staging and merges
+    /// happened to fall. Every statistic the recorder exports is
+    /// order-blind, so sorting loses nothing and makes the determinism
+    /// e2e digest agree across engines.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut s = self.samples.borrow_mut();
-        s.sort();
+        s.settle();
         f.debug_struct("DelayRecorder")
             .field("samples", &*s)
             .finish()
@@ -1324,10 +1453,80 @@ mod tests {
     }
 
     #[test]
+    fn staged_samples_merge_into_runs_in_place() {
+        let mut d = DelayRecorder::default();
+        // Enough samples for record-path merges, over 100 distinct values
+        // that recur, beside a wide one.
+        for i in 0..3 * STAGE_MIN as u64 {
+            d.record(i % 100 * 7);
+        }
+        d.record(1 << 40);
+        {
+            let s = d.samples.borrow();
+            assert_eq!(s.runs.len(), 100, "one run per distinct value");
+            assert_eq!(s.merged + s.staged.len(), 3 * STAGE_MIN);
+        }
+        assert_eq!(d.len(), 3 * STAGE_MIN + 1);
+        assert_eq!(d.percentile(0.0), Some(0));
+        assert_eq!(d.percentile(50.0), Some(49 * 7));
+        assert_eq!(d.percentile(100.0), Some(1 << 40));
+        let s = d.samples.borrow();
+        assert_eq!(s.merged, 3 * STAGE_MIN);
+        assert_eq!(s.staged.capacity(), 0, "a query frees the staging buffer");
+    }
+
+    #[test]
+    fn run_counts_never_wrap() {
+        let max = u32::MAX;
+        let mut d = DelayRecorder::default();
+        {
+            let s = d.samples.get_mut();
+            s.runs = vec![(7, max - 2)];
+            s.merged = max as usize - 2;
+        }
+        for ns in [7, 3, 7, 9, 7, 7, 7] {
+            d.record(ns);
+        }
+        let len = max as usize + 5;
+        assert_eq!(d.len(), len);
+        assert_eq!(d.percentile(0.0), Some(3));
+        assert_eq!(d.percentile(50.0), Some(7));
+        assert_eq!(d.percentile(100.0), Some(9));
+        assert_eq!(
+            d.samples.borrow().runs,
+            [(3, 1), (7, max), (7, 3), (9, 1)],
+            "the count that would pass u32::MAX starts a second run"
+        );
+        // A merge of two near-full runs of one value spills the same way.
+        let mut other = DelayRecorder::default();
+        {
+            let s = other.samples.get_mut();
+            s.runs = vec![(7, max - 1)];
+            s.merged = max as usize - 1;
+        }
+        d.merge(other);
+        assert_eq!(d.len(), 2 * len - 6);
+        assert_eq!(d.percentile(100.0), Some(9));
+        assert_eq!(
+            d.samples.borrow().runs,
+            [(3, 1), (7, max), (7, max), (7, 2), (9, 1)]
+        );
+        // A record-path merge tops up the short run, not a full one.
+        for _ in 0..STAGE_MIN {
+            d.record(7);
+        }
+        assert_eq!(d.len(), 2 * len - 6 + STAGE_MIN);
+        assert_eq!(d.percentile(1.0), Some(7));
+        let runs = &d.samples.borrow().runs;
+        assert_eq!((runs[3].0, runs[3].1 as usize), (7, 2 + STAGE_MIN));
+        assert_eq!(runs.len(), 5);
+    }
+
+    #[test]
     fn percentile_queries_leave_the_debug_digest_unchanged() {
         // The determinism e2e digests `{:?}` of the whole hub; the lazy
-        // in-place sort must therefore stay invisible, or merely *reading*
-        // percentiles in a report would change the digest bytes.
+        // merge of staged samples must therefore stay invisible, or merely
+        // *reading* percentiles in a report would change the digest bytes.
         let mut d = DelayRecorder::default();
         for s in [50u64, 10, 40, 20, 30] {
             d.record(s);

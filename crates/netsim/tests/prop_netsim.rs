@@ -42,11 +42,28 @@ fn recorder_of(bytes: &[u8]) -> DelayRecorder {
     d
 }
 
-/// Compare `rec` with the naive model: the samples in a `Vec`, a sorted
-/// copy, and nearest rank read off it.
-fn check_recorder(rec: &DelayRecorder, model: &[u64]) -> Result<(), TestCaseError> {
-    let mut sorted = model.to_vec();
-    sorted.sort_unstable();
+/// A few thousand samples, more than one merge's worth of staging: at
+/// most 8 distinct `delay`s recurring when `x` is even (values the
+/// recorder mostly holds already), otherwise all distinct, from a base
+/// that other calls may share.
+fn bulk(x: u64) -> Vec<u64> {
+    let bytes = x.to_le_bytes();
+    let n = 4_100 + (x >> 32) as usize % 2_000;
+    if x.is_multiple_of(2) {
+        (0..n).map(|i| delay(bytes[i % 8])).collect()
+    } else {
+        let base = u64::from(bytes[1]) << 24;
+        (0..n as u64).map(|i| base + i * 3).collect()
+    }
+}
+
+/// Compare `rec` with the naive model: the samples in a `Vec`, sorted,
+/// and nearest rank read off it. The model is sorted in place, so each
+/// call sorts only what arrived since the last (a stable sort finds the
+/// sorted prefix).
+fn check_recorder(rec: &DelayRecorder, model: &mut [u64]) -> Result<(), TestCaseError> {
+    model.sort();
+    let sorted = &*model;
     prop_assert_eq!(rec.len(), sorted.len());
     prop_assert_eq!(rec.is_empty(), sorted.is_empty());
     for p in PERCENTILES {
@@ -66,8 +83,10 @@ fn check_recorder(rec: &DelayRecorder, model: &[u64]) -> Result<(), TestCaseErro
 proptest! {
     /// A `DelayRecorder` agrees with a plain sorted `Vec<u64>` on length,
     /// every percentile and its `Debug` text after every op — single and
-    /// batched records on both sides of 2³², merges of sorted and unsorted
-    /// recorders, clones — whatever sorting the queries before it did.
+    /// batched records on both sides of 2³², bulk records long enough to
+    /// merge staged samples into the runs mid-call, merges of queried and
+    /// unqueried recorders, clones — whatever merging the queries before
+    /// it did.
     #[test]
     fn delay_recorder_matches_a_sorted_vec(
         ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..60),
@@ -77,6 +96,13 @@ proptest! {
         for (op, x) in ops {
             let bytes = x.to_le_bytes();
             match op % 6 {
+                // About one op in 32.
+                _ if op >= 248 => {
+                    for ns in bulk(x) {
+                        rec.record(ns);
+                        model.push(ns);
+                    }
+                }
                 0 | 1 => {
                     rec.record(delay(bytes[0]));
                     model.push(delay(bytes[0]));
@@ -98,7 +124,7 @@ proptest! {
                 }
                 4 => {
                     let copy = rec.clone();
-                    check_recorder(&copy, &model)?;
+                    check_recorder(&copy, &mut model)?;
                     rec = copy;
                 }
                 _ => {
@@ -107,7 +133,7 @@ proptest! {
                     rec = fresh;
                 }
             }
-            check_recorder(&rec, &model)?;
+            check_recorder(&rec, &mut model)?;
         }
     }
 }
