@@ -20,8 +20,6 @@ pub struct ReceiverFlow {
     fin_seq: Option<u64>,
     /// All data up to and including FIN has arrived.
     pub completed: bool,
-    /// Payload bytes received (including duplicates).
-    pub bytes_received: u64,
 }
 
 impl ReceiverFlow {
@@ -33,7 +31,6 @@ impl ReceiverFlow {
             out_of_order: BTreeSet::new(),
             fin_seq: None,
             completed: false,
-            bytes_received: 0,
         }
     }
 
@@ -58,7 +55,6 @@ impl ReceiverFlow {
         let TransportHeader::Data { seq, fin } = pkt.transport else {
             return;
         };
-        self.bytes_received += pkt.payload() as u64;
         if fin {
             self.fin_seq = Some(seq);
         }
@@ -80,6 +76,21 @@ impl ReceiverFlow {
         }
         let ack = Packet::ack_for(pkt, self.cum, self.sack_hi(), self.completed, ctx.now);
         ctx.send(ack);
+    }
+
+    /// Retire a completed flow, keeping only its cumulative ACK point.
+    /// Every later segment is a duplicate below it, and with nothing held
+    /// out of order `sack_hi() == cum_ack()`, so `(cum, cum, true)` is
+    /// exactly the ACK this state would have sent.
+    pub(crate) fn retire(self) -> u64 {
+        aq_netsim::invariant!(
+            self.completed && self.out_of_order.is_empty(),
+            "{} retires with completed={} and {} segments out of order",
+            self.flow,
+            self.completed,
+            self.out_of_order.len()
+        );
+        self.cum
     }
 }
 

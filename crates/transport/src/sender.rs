@@ -448,6 +448,26 @@ impl SenderFlow {
         self.pump(ctx);
     }
 
+    /// Check, under the `invariants` feature, that a finished flow holds
+    /// nothing the network can still answer: an empty scoreboard and no
+    /// retransmission deadline. Dropping its state then loses nothing.
+    pub(crate) fn check_retirable(&self) {
+        aq_netsim::invariant!(
+            self.finished
+                && self.window.is_empty()
+                && self.in_flight_count == 0
+                && self.lost_count == 0
+                && self.rto_deadline.is_none(),
+            "{} retires with finished={} window={} in_flight={} lost={} rto={:?}",
+            self.spec.flow,
+            self.finished,
+            self.window.len(),
+            self.in_flight_count,
+            self.lost_count,
+            self.rto_deadline
+        );
+    }
+
     /// The retransmission timer fired (already validated by the host
     /// against [`SenderFlow::rto_deadline`]).
     pub fn on_rto(&mut self, ctx: &mut HostCtx<'_>) {

@@ -1,13 +1,14 @@
 //! Property tests for the transport: the receiver must reassemble any
-//! arrival order exactly, and the sender scoreboard must stay consistent
-//! under arbitrary ACK sequences.
+//! arrival order exactly, a host that retires completed receivers must
+//! ACK exactly as a receiver that never retires, and the sender
+//! scoreboard must stay consistent under arbitrary ACK sequences.
 
 use aq_netsim::ids::{EntityId, FlowId, NodeId};
-use aq_netsim::node::HostCtx;
+use aq_netsim::node::{HostApp, HostCtx};
 use aq_netsim::packet::{Packet, TransportHeader};
 use aq_netsim::stats::StatsHub;
 use aq_netsim::time::Time;
-use aq_transport::{CcAlgo, FlowSpec, ReceiverFlow, SenderFlow};
+use aq_transport::{CcAlgo, FlowSpec, ReceiverFlow, SenderFlow, TransportHost};
 use proptest::prelude::*;
 
 fn data(seq: u64, fin: bool) -> Packet {
@@ -21,6 +22,18 @@ fn data(seq: u64, fin: bool) -> Packet {
         fin,
         Time::ZERO,
     )
+}
+
+/// Deliver one segment through `f` against a fresh hub that knows flow 1:
+/// the packets sent, and whether this delivery reported the completion.
+fn deliver_fresh(now: Time, f: impl FnOnce(&mut HostCtx<'_>)) -> (Vec<Packet>, bool) {
+    let mut stats = StatsHub::new();
+    stats.register_flow(FlowId(1), EntityId(1), 0, Time::ZERO);
+    let mut ctx = HostCtx::new(now, NodeId(1), &mut stats);
+    f(&mut ctx);
+    let sends = ctx.take_sends();
+    let completed = stats.flow(FlowId(1)).expect("registered").end.is_some();
+    (sends, completed)
 }
 
 proptest! {
@@ -55,6 +68,59 @@ proptest! {
         prop_assert_eq!(r.cum_ack(), n, "all segments reassembled");
         prop_assert!(r.completed, "flow completed");
         prop_assert!(stats.flow(FlowId(1)).expect("registered").end.is_some());
+    }
+
+    /// Differential: a `TransportHost` (which retires the receiver once
+    /// the flow completes and answers later segments from its cumulative
+    /// ACK point) against a standalone `ReceiverFlow` (which never
+    /// retires), fed the same shuffled arrivals with duplicates injected
+    /// anywhere and after completion. Every ACK must match field for
+    /// field, and completion must be reported once, on the same arrival.
+    #[test]
+    fn retiring_host_acks_like_a_receiver_that_never_retires(
+        n in 1u64..40,
+        seed in any::<u64>(),
+        dups in prop::collection::vec((any::<u64>(), any::<u64>()), 0..20),
+        late in prop::collection::vec(any::<u64>(), 1..6),
+    ) {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut arrivals: Vec<u64> = (0..n).collect();
+        arrivals.shuffle(&mut rand::rngs::SmallRng::seed_from_u64(seed));
+        for (at, seq) in dups {
+            let at = (at % (arrivals.len() as u64 + 1)) as usize;
+            arrivals.insert(at, seq % n);
+        }
+        // Every segment is in by now: these arrive after completion.
+        arrivals.extend(late.iter().map(|seq| seq % n));
+
+        let mut host = TransportHost::new(NodeId(1));
+        let mut reference = ReceiverFlow::new(FlowId(1));
+        let (mut host_done, mut ref_done) = (Vec::new(), Vec::new());
+        for (i, &seq) in arrivals.iter().enumerate() {
+            let now = Time::from_micros(i as u64 + 1);
+            let mut pkt = data(seq, seq == n - 1);
+            pkt.vdelay_ns = i as u64;
+            let (host_acks, host_fired) = deliver_fresh(now, |ctx| host.on_packet(ctx, pkt.clone()));
+            let (ref_acks, ref_fired) = deliver_fresh(now, |ctx| reference.on_data(ctx, &pkt));
+            prop_assert_eq!(host_acks.len(), 1, "arrival {} (seq {}) is acked once", i, seq);
+            prop_assert_eq!(
+                format!("{:?}", host_acks),
+                format!("{:?}", ref_acks),
+                "arrival {} (seq {})",
+                i,
+                seq
+            );
+            if host_fired {
+                host_done.push(i);
+            }
+            if ref_fired {
+                ref_done.push(i);
+            }
+        }
+        prop_assert_eq!(host_done.len(), 1, "completion reported once");
+        prop_assert_eq!(host_done, ref_done);
+        prop_assert!(host.receiver(FlowId(1)).is_none(), "completed receiver retired");
     }
 
     /// Feeding the sender arbitrary (even nonsensical) ACK sequences never

@@ -340,14 +340,16 @@ mod tests {
         );
         let flows = spec.generate(1);
         assert_eq!(flows.len(), 10);
-        let wiring: Vec<(FlowId, NodeId)> = flows.iter().map(|f| (f.flow, f.src)).collect();
-        let last_start = flows.iter().map(|f| f.start).max().expect("10 flows");
+        let mut wiring: Vec<(Time, FlowId, NodeId)> =
+            flows.iter().map(|f| (f.start, f.flow, f.src)).collect();
+        wiring.sort();
         add_flows(&mut net, flows);
-        // Flows start on their scheduled timer; run just past the last
-        // start, so every sender has launched and none can be missing.
+        // Flows start on their scheduled timer and retire when they
+        // finish, so check each one 1 ns after its own start: its sender
+        // has launched, and no flow finishes within 1 ns of starting.
         let mut sim = Simulator::new(net);
-        sim.run_until(last_start + Duration::from_nanos(1));
-        for (flow, src) in wiring {
+        for (start, flow, src) in wiring {
+            sim.run_until(start + Duration::from_nanos(1));
             for &h in &d.left {
                 let app = sim.net.app_mut::<TransportHost>(h).expect("installed");
                 let here = app.sender_flows().any(|&f| f == flow);
