@@ -69,16 +69,16 @@ impl WorkConservingReallocator {
             let prev = self.last_arrived.get(id).copied().unwrap_or(0);
             let delta = inst.arrived_bytes.saturating_sub(prev);
             self.last_arrived.insert(*id, inst.arrived_bytes);
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "bytes that arrived within one interval, as a rate: bounded by the \
-                          links feeding the AQ, far below 2⁶⁴ bps"
-            )]
-            let bps = (delta as u128 * 8 * aq_netsim::time::NS_PER_SEC as u128
-                / interval.as_nanos().max(1) as u128) as u64;
+            // Bytes that arrived within one interval, as a rate; a rate past
+            // 2⁶⁴ bps (a counter jump over a tiny interval) saturates.
+            let bps = u64::try_from(
+                u128::from(delta) * 8 * u128::from(aq_netsim::time::NS_PER_SEC)
+                    / u128::from(interval.as_nanos().max(1)),
+            )
+            .unwrap_or(u64::MAX);
             // Headroom: let an AQ that filled its current allocation probe
             // upward by 10% so conservation can discover released capacity.
-            demand.insert(*id, Rate::from_bps(bps + bps / 10));
+            demand.insert(*id, Rate::from_bps(bps.saturating_add(bps / 10)));
         }
         // Phase 1: everyone gets min(demand, guarantee).
         let mut alloc: BTreeMap<AqTag, u64> = BTreeMap::new();
@@ -170,8 +170,17 @@ mod tests {
     }
 
     /// Drive `reallocate` directly against a pipeline embedded in a tiny
-    /// network.
+    /// network, measuring over a 1 ms interval.
     fn run_round(
+        guarantees: &[(u32, u64)],
+        arrived: &[(u32, u64)],
+        capacity_gbps: u64,
+    ) -> BTreeMap<u32, u64> {
+        run_round_over(Duration::from_millis(1), guarantees, arrived, capacity_gbps)
+    }
+
+    fn run_round_over(
+        interval: Duration,
         guarantees: &[(u32, u64)],
         arrived: &[(u32, u64)],
         capacity_gbps: u64,
@@ -204,7 +213,7 @@ mod tests {
                 .iter()
                 .map(|(id, g)| (AqTag(*id), Rate::from_gbps(*g)))
                 .collect(),
-            interval: Duration::from_millis(1),
+            interval,
         };
         let mut agent = WorkConservingReallocator::new(cfg);
         let mut stats = StatsHub::new();
@@ -231,6 +240,24 @@ mod tests {
             "hungry AQ got only {} bps",
             rates[&2]
         );
+    }
+
+    #[test]
+    fn demand_past_u64_bps_saturates() {
+        // A counter jump of 2⁵² bytes in 1 ns is 2⁶⁴ · 1 953 125 bps, which
+        // a truncating cast reads as 0 bps; 2⁶⁴ − 1 bytes is past u64::MAX
+        // bps too. Saturated at u64::MAX (headroom included), AQ 1 is the
+        // hungriest and takes the whole link.
+        for jump in [1 << 52, u64::MAX] {
+            let rates = run_round_over(
+                Duration::from_nanos(1),
+                &[(1, 5), (2, 5)],
+                &[(1, jump), (2, 0)],
+                10,
+            );
+            assert_eq!(rates[&1], 10_000_000_000, "jump {jump}");
+            assert_eq!(rates[&2], 0, "jump {jump}");
+        }
     }
 
     #[test]

@@ -25,9 +25,10 @@
 //!
 //! The delay samples arrive with every delivered packet (two per data
 //! delivery, physical and virtual), so a [`DelayRecorder`] keeps them as
-//! sorted `(value, count)` runs, merged in place a batch at a time: 8
-//! bytes per *distinct* delay below 2³² ns, not per delivery, and at
-//! most one staged batch to sort at report time.
+//! sorted `(value, count)` runs, delta- and varint-encoded in 4 KiB
+//! pages and merged a batch at a time: about 2 bytes per *distinct*
+//! delay below 2³² ns, not per delivery, and at most one staged batch to
+//! sort at report time.
 
 use crate::ids::{EntityId, FlowId, NodeId, PortId};
 use crate::queue::DropCause;
@@ -221,14 +222,19 @@ impl std::fmt::Debug for WindowedCounter {
 /// Collects delay samples (nanoseconds) and reports nearest-rank
 /// percentiles.
 ///
-/// Delays below 2³² ns (≈ 4.3 s) are kept as a sorted list of
-/// `(value, count)` runs, 8 bytes per *distinct* delay, so memory grows
-/// with the spread of the delays, not with packets. New samples are
-/// staged unsorted and merged into the runs in place a batch at a time,
-/// which costs O(1) per sample amortised. A longer delay is stored as
-/// is, in 8 bytes; every one of those is larger than every run.
-/// [`percentile`] and `Debug` merge what is staged, behind a `RefCell`,
-/// and walk the runs by cumulative count.
+/// Delays below 2³² ns (≈ 4.3 s) are kept as ascending `(value, count)`
+/// runs, one per *distinct* delay, so memory grows with the spread of
+/// the delays, not with packets. The runs are delta- and varint-encoded
+/// into 4 KiB pages, about 2 bytes a run when delays are dense. New
+/// samples are staged unsorted; once the staging buffer holds a quarter
+/// as many samples as the pages hold bytes, they are sorted and merged
+/// with the pages into fresh pages, which costs O(1) per sample
+/// amortised. A longer delay is stored as is, in 8 bytes; every one of
+/// those is larger than every run. [`percentile`] and `Debug` sort what
+/// is staged, behind a `RefCell`, and read it beside the pages without
+/// merging: a percentile skips whole pages by their sample counts plus
+/// the staged samples in their value range, and decodes only the page
+/// holding its rank.
 ///
 /// [`percentile`]: DelayRecorder::percentile
 #[derive(Clone, Default)]
@@ -237,122 +243,408 @@ pub struct DelayRecorder {
 }
 
 /// Fewest staged samples that trigger a merge on the record path; above
-/// `2 * STAGE_MIN` runs, half the run count does.
+/// `4 * STAGE_MIN` bytes of pages, a quarter of the page bytes does.
 const STAGE_MIN: usize = 4096;
+
+/// Bytes of encoded runs a page holds at most.
+const PAGE: usize = 4096;
+
+/// The longest encoded run: a 33-bit delta-and-flag varint (5 bytes)
+/// and a 64-bit count varint (10 bytes). A page takes a run only while
+/// this much room is left, so a run never straddles two pages.
+const MAX_RUN: usize = 15;
 
 /// The storage behind a [`DelayRecorder`].
 #[derive(Clone, Default)]
 struct Samples {
-    /// Merged samples below 2³² ns as ascending `(value, count)` runs. A
-    /// value whose count would pass `u32::MAX` continues in a second run
-    /// of the same value, so the values are non-decreasing and only the
-    /// last run of a value may be short of full.
-    runs: Vec<(u32, u32)>,
-    /// The sum of the counts in `runs`.
-    merged: usize,
-    /// Samples below 2³² ns recorded since the last merge, unsorted.
+    /// Merged samples below 2³² ns as ascending runs, one per distinct
+    /// value, in pages in value order.
+    pages: Vec<Page>,
+    /// The sum of the counts in `pages`.
+    merged: u64,
+    /// Samples below 2³² ns recorded since the last merge.
     staged: Vec<u32>,
     /// Samples of 2³² ns and more.
     wide: Vec<u64>,
-    /// Whether `wide` is in ascending order.
+    /// Whether `staged` and `wide` are in ascending order.
     sorted: bool,
 }
 
-/// How many runs `total` samples of one value take.
-fn runs_for(total: u64) -> usize {
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "at most the number of samples held, which fits usize"
-    )]
-    let n = total.div_ceil(u64::from(u32::MAX)) as usize;
-    n.max(1)
+/// Up to [`PAGE`] bytes of encoded runs. Each run is
+/// `varint(delta << 1 | (count == 1))`, then `varint(count - 2)` unless
+/// the count is 1, where `delta` is the run's value less the previous
+/// run's, or less `base` for the page's first run. A page decodes on its
+/// own from its header.
+#[derive(Clone)]
+struct Page {
+    /// The value of the run before this page's first: the previous page's
+    /// last value, or 0 for the first page.
+    base: u64,
+    /// The sum of the counts of the page's runs.
+    sum: u64,
+    bytes: Vec<u8>,
+}
+
+impl Page {
+    /// The page's runs, decoded.
+    fn runs(&self) -> PageRuns<'_> {
+        PageRuns {
+            bytes: &self.bytes,
+            pos: 0,
+            last: self.base,
+        }
+    }
+}
+
+/// Write `x` at `buf[*len]` as a LEB128 varint (seven bits a byte, low
+/// bits first, the top bit set on every byte but the last) and step past
+/// it.
+#[inline]
+fn put_varint(buf: &mut [u8; PAGE], len: &mut usize, mut x: u64) {
+    while x >= 0x80 {
+        buf[*len] = x.to_le_bytes()[0] | 0x80;
+        *len += 1;
+        x >>= 7;
+    }
+    buf[*len] = x.to_le_bytes()[0];
+    *len += 1;
+}
+
+/// Read the varint at `bytes[*pos]` and step past it.
+#[inline]
+fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let mut x = 0;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        x |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return x;
+        }
+        shift += 7;
+    }
+}
+
+/// Decode the run at `bytes[*pos]`, whose predecessor's value is `*last`,
+/// and step past it.
+#[inline]
+fn get_run(bytes: &[u8], pos: &mut usize, last: &mut u64) -> (u64, u64) {
+    let head = get_varint(bytes, pos);
+    *last += head >> 1;
+    let count = if head & 1 == 1 {
+        1
+    } else {
+        get_varint(bytes, pos) + 2
+    };
+    (*last, count)
+}
+
+/// The runs of one page, borrowed.
+struct PageRuns<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    last: u64,
+}
+
+impl Iterator for PageRuns<'_> {
+    type Item = (u64, u64);
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        (self.pos < self.bytes.len()).then(|| get_run(self.bytes, &mut self.pos, &mut self.last))
+    }
+}
+
+/// The runs of a whole page list, taken by value: each page is freed as
+/// soon as its last run is read, so a merge holds only about one old page
+/// beside the pages it writes.
+struct Drain {
+    rest: std::vec::IntoIter<Page>,
+    bytes: Vec<u8>,
+    pos: usize,
+    last: u64,
+}
+
+impl Drain {
+    fn new(pages: Vec<Page>) -> Drain {
+        Drain {
+            rest: pages.into_iter(),
+            bytes: Vec::new(),
+            pos: 0,
+            last: 0,
+        }
+    }
+}
+
+impl Iterator for Drain {
+    type Item = (u64, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, u64)> {
+        while self.pos == self.bytes.len() {
+            let page = self.rest.next()?;
+            (self.bytes, self.pos, self.last) = (page.bytes, 0, page.base);
+        }
+        Some(get_run(&self.bytes, &mut self.pos, &mut self.last))
+    }
+}
+
+/// Sorted samples as runs.
+fn groups(sorted: &[u32]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    sorted
+        .chunk_by(|a, b| a == b)
+        .map(|group| (u64::from(group[0]), group.len() as u64))
+}
+
+/// Two ascending run streams as one; a value both hold is one run with
+/// the counts added.
+struct Merged<A, B> {
+    a: A,
+    b: B,
+    x: Option<(u64, u64)>,
+    y: Option<(u64, u64)>,
+}
+
+impl<A: Iterator<Item = (u64, u64)>, B: Iterator<Item = (u64, u64)>> Merged<A, B> {
+    fn new(mut a: A, mut b: B) -> Merged<A, B> {
+        let (x, y) = (a.next(), b.next());
+        Merged { a, b, x, y }
+    }
+}
+
+impl<A: Iterator<Item = (u64, u64)>, B: Iterator<Item = (u64, u64)>> Iterator for Merged<A, B> {
+    type Item = (u64, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u64, u64)> {
+        match (self.x, self.y) {
+            (Some((va, na)), Some((vb, nb))) => Some(match va.cmp(&vb) {
+                std::cmp::Ordering::Less => {
+                    self.x = self.a.next();
+                    (va, na)
+                }
+                std::cmp::Ordering::Greater => {
+                    self.y = self.b.next();
+                    (vb, nb)
+                }
+                std::cmp::Ordering::Equal => {
+                    (self.x, self.y) = (self.a.next(), self.b.next());
+                    (va, na + nb)
+                }
+            }),
+            (Some(run), None) => {
+                self.x = self.a.next();
+                Some(run)
+            }
+            (None, Some(run)) => {
+                self.y = self.b.next();
+                Some(run)
+            }
+            (None, None) => None,
+        }
+    }
+}
+
+/// The value holding rank `i` (from 0) of `runs`.
+fn nth_of(runs: impl Iterator<Item = (u64, u64)>, mut i: u64) -> u64 {
+    for (v, n) in runs {
+        match i.checked_sub(n) {
+            Some(rest) => i = rest,
+            None => return v,
+        }
+    }
+    unreachable!("rank beyond the runs by {i}")
+}
+
+/// Encodes ascending runs into fresh pages, each allocated at its final
+/// length.
+struct PageWriter {
+    pages: Vec<Page>,
+    /// The page being written: its header, and its first `len` bytes.
+    page: Page,
+    buf: Box<[u8; PAGE]>,
+    len: usize,
+    /// The value of the last run written.
+    last: u64,
+}
+
+impl PageWriter {
+    /// Pages holding `runs`, which ascend; `pages` is the expected count.
+    fn write(runs: impl Iterator<Item = (u64, u64)>, pages: usize) -> Vec<Page> {
+        let mut out = PageWriter {
+            pages: Vec::with_capacity(pages),
+            page: Page {
+                base: 0,
+                sum: 0,
+                bytes: Vec::new(),
+            },
+            buf: Box::new([0; PAGE]),
+            len: 0,
+            last: 0,
+        };
+        for (v, n) in runs {
+            out.push(v, n);
+        }
+        if out.len > 0 {
+            out.close_page();
+        }
+        out.pages
+    }
+
+    /// Append `count` samples of `v`, which is above every value written
+    /// so far (or 0 as the first).
+    #[inline]
+    fn push(&mut self, v: u64, count: u64) {
+        if self.len + MAX_RUN > PAGE {
+            self.close_page();
+        }
+        self.page.sum += count;
+        let head = (v - self.last) << 1 | u64::from(count == 1);
+        put_varint(&mut self.buf, &mut self.len, head);
+        if count != 1 {
+            put_varint(&mut self.buf, &mut self.len, count - 2);
+        }
+        self.last = v;
+    }
+
+    /// Store the page being written and start the next one.
+    fn close_page(&mut self) {
+        self.page.bytes = self.buf[..self.len].to_vec();
+        let next = Page {
+            base: self.last,
+            sum: 0,
+            bytes: Vec::new(),
+        };
+        self.pages.push(std::mem::replace(&mut self.page, next));
+        self.len = 0;
+    }
 }
 
 impl Samples {
     fn len(&self) -> usize {
-        self.merged + self.staged.len() + self.wide.len()
+        self.narrow() + self.wide.len()
     }
 
-    /// Sort `staged` and merge it into `runs` in place: count the values
-    /// `runs` lacks, grow it by that many, and fill it from the back.
+    /// How many samples lie below 2³² ns.
+    fn narrow(&self) -> usize {
+        usize::try_from(self.merged).expect("held samples fit in memory") + self.staged.len()
+    }
+
+    /// How many staged samples trigger a merge on the record path: a
+    /// quarter of the pages' bytes, so the staged samples (4 bytes each)
+    /// take no more room than the pages.
+    fn stage_limit(&self) -> usize {
+        let bytes = self
+            .pages
+            .last()
+            .map_or(0, |last| (self.pages.len() - 1) * PAGE + last.bytes.len());
+        STAGE_MIN.max(bytes / 4)
+    }
+
+    /// Sort `staged` and merge it with the pages into fresh pages.
     fn merge_staged(&mut self) {
         if self.staged.is_empty() {
             return;
         }
         self.staged.sort_unstable();
-        let (runs, staged) = (&mut self.runs, &self.staged);
-        let mut extra = 0;
-        let mut j = 0;
-        for group in staged.chunk_by(|a, b| a == b) {
-            let (v, n) = (group[0], group.len() as u64);
-            // The last run of `v`, the one a merge tops up, if any.
-            while runs.get(j + 1).is_some_and(|r| r.0 <= v) {
-                j += 1;
-            }
-            extra += match runs.get(j).filter(|r| r.0 == v) {
-                Some(r) => runs_for(u64::from(r.1) + n) - 1,
-                None => runs_for(n),
-            };
-        }
-        let mut read = runs.len();
-        runs.resize(read + extra, (0, 0));
-        let mut write = runs.len();
-        for group in staged.chunk_by(|a, b| a == b).rev() {
-            let v = group[0];
-            while read > 0 && runs[read - 1].0 > v {
-                read -= 1;
-                write -= 1;
-                runs[write] = runs[read];
-            }
-            let mut total = group.len() as u64;
-            if read > 0 && runs[read - 1].0 == v {
-                read -= 1;
-                total += u64::from(runs[read].1);
-            }
-            // The short run last, behind any full ones.
-            while total > 0 {
-                let count = (total - 1) % u64::from(u32::MAX) + 1;
-                write -= 1;
-                runs[write] = (v, u32::try_from(count).expect("count <= u32::MAX"));
-                total -= count;
-            }
-        }
-        self.merged += staged.len();
+        let old = std::mem::take(&mut self.pages);
+        let pages = old.len() + 1;
+        self.pages = PageWriter::write(Merged::new(Drain::new(old), groups(&self.staged)), pages);
+        self.merged += self.staged.len() as u64;
         self.staged.clear();
+        self.check_pages();
+    }
+
+    /// Under `invariants`: every page's header matches its runs, and the
+    /// runs ascend and sum to `merged`.
+    fn check_pages(&self) {
         crate::invariant!(
-            read == write
-                && self.runs.windows(2).all(|w| w[0].0 <= w[1].0)
-                && self.runs.iter().all(|r| r.1 > 0)
-                && self.runs.iter().map(|r| r.1 as usize).sum::<usize>() == self.merged,
-            "delay runs out of order, empty or miscounted after a merge: \
-             read={read} write={write} merged={} runs={:?}",
-            self.merged,
-            self.runs
+            self.pages_fault().is_none(),
+            "delay pages inconsistent after a merge: {}",
+            self.pages_fault().unwrap_or_default()
         );
     }
 
-    /// Bring everything into order for a read, and free the staging
-    /// buffer: a recorder that is read is usually done recording.
+    /// What is wrong with the pages, if anything.
+    fn pages_fault(&self) -> Option<String> {
+        let mut prev: Option<u64> = None;
+        let mut total = 0;
+        for (i, page) in self.pages.iter().enumerate() {
+            if page.base != prev.unwrap_or(0) {
+                return Some(format!("page {i} base {} after value {prev:?}", page.base));
+            }
+            let mut sum = 0;
+            for (v, n) in page.runs() {
+                if prev.is_some_and(|p| v <= p) {
+                    return Some(format!("page {i} value {v} after {prev:?}"));
+                }
+                prev = Some(v);
+                sum += n;
+            }
+            if sum != page.sum || page.bytes.len() > PAGE {
+                return Some(format!(
+                    "page {i} holds {} bytes of runs summing to {sum}, header sum {}",
+                    page.bytes.len(),
+                    page.sum
+                ));
+            }
+            total += sum;
+        }
+        (total != self.merged).then(|| format!("pages hold {total}, merged {}", self.merged))
+    }
+
+    /// Sort what is staged for a read, and trim the staging buffer to it:
+    /// a recorder that is read is usually done recording.
     fn settle(&mut self) {
-        self.merge_staged();
-        self.staged = Vec::new();
         if !self.sorted {
+            self.staged.sort_unstable();
+            self.staged.shrink_to_fit();
             self.wide.sort_unstable();
             self.sorted = true;
         }
     }
-}
 
-/// Append `count` samples of `v` to ascending runs, topping up the last
-/// run when it holds `v`.
-fn push_run(runs: &mut Vec<(u32, u32)>, v: u32, mut count: u32) {
-    if let Some(last) = runs.last_mut().filter(|r| r.0 == v) {
-        let add = count.min(u32::MAX - last.1);
-        last.1 += add;
-        count -= add;
+    /// Every run below 2³² ns, the staged samples merged in (once
+    /// settled).
+    fn runs(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        Merged::new(self.pages.iter().flat_map(Page::runs), groups(&self.staged))
     }
-    if count > 0 {
-        runs.push((v, count));
+
+    /// Every sample in ascending order (once settled).
+    fn sorted(&self) -> impl Iterator<Item = u64> + '_ {
+        let narrow = self.runs().flat_map(|(v, n)| {
+            let n = usize::try_from(n).expect("held samples fit in memory");
+            std::iter::repeat_n(v, n)
+        });
+        narrow.chain(self.wide.iter().copied())
+    }
+
+    /// The sample of rank `i` (from 0, below `len`), once settled. Whole
+    /// pages are skipped by their sums plus the staged samples in their
+    /// value range, which runs up to the next page's base; only the page
+    /// holding the rank is decoded.
+    fn nth(&self, i: usize) -> u64 {
+        let narrow = self.narrow();
+        if i >= narrow {
+            return self.wide[i - narrow];
+        }
+        if self.pages.is_empty() {
+            return u64::from(self.staged[i]);
+        }
+        let staged = &self.staged[..];
+        let mut i = i as u64;
+        let mut from = 0;
+        for (k, page) in self.pages.iter().enumerate() {
+            let to = self.pages.get(k + 1).map_or(staged.len(), |next| {
+                from + staged[from..].partition_point(|&v| u64::from(v) <= next.base)
+            });
+            let held = page.sum + (to - from) as u64;
+            match i.checked_sub(held) {
+                Some(rest) => (i, from) = (rest, to),
+                None => return nth_of(Merged::new(page.runs(), groups(&staged[from..to])), i),
+            }
+        }
+        unreachable!("rank {i} past the pages and the staged samples")
     }
 }
 
@@ -360,17 +652,15 @@ impl DelayRecorder {
     /// Record one delay sample.
     pub fn record(&mut self, ns: u64) {
         let s = self.samples.get_mut();
+        s.sorted = false;
         match u32::try_from(ns) {
             Ok(narrow) => {
                 s.staged.push(narrow);
-                if s.staged.len() >= STAGE_MIN.max(s.runs.len() / 2) {
+                if s.staged.len() >= STAGE_MIN && s.staged.len() >= s.stage_limit() {
                     s.merge_staged();
                 }
             }
-            Err(_) => {
-                s.wide.push(ns);
-                s.sorted = false;
-            }
+            Err(_) => s.wide.push(ns),
         }
     }
 
@@ -400,17 +690,7 @@ impl DelayRecorder {
             reason = "p is clamped to [0, 100] and not NaN, so the rank is ≤ len"
         )]
         let rank = ((p.clamp(0.0, 100.0) / 100.0) * len as f64).ceil() as usize;
-        let mut i = rank.clamp(1, len) - 1;
-        if i >= s.merged {
-            return Some(s.wide[i - s.merged]);
-        }
-        for &(v, n) in &s.runs {
-            match i.checked_sub(n as usize) {
-                Some(rest) => i = rest,
-                None => return Some(u64::from(v)),
-            }
-        }
-        unreachable!("rank {rank} lies within the {} merged samples", s.merged)
+        Some(s.nth(rank.clamp(1, len) - 1))
     }
 
     /// Fold another recorder's samples into this one. Percentiles and the
@@ -420,36 +700,21 @@ impl DelayRecorder {
         let s = self.samples.get_mut();
         s.merge_staged();
         other.merge_staged();
-        let (a, b) = (std::mem::take(&mut s.runs), other.runs);
-        let mut runs = Vec::with_capacity(a.len() + b.len());
-        let (mut a, mut b) = (a.into_iter().peekable(), b.into_iter().peekable());
-        loop {
-            let next = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) if y.0 < x.0 => b.next(),
-                (Some(_), _) => a.next(),
-                (None, _) => b.next(),
-            };
-            let Some((v, n)) = next else { break };
-            push_run(&mut runs, v, n);
-        }
-        s.runs = runs;
+        let pages = s.pages.len() + other.pages.len();
+        let mine = Drain::new(std::mem::take(&mut s.pages));
+        s.pages = PageWriter::write(Merged::new(mine, Drain::new(other.pages)), pages);
         s.merged += other.merged;
+        s.check_pages();
         s.wide.extend(other.wide);
         s.sorted = false;
     }
 }
 
 impl std::fmt::Debug for Samples {
-    /// One list: the runs expanded, then the wide samples (ascending once
-    /// settled). Staged samples are not shown; callers settle first.
+    /// One list: the runs expanded with the staged samples sorted in,
+    /// then the wide samples. Callers settle first.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let narrow = self
-            .runs
-            .iter()
-            .flat_map(|&(v, n)| std::iter::repeat_n(u64::from(v), n as usize));
-        f.debug_list()
-            .entries(narrow.chain(self.wide.iter().copied()))
-            .finish()
+        f.debug_list().entries(self.sorted()).finish()
     }
 }
 
@@ -1452,74 +1717,154 @@ mod tests {
         assert_eq!(d.percentile(100.0), Some(30));
     }
 
+    /// Every run the pages hold, decoded.
+    fn runs_of(s: &Samples) -> Vec<(u64, u64)> {
+        s.pages.iter().flat_map(Page::runs).collect()
+    }
+
+    /// Pages holding `runs`, as a merge would write them.
+    fn pages_of(runs: &[(u64, u64)]) -> Vec<Page> {
+        PageWriter::write(runs.iter().copied(), 1)
+    }
+
     #[test]
-    fn staged_samples_merge_into_runs_in_place() {
+    fn staged_samples_merge_into_one_run_per_value() {
         let mut d = DelayRecorder::default();
-        // Enough samples for record-path merges, over 100 distinct values
-        // that recur, beside a wide one.
-        for i in 0..3 * STAGE_MIN as u64 {
+        // Three record-path merges' worth of samples and five more, over
+        // 100 distinct values that recur, beside a wide one.
+        let narrow = 3 * STAGE_MIN + 5;
+        for i in 0..narrow as u64 {
             d.record(i % 100 * 7);
         }
         d.record(1 << 40);
         {
             let s = d.samples.borrow();
-            assert_eq!(s.runs.len(), 100, "one run per distinct value");
-            assert_eq!(s.merged + s.staged.len(), 3 * STAGE_MIN);
+            assert_eq!(s.merged, 3 * STAGE_MIN as u64);
+            assert_eq!(s.staged.len(), 5);
+            let runs = runs_of(&s);
+            let values: Vec<u64> = runs.iter().map(|r| r.0).collect();
+            assert_eq!(values, (0..100).map(|k| k * 7).collect::<Vec<_>>());
+            assert_eq!(runs.iter().map(|r| r.1).sum::<u64>(), s.merged);
         }
-        assert_eq!(d.len(), 3 * STAGE_MIN + 1);
+        assert_eq!(d.len(), narrow + 1);
         assert_eq!(d.percentile(0.0), Some(0));
         assert_eq!(d.percentile(50.0), Some(49 * 7));
         assert_eq!(d.percentile(100.0), Some(1 << 40));
         let s = d.samples.borrow();
-        assert_eq!(s.merged, 3 * STAGE_MIN);
-        assert_eq!(s.staged.capacity(), 0, "a query frees the staging buffer");
+        assert_eq!(s.merged, 3 * STAGE_MIN as u64, "a query merges nothing");
+        assert!(s.staged.is_sorted());
+        assert_eq!(
+            s.staged.capacity(),
+            5,
+            "a query trims the staging buffer to what it holds"
+        );
     }
 
     #[test]
     fn run_counts_never_wrap() {
-        let max = u32::MAX;
+        // Counts past u32::MAX go through the encoder, queries that read
+        // staged samples beside the pages, and a two-recorder merge
+        // (which merges the staged samples in) without wrapping.
+        let big = u64::from(u32::MAX) + 3;
         let mut d = DelayRecorder::default();
         {
             let s = d.samples.get_mut();
-            s.runs = vec![(7, max - 2)];
-            s.merged = max as usize - 2;
+            s.pages = pages_of(&[(7, big)]);
+            s.merged = big;
         }
-        for ns in [7, 3, 7, 9, 7, 7, 7] {
+        for ns in [7, 3, 7, 9] {
             d.record(ns);
         }
-        let len = max as usize + 5;
-        assert_eq!(d.len(), len);
+        let len = big + 4;
+        assert_eq!(d.len() as u64, len);
         assert_eq!(d.percentile(0.0), Some(3));
         assert_eq!(d.percentile(50.0), Some(7));
         assert_eq!(d.percentile(100.0), Some(9));
-        assert_eq!(
-            d.samples.borrow().runs,
-            [(3, 1), (7, max), (7, 3), (9, 1)],
-            "the count that would pass u32::MAX starts a second run"
-        );
-        // A merge of two near-full runs of one value spills the same way.
+        {
+            let s = d.samples.borrow();
+            assert_eq!(s.runs().collect::<Vec<_>>(), [(3, 1), (7, big + 2), (9, 1)]);
+            assert_eq!(s.sorted().count() as u64, len, "Debug prints every sample");
+        }
+        let top = u64::from(u32::MAX);
         let mut other = DelayRecorder::default();
         {
             let s = other.samples.get_mut();
-            s.runs = vec![(7, max - 1)];
-            s.merged = max as usize - 1;
+            s.pages = pages_of(&[(7, big), (top, 1)]);
+            s.merged = big + 1;
         }
         d.merge(other);
-        assert_eq!(d.len(), 2 * len - 6);
-        assert_eq!(d.percentile(100.0), Some(9));
-        assert_eq!(
-            d.samples.borrow().runs,
-            [(3, 1), (7, max), (7, max), (7, 2), (9, 1)]
-        );
-        // A record-path merge tops up the short run, not a full one.
-        for _ in 0..STAGE_MIN {
-            d.record(7);
+        let len = len + big + 1;
+        assert_eq!(d.len() as u64, len);
+        assert_eq!(d.percentile(0.0), Some(3));
+        assert_eq!(d.percentile(50.0), Some(7));
+        assert_eq!(d.percentile(100.0), Some(top));
+        let s = d.samples.borrow();
+        assert_eq!(runs_of(&s), [(3, 1), (7, 2 * big + 2), (9, 1), (top, 1)]);
+        assert!(s.staged.is_empty(), "a merge takes the staged samples in");
+        assert_eq!(s.sorted().count() as u64, len, "Debug prints every sample");
+    }
+
+    #[test]
+    fn dense_delays_take_about_two_bytes_per_distinct_value() {
+        // A million samples over 300 k dense distinct delays, in an order
+        // that revisits the whole range between merges.
+        const DISTINCT: u64 = 300_000;
+        let mut d = DelayRecorder::default();
+        for i in 0..1_000_000u64 {
+            d.record(i * 7_919 % DISTINCT);
         }
-        assert_eq!(d.len(), 2 * len - 6 + STAGE_MIN);
-        assert_eq!(d.percentile(1.0), Some(7));
-        let runs = &d.samples.borrow().runs;
-        assert_eq!((runs[3].0, runs[3].1 as usize), (7, 2 + STAGE_MIN));
-        assert_eq!(runs.len(), 5);
+        let s = d.samples.borrow();
+        assert_eq!(runs_of(&s).len() as u64, DISTINCT);
+        let held: usize = s.pages.iter().map(|p| p.bytes.capacity()).sum();
+        assert!(
+            held as f64 <= 2.5 * DISTINCT as f64,
+            "{held} bytes of pages for {DISTINCT} distinct delays"
+        );
+        // The staging buffer fills to a quarter as many samples as the
+        // pages hold bytes, so it touches no more memory than they take;
+        // `Vec` growth may reserve up to twice that, untouched.
+        assert!(
+            s.staged.capacity() <= held,
+            "room for {} staged samples beside {held} bytes of pages",
+            s.staged.capacity()
+        );
+        assert!(s.staged.len() * std::mem::size_of::<u32>() <= held);
+    }
+
+    #[test]
+    fn percentiles_on_both_sides_of_every_page_boundary() {
+        // Three-byte deltas, counts 1 and 2: several pages.
+        let mut d = DelayRecorder::default();
+        let mut model = Vec::new();
+        for k in 0..5_000u64 {
+            for _ in 0..=k % 2 {
+                d.record(k << 15);
+                model.push(k << 15);
+            }
+        }
+        assert_eq!(d.percentile(0.0), Some(0));
+        let ends: Vec<u64> = d
+            .samples
+            .borrow()
+            .pages
+            .iter()
+            .scan(0, |end, p| {
+                *end += p.sum;
+                Some(*end)
+            })
+            .collect();
+        assert!(ends.len() >= 3, "{} pages", ends.len());
+        let len = model.len();
+        for end in ends {
+            // The last sample of a page and the first of the next.
+            for rank in [end, end + 1].map(|r| usize::try_from(r).unwrap()) {
+                if rank > len {
+                    continue;
+                }
+                let p = 100.0 * (rank as f64 - 0.5) / len as f64;
+                assert_eq!(d.percentile(p), Some(model[rank - 1]), "rank {rank}");
+            }
+        }
     }
 
     #[test]

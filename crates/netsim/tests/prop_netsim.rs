@@ -45,7 +45,10 @@ fn recorder_of(bytes: &[u8]) -> DelayRecorder {
 /// A few thousand samples, more than one merge's worth of staging: at
 /// most 8 distinct `delay`s recurring when `x` is even (values the
 /// recorder mostly holds already), otherwise all distinct, from a base
-/// that other calls may share.
+/// that other calls may share, `step` apart. The steps give encoded runs
+/// of 1, 3 and 4 bytes (a run's head is `delta << 1`): at 3 bytes one
+/// call spans 3–5 of the recorder's 4 KiB pages, at 4 bytes up to 2
+/// pages below 2³² and the rest wide.
 fn bulk(x: u64) -> Vec<u64> {
     let bytes = x.to_le_bytes();
     let n = 4_100 + (x >> 32) as usize % 2_000;
@@ -53,7 +56,8 @@ fn bulk(x: u64) -> Vec<u64> {
         (0..n).map(|i| delay(bytes[i % 8])).collect()
     } else {
         let base = u64::from(bytes[1]) << 24;
-        (0..n as u64).map(|i| base + i * 3).collect()
+        let step = [3, (1 << 14) + 1, (1 << 21) + 5][usize::from(bytes[2] % 3)];
+        (0..n as u64).map(|i| base + i * step).collect()
     }
 }
 
@@ -84,7 +88,8 @@ proptest! {
     /// A `DelayRecorder` agrees with a plain sorted `Vec<u64>` on length,
     /// every percentile and its `Debug` text after every op — single and
     /// batched records on both sides of 2³², bulk records long enough to
-    /// merge staged samples into the runs mid-call, merges of queried and
+    /// merge staged samples into the runs mid-call and to span several
+    /// pages with multi-byte deltas, merges of queried and
     /// unqueried recorders, clones — whatever merging the queries before
     /// it did.
     #[test]
@@ -134,6 +139,33 @@ proptest! {
                 }
             }
             check_recorder(&rec, &mut model)?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// Every rank of a recorder whose runs span several pages, with some
+    /// values repeated and up to ~2 000 samples left staged, matches
+    /// the model: above all the ranks on either side of a page boundary,
+    /// which the percentiles checked after each op above rarely land on.
+    #[test]
+    fn every_rank_of_a_multi_page_recorder(
+        x in any::<u64>(),
+        repeats in prop::collection::vec(any::<u64>(), 0..300),
+    ) {
+        let distinct = bulk(x | 1);
+        let mut model = distinct.clone();
+        model.extend(repeats.iter().map(|&r| distinct[r as usize % distinct.len()]));
+        let mut rec = DelayRecorder::default();
+        for &ns in &model {
+            rec.record(ns);
+        }
+        model.sort_unstable();
+        let len = model.len();
+        for rank in 1..=len {
+            let p = 100.0 * (rank as f64 - 0.5) / len as f64;
+            prop_assert_eq!(rec.percentile(p), Some(model[rank - 1]), "rank {}", rank);
         }
     }
 }
