@@ -6,18 +6,23 @@
 //!
 //! The scheduler is a 3-level hierarchical timing wheel with 256 slots per
 //! level (1.024 µs grain, ~17 s span) and a sorted `BTreeMap` overflow for
-//! events beyond the current ~17 s epoch. Pushes beyond the current slot
-//! are O(1); the current slot's events sit in a cursor-tracked sorted run,
-//! so pops are O(1) and same-slot pushes later than all pending events (the
-//! common case) append in O(1). Discrete-event workloads cluster events
-//! tightly in time, so slots stay small and the wheel beats a comparison
-//! heap's O(log n)-of-everything per operation.
+//! events beyond the current ~17 s epoch. As in Varghese and Lauck's
+//! hierarchical wheel, each slot is a singly linked chain through one
+//! shared slab of event nodes, with an intrusive free chain, so the wheel
+//! holds memory for the most events ever pending at once, not for every
+//! slot's own past peak. Pushes beyond the current slot are an O(1) chain
+//! append; the current slot's events sit in a cursor-tracked sorted run,
+//! so pops are O(1) and same-slot pushes later than all pending events
+//! (the common case) append in O(1). Discrete-event workloads cluster
+//! events tightly in time, so slots stay small and the wheel beats a
+//! comparison heap's O(log n)-of-everything per operation.
 //!
 //! The wheel must pop in exactly the global `(time, seq)` order a binary
 //! heap over the same keys would. That reference lives in two places: a
 //! model local to `tests/prop_scheduler.rs`, and — under the `invariants`
 //! feature — a key-only shadow heap inside [`EventQueue`] that every `pop`
-//! of every run is asserted against.
+//! of every run is asserted against. The same feature checks after every
+//! refill that each event and each node is accounted for exactly once.
 
 use crate::ids::{AgentId, LinkId, NodeId, PortId};
 use crate::packet::PacketRef;
@@ -43,9 +48,18 @@ const ARRIVE_COUNT_BITS: u32 = 40;
 /// The intrinsic sequence number of the `count`-th packet launched onto
 /// `link` (see [`SEQ_BAND_ARRIVE`]). Same-time arrivals order by
 /// `(link, launch count)` — a total, engine-independent order.
+///
+/// # Panics
+/// Panics if `count` needs more than 40 bits or `link` more than the 23
+/// left below the band bit: either would silently change the same-time
+/// tie order instead.
 pub fn arrive_seq(link: LinkId, count: u64) -> u64 {
-    debug_assert!(count < (1 << ARRIVE_COUNT_BITS), "launch counter overflow");
-    SEQ_BAND_ARRIVE | ((link.0 as u64) << ARRIVE_COUNT_BITS) | count
+    assert!(count < (1 << ARRIVE_COUNT_BITS), "launch counter overflow");
+    assert!(
+        u64::from(link.0) < SEQ_BAND_ARRIVE >> ARRIVE_COUNT_BITS,
+        "link id overflows the arrive band"
+    );
+    SEQ_BAND_ARRIVE | (u64::from(link.0) << ARRIVE_COUNT_BITS) | count
 }
 
 /// What happens when an event fires.
@@ -125,8 +139,17 @@ const SHIFT: [u32; LEVELS] = [10, 18, 26];
 /// Everything at or beyond 2^34 ns (~17.2 s) from the epoch base lives in
 /// the sorted overflow map.
 const EPOCH_SHIFT: u32 = 34;
+/// End of a slot chain or of the free chain.
+const NIL: u32 = u32::MAX;
 
 /// The pending-event set: a hierarchical timing wheel.
+///
+/// A wheel slot is the `(head, tail)` of a chain of nodes in one slab,
+/// `nodes`; a node is an event and the index of the next node in its
+/// chain. Freed nodes form a LIFO free chain through the same links, so a
+/// push takes the most recently freed node, and the slab only grows when
+/// every node is in use: its length never exceeds the most events ever
+/// pending at once.
 ///
 /// Invariants (maintained by `place`/`refill`):
 ///
@@ -141,7 +164,9 @@ const EPOCH_SHIFT: u32 = 34;
 /// * a level-`L` slot only holds events inside the current level-`L+1`
 ///   window but beyond the current level-`L` slot, so per-level slot
 ///   indices of pending events are always >= the current index;
-/// * `overflow` only holds events in future epochs.
+/// * `overflow` only holds events in future epochs;
+/// * every node of `nodes` is in exactly one slot chain or on the free
+///   chain.
 ///
 /// Together these mean the next event is always `batch[cursor]`, and when
 /// the batch drains, the earliest remaining event is in the lowest
@@ -156,8 +181,14 @@ pub struct EventQueue {
     batch: Vec<Event>,
     /// Index of the next unpopped event in `batch`.
     cursor: usize,
-    /// `LEVELS * SLOTS` slot buckets, level-major.
-    slots: Vec<Vec<Event>>,
+    /// `LEVELS * SLOTS` slot chains, level-major: `(head, tail)` node
+    /// indices, `(NIL, NIL)` when the slot is empty.
+    slots: Vec<(u32, u32)>,
+    /// The node slab: each slot-resident event and the index of the next
+    /// node in its chain (`NIL` at the tail).
+    nodes: Vec<(Event, u32)>,
+    /// Head of the free chain through `nodes`.
+    free: u32,
     /// Per-level slot occupancy bitmaps.
     occ: [[u64; WORDS]; LEVELS],
     /// Far-future events, keyed by `(time ns, seq)`.
@@ -170,6 +201,10 @@ pub struct EventQueue {
     /// binary heap; each `pop` must return the heap's minimum.
     #[cfg(feature = "invariants")]
     shadow: BinaryHeap<Reverse<(Time, u64)>>,
+    /// Events held in slot chains; with the free chain's length it must
+    /// account for every node.
+    #[cfg(feature = "invariants")]
+    resident: usize,
 }
 
 impl Default for EventQueue {
@@ -185,15 +220,17 @@ impl EventQueue {
             pos: 0,
             batch: Vec::new(),
             cursor: 0,
-            slots: std::iter::repeat_with(Vec::new)
-                .take(LEVELS * SLOTS)
-                .collect(),
+            slots: vec![(NIL, NIL); LEVELS * SLOTS],
+            nodes: Vec::new(),
+            free: NIL,
             occ: [[0; WORDS]; LEVELS],
             overflow: BTreeMap::new(),
             len: 0,
             next_seq: 0,
             #[cfg(feature = "invariants")]
             shadow: BinaryHeap::new(),
+            #[cfg(feature = "invariants")]
+            resident: 0,
         }
     }
 
@@ -229,7 +266,7 @@ impl EventQueue {
                     reason = "masked to SLOTS - 1, so the slot index is < SLOTS"
                 )]
                 let idx = ((t >> SHIFT[level]) & (SLOTS as u64 - 1)) as usize;
-                self.slots[level * SLOTS + idx].push(ev);
+                self.append(level * SLOTS + idx, ev);
                 self.occ[level][idx / 64] |= 1u64 << (idx % 64);
                 return;
             }
@@ -256,17 +293,55 @@ impl EventQueue {
         }
     }
 
-    /// Detach slot `idx` of `level`, clearing its occupancy bit. The
-    /// caller returns the (drained) `Vec` via `restore_slot` to recycle
-    /// its capacity.
-    fn take_slot(&mut self, level: usize, idx: usize) -> Vec<Event> {
-        self.occ[level][idx / 64] &= !(1u64 << (idx % 64));
-        std::mem::take(&mut self.slots[level * SLOTS + idx])
+    /// Append `ev` at the tail of slot chain `slot`, in the most recently
+    /// freed node or, when none is free, a new one.
+    fn append(&mut self, slot: usize, ev: Event) {
+        let node = if self.free == NIL {
+            let node = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("more pending wheel events than u32 node indices");
+            self.nodes.push((ev, NIL));
+            node
+        } else {
+            let node = self.free;
+            let entry = &mut self.nodes[node as usize];
+            self.free = entry.1;
+            *entry = (ev, NIL);
+            node
+        };
+        let (head, tail) = &mut self.slots[slot];
+        if *head == NIL {
+            *head = node;
+        } else {
+            self.nodes[*tail as usize].1 = node;
+        }
+        *tail = node;
+        #[cfg(feature = "invariants")]
+        {
+            self.resident += 1;
+        }
     }
 
-    fn restore_slot(&mut self, level: usize, idx: usize, empty: Vec<Event>) {
-        debug_assert!(empty.is_empty());
-        self.slots[level * SLOTS + idx] = empty;
+    /// Detach slot `idx` of `level`, clearing its occupancy bit, and
+    /// return the head of its chain.
+    fn take_chain(&mut self, level: usize, idx: usize) -> u32 {
+        self.occ[level][idx / 64] &= !(1u64 << (idx % 64));
+        std::mem::replace(&mut self.slots[level * SLOTS + idx], (NIL, NIL)).0
+    }
+
+    /// Move node `node`'s event out and put the node on the free chain;
+    /// returns the event and the next node of the chain it was in.
+    fn release(&mut self, node: u32) -> (Event, u32) {
+        let entry = &mut self.nodes[node as usize];
+        let (ev, next) = *entry;
+        entry.1 = self.free;
+        self.free = node;
+        #[cfg(feature = "invariants")]
+        {
+            self.resident -= 1;
+        }
+        (ev, next)
     }
 
     /// Refill the batch from the wheel when it runs dry: advance to the
@@ -278,20 +353,23 @@ impl EventQueue {
         reason = "each `cur` is masked to SLOTS - 1, so the slot index is < SLOTS"
     )]
     fn refill(&mut self) {
-        loop {
-            if self.cursor < self.batch.len() || self.len == 0 {
-                return;
-            }
+        if self.cursor < self.batch.len() || self.len == 0 {
+            return;
+        }
+        while self.cursor == self.batch.len() {
             self.batch.clear();
             self.cursor = 0;
             let cur0 = ((self.pos >> SHIFT[0]) & (SLOTS as u64 - 1)) as usize;
             if let Some(idx) = self.next_occupied(0, cur0) {
                 // Enter the slot: its events become the new batch.
                 self.pos = (self.pos >> SHIFT[1] << SHIFT[1]) | ((idx as u64) << SHIFT[0]);
-                let mut v = self.take_slot(0, idx);
-                self.batch.append(&mut v);
+                let mut node = self.take_chain(0, idx);
+                while node != NIL {
+                    let (ev, next) = self.release(node);
+                    self.batch.push(ev);
+                    node = next;
+                }
                 self.batch.sort_unstable_by_key(|e| (e.time, e.seq));
-                self.restore_slot(0, idx, v);
                 continue;
             }
             let cur1 = ((self.pos >> SHIFT[1]) & (SLOTS as u64 - 1)) as usize;
@@ -324,16 +402,47 @@ impl EventQueue {
                 });
             }
         }
+        #[cfg(feature = "invariants")]
+        self.check_storage();
     }
 
     /// Re-place every event of a parent slot now that the position
-    /// entered its window; they land in lower levels (or the batch).
+    /// entered its window; they land in lower levels (or the batch). Each
+    /// node is freed before its event is re-placed, so the re-placement
+    /// reuses it.
     fn cascade(&mut self, level: usize, idx: usize) {
-        let mut v = self.take_slot(level, idx);
-        for ev in v.drain(..) {
+        let mut node = self.take_chain(level, idx);
+        while node != NIL {
+            let (ev, next) = self.release(node);
             self.place(ev);
+            node = next;
         }
-        self.restore_slot(level, idx, v);
+    }
+
+    /// Every pending event is in the batch, the overflow or a slot chain,
+    /// and every node is in a slot chain or on the free chain.
+    #[cfg(feature = "invariants")]
+    fn check_storage(&self) {
+        let outside = (self.batch.len() - self.cursor) + self.overflow.len();
+        crate::invariant!(
+            self.resident + outside == self.len,
+            "wheel lost or duplicated an event: {} in slot chains + {outside} \
+             in the batch and overflow, {} pending",
+            self.resident,
+            self.len
+        );
+        let mut free_len = 0;
+        let mut node = self.free;
+        while node != NIL && free_len <= self.nodes.len() {
+            free_len += 1;
+            node = self.nodes[node as usize].1;
+        }
+        crate::invariant!(
+            self.resident + free_len == self.nodes.len(),
+            "wheel lost a node: {} in slot chains + {free_len} free of {} nodes",
+            self.resident,
+            self.nodes.len()
+        );
     }
 
     /// Count `ev` as pending and file it (fresh pushes only; cascades
@@ -510,6 +619,88 @@ mod tests {
         assert_eq!(q.len(), 2 * 2000 - 2000usize.div_ceil(3));
         while q.pop().is_some() {}
         assert!(q.is_empty());
+    }
+
+    /// A standing population of 256 events through 1 M pop/push cycles,
+    /// in phases of 50 k: two of near deltas (< 262 µs, so the population
+    /// crowds into each level-1 slot in turn as its boundary nears), one
+    /// of deltas across level-2 slots (< 134 ms), one past the epoch into
+    /// the overflow. A `Vec` per slot keeps the largest capacity it ever
+    /// had, and such a layout grows past 50 k events of summed capacity on
+    /// this run; the node slab never outgrows the population.
+    #[test]
+    fn wheel_storage_tracks_pending_events_not_history() {
+        const STANDING: u32 = 256;
+        let mut q = EventQueue::new();
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut delta = |cycle: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match (cycle / 50_000) % 4 {
+                0 | 1 => x % (1 << 18),
+                2 => x % (1 << 27),
+                _ => (1 << 34) + x % (1 << 30),
+            }
+        };
+        for i in 0..STANDING {
+            q.push(Time::from_nanos(delta(0)), wake(i));
+        }
+        let peak = q.len();
+        let (mut now, mut epochs, mut level2_windows) = (0u64, 0, 0);
+        for cycle in 0..1_000_000u32 {
+            let t = q.pop().expect("standing population").time.as_nanos();
+            assert!(t >= now, "cycle {cycle}: popped {t} after {now}");
+            epochs += usize::from(t >> EPOCH_SHIFT != now >> EPOCH_SHIFT);
+            level2_windows += usize::from(t >> SHIFT[2] != now >> SHIFT[2]);
+            now = t;
+            q.push(Time::from_nanos(now + delta(cycle)), wake(cycle));
+            assert!(
+                q.nodes.len() <= peak,
+                "cycle {cycle}: {} nodes for at most {peak} pending events",
+                q.nodes.len()
+            );
+        }
+        assert!(epochs >= 100, "crossed only {epochs} epochs");
+        assert!(
+            level2_windows >= 10_000,
+            "crossed only {level2_windows} level-2 slots"
+        );
+        assert_eq!(drain(&mut q).len(), peak, "every standing event pops");
+    }
+
+    /// Under `invariants`, a node that is on neither a slot chain nor the
+    /// free chain fails the storage check at the next refill.
+    #[test]
+    #[cfg_attr(not(feature = "invariants"), ignore = "needs --features invariants")]
+    #[should_panic(expected = "wheel lost a node")]
+    fn a_node_off_every_chain_trips_the_storage_check() {
+        let mut q = EventQueue::new();
+        for i in 1..=4u32 {
+            q.push(Time::from_nanos(u64::from(i) * 10_000), wake(i));
+        }
+        q.pop();
+        // Unlink the node the refill just freed.
+        q.free = q.nodes[q.free as usize].1;
+        q.pop();
+    }
+
+    #[test]
+    fn arrive_seq_fills_the_band_exactly() {
+        assert_eq!(arrive_seq(LinkId(0), 0), SEQ_BAND_ARRIVE);
+        assert_eq!(arrive_seq(LinkId((1 << 23) - 1), (1 << 40) - 1), u64::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "launch counter overflow")]
+    fn arrive_seq_rejects_a_launch_count_past_40_bits() {
+        arrive_seq(LinkId(0), 1 << 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "link id overflows the arrive band")]
+    fn arrive_seq_rejects_a_link_id_past_23_bits() {
+        arrive_seq(LinkId(1 << 23), 0);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! of the wheel: same-slot bursts (level-0 ties), deltas that land on
 //! levels 1 and 2, deltas past the wheel horizon (`>= 2^34` ns) that take
 //! the sorted-overflow path, and pops interleaved mid-stream so refills
-//! happen while later pushes are still arriving.
+//! happen while later pushes are still arriving. A second property keeps
+//! a standing population for tens of thousands of pop/push cycles, so the
+//! wheel's slot-chain nodes are freed and reused many times over.
 
 use aq_netsim::event::{arrive_seq, EventKind, EventQueue};
 use aq_netsim::ids::{LinkId, NodeId};
@@ -153,6 +155,101 @@ proptest! {
         }
         // Drain both to empty: whatever is left must also stream out in
         // identical order.
+        pop_and_compare(&mut wheel, &mut heap, usize::MAX, &mut now)?;
+        prop_assert!(wheel.is_empty() && heap.heap.is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+    /// A standing population of 64–512 events replayed for 10–50 k
+    /// cycles the way `Simulator::run_until` drives the wheel: peek, pop
+    /// the earliest event, advance the clock to it, and let its handler
+    /// schedule 0–2 events ahead of the new time. The population drifts
+    /// between half and twice its standing size; each case draws its own
+    /// mix of ties and level-0, level-1, level-2 and past-epoch deltas.
+    /// The wheel and the model must agree on every peek and every pop.
+    #[test]
+    fn standing_population_replays_identically_over_long_runs(
+        standing in 64usize..513,
+        cycles in 10_000usize..50_001,
+        seed in any::<u64>(),
+    ) {
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapModel::default();
+        let mut x = seed | 1;
+        let mut draw = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Class weights: tie, level 0, level 1, level 2, past the epoch
+        // (rare, or the population would soon all sit in the overflow).
+        let mix = draw();
+        let weights = [
+            mix & 0b11,
+            1 + ((mix >> 2) & 0b111),
+            1 + ((mix >> 5) & 0b1111),
+            (mix >> 9) & 0b111,
+            (mix >> 12) & 0b1,
+        ];
+        let total: u64 = weights.iter().sum();
+        let delta = move |r: u64| {
+            let mut pick = (r >> 5) % total;
+            let magnitude = r >> 16;
+            for (class, &w) in weights.iter().enumerate() {
+                if pick < w {
+                    return match class {
+                        0 => 0,
+                        1 => magnitude % (1 << 10),
+                        2 => magnitude % (1 << 18),
+                        3 => magnitude % (1 << 28),
+                        _ => EPOCH_NS + magnitude % EPOCH_NS,
+                    };
+                }
+                pick -= w;
+            }
+            unreachable!("pick < total")
+        };
+        let (mut now, mut token, mut arrive_count) = (0u64, 0u64, 0u64);
+        let mut schedule = |wheel: &mut EventQueue, heap: &mut HeapModel, now: u64| {
+            let r = draw();
+            let t = Time::from_nanos(now + delta(r));
+            token += 1;
+            if r & 0b111 == 0b101 {
+                let link = LinkId(u32::try_from((r >> 3) & 0b11).expect("two bits"));
+                let seq = arrive_seq(link, arrive_count);
+                arrive_count += 1;
+                wheel.push_with_seq(t, seq, timer(token));
+                heap.push_with_seq(t, seq, token);
+            } else {
+                wheel.push(t, timer(token));
+                heap.push(t, token);
+            }
+        };
+        for _ in 0..standing {
+            schedule(&mut wheel, &mut heap, now);
+        }
+        for cycle in 0..cycles {
+            prop_assert_eq!(wheel.peek_time(), heap.peek_time(), "cycle {}", cycle);
+            let (a, b) = (pop_key(&mut wheel), heap.pop());
+            prop_assert_eq!(a, b, "wheel diverged from the reference heap, cycle {}", cycle);
+            let Some((time, ..)) = a else {
+                break;
+            };
+            now = time.as_nanos();
+            let pushes = match wheel.len() {
+                n if n <= standing / 2 => 2,
+                n if n >= standing * 2 => 0,
+                // A zero-mean random walk, keyed off the popped time.
+                _ => [0, 1, 1, 2][usize::try_from((now >> 4) % 4).expect("< 4")],
+            };
+            for _ in 0..pushes {
+                schedule(&mut wheel, &mut heap, now);
+            }
+            prop_assert_eq!(wheel.len(), heap.heap.len());
+        }
         pop_and_compare(&mut wheel, &mut heap, usize::MAX, &mut now)?;
         prop_assert!(wheel.is_empty() && heap.heap.is_empty());
     }
