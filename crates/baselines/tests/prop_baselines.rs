@@ -1,27 +1,9 @@
 //! Property tests for the baseline substrates: a token bucket must never
-//! over-deliver, and DRR's deficit mechanism must bound per-flow byte
-//! imbalance by one quantum plus one packet.
+//! over-deliver, and its `ready_time` must never promise tokens it lacks.
 
-use aq_baselines::{DrrQueue, TokenBucket};
-use aq_netsim::ids::{EntityId, FlowId, NodeId};
-use aq_netsim::packet::Packet;
-use aq_netsim::queue::{Enqueued, QueueDiscipline};
+use aq_baselines::TokenBucket;
 use aq_netsim::time::{Rate, Time, NS_PER_SEC};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
-
-fn pkt(flow: u32, payload: u32) -> Packet {
-    Packet::data(
-        FlowId(flow),
-        EntityId(1),
-        NodeId(0),
-        NodeId(1),
-        0,
-        payload,
-        false,
-        Time::ZERO,
-    )
-}
 
 proptest! {
     /// Over any schedule of consume attempts, the bucket releases at most
@@ -65,62 +47,5 @@ proptest! {
         if at < Time::MAX {
             prop_assert!(b.try_consume(at, size), "promised tokens at {at}");
         }
-    }
-
-    /// With every flow persistently backlogged, DRR byte service per flow
-    /// deviates from the ideal equal share by at most quantum + max packet.
-    #[test]
-    fn drr_bounds_per_flow_imbalance(
-        sizes in prop::collection::vec(100u32..1400, 2..6),
-        rounds in 20usize..100,
-    ) {
-        let n = sizes.len();
-        let quantum = 1500u64;
-        let mut q = DrrQueue::new(quantum, u64::MAX >> 1);
-        // Keep every flow deeply backlogged.
-        for _ in 0..(rounds * 4) {
-            for (i, payload) in sizes.iter().enumerate() {
-                q.enqueue(Time::ZERO, pkt(i as u32, *payload));
-            }
-        }
-        let mut served: BTreeMap<u32, u64> = BTreeMap::new();
-        for _ in 0..(rounds * n) {
-            let p = q.dequeue(Time::ZERO).expect("backlogged");
-            *served.entry(p.flow.0).or_default() += p.size as u64;
-        }
-        let max_pkt = sizes.iter().map(|s| *s as u64 + 60).max().expect("nonempty");
-        let vals: Vec<u64> = served.values().copied().collect();
-        let hi = *vals.iter().max().expect("nonempty");
-        let lo = *vals.iter().min().expect("nonempty");
-        // Over k full rounds each flow receives k·quantum ± (quantum+max).
-        let bound = 2 * (quantum + max_pkt);
-        prop_assert!(
-            hi - lo <= bound,
-            "byte imbalance {} > bound {bound} (served {served:?})",
-            hi - lo
-        );
-    }
-
-    /// DRR conserves packets: everything enqueued (and not dropped)
-    /// eventually dequeues exactly once, in per-flow FIFO order.
-    #[test]
-    fn drr_conserves_and_keeps_flow_order(
-        flows in prop::collection::vec(0u32..5, 1..200),
-    ) {
-        let mut q = DrrQueue::new(1500, u64::MAX >> 1);
-        let mut enqueued: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        for (uid, f) in flows.iter().enumerate() {
-            let mut p = pkt(*f, 500);
-            p.uid = uid as u64;
-            match q.enqueue(Time::ZERO, p) {
-                Enqueued::Ok => enqueued.entry(*f).or_default().push(uid as u64),
-                Enqueued::Dropped(..) => unreachable!("limit is huge"),
-            }
-        }
-        let mut dequeued: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-        while let Some(p) = q.dequeue(Time::ZERO) {
-            dequeued.entry(p.flow.0).or_default().push(p.uid);
-        }
-        prop_assert_eq!(enqueued, dequeued);
     }
 }

@@ -117,17 +117,10 @@ impl WorkConservingReallocator {
             }
             spare -= consumed;
         }
-        // Apply, preserving accumulated gaps. The equality guard is not
-        // just an optimization: `set_rate` drains the gap to `now`, and an
-        // extra drain step truncates fixed-point sub-bytes differently
-        // than one combined drain would, perturbing byte-exact baselines.
+        // Apply, preserving accumulated gaps and limits.
         for (id, bps) in alloc {
-            let r = Rate::from_bps(bps);
-            let _ = pipe.ingress_table.update(id, |inst| {
-                if inst.cfg.rate != r {
-                    inst.set_rate(now, r);
-                }
-            });
+            pipe.ingress_table
+                .retarget(id, now, Rate::from_bps(bps), None);
         }
         self.rounds += 1;
     }
@@ -154,6 +147,8 @@ impl Agent for WorkConservingReallocator {
 mod tests {
     use super::*;
     use crate::config::{AqConfig, CcPolicy};
+    use aq_netsim::ids::{EntityId, FlowId};
+    use aq_netsim::packet::{Packet, HEADER_BYTES};
     use aq_netsim::time::Time;
 
     fn pipe_with(rates: &[(u32, u64)]) -> AqPipeline {
@@ -199,9 +194,19 @@ mod tests {
         );
         let mut net = b.build();
         let mut pipe = pipe_with(guarantees);
-        for (id, bytes) in arrived {
+        // Each AQ's demand arrives as one packet of that many bytes.
+        for &(id, bytes) in arrived.iter().filter(|(_, bytes)| *bytes > 0) {
+            let payload = u32::try_from(bytes - HEADER_BYTES as u64).expect("one packet");
+            let mut pkt = Packet::datagram(
+                FlowId(1),
+                EntityId(1),
+                NodeId(0),
+                NodeId(1),
+                payload,
+                Time::ZERO,
+            );
             pipe.ingress_table
-                .update(AqTag(*id), |inst| inst.arrived_bytes = *bytes)
+                .process(AqTag(id), Time::ZERO, &mut pkt)
                 .expect("deployed");
         }
         net.add_pipeline(sw, Box::new(pipe));
@@ -244,11 +249,12 @@ mod tests {
 
     #[test]
     fn demand_past_u64_bps_saturates() {
-        // A counter jump of 2⁵² bytes in 1 ns is 2⁶⁴ · 1 953 125 bps, which
-        // a truncating cast reads as 0 bps; 2⁶⁴ − 1 bytes is past u64::MAX
-        // bps too. Saturated at u64::MAX (headroom included), AQ 1 is the
-        // hungriest and takes the whole link.
-        for jump in [1 << 52, u64::MAX] {
+        // 2 305 843 010 B in 1 ns is 2⁶⁴ + 6 290 448 384 bps, which a
+        // truncating cast reads as 6.3 Gbit/s; the largest packet a u32
+        // size allows is past u64::MAX bps too. Saturated at u64::MAX
+        // (headroom included), AQ 1 is the hungriest and takes the whole
+        // link.
+        for jump in [2_305_843_010, u64::from(u32::MAX)] {
             let rates = run_round_over(
                 Duration::from_nanos(1),
                 &[(1, 5), (2, 5)],

@@ -293,12 +293,7 @@ impl AqController {
                 Position::Ingress => &mut pipeline.ingress_table,
                 Position::Egress => &mut pipeline.egress_table,
             };
-            let _ = table.update(cfg.id, |inst| {
-                if inst.cfg.rate != cfg.rate {
-                    inst.set_rate(now, cfg.rate);
-                }
-                inst.cfg.limit_bytes = cfg.limit_bytes;
-            });
+            table.retarget(cfg.id, now, cfg.rate, Some(cfg.limit_bytes));
         }
     }
 }

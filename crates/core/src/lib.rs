@@ -10,6 +10,8 @@
 //! * [`feedback`] — Algorithm 2: limit drops, virtual-threshold ECN marks,
 //!   and virtual queuing delay, per entity;
 //! * [`table`] — the per-switch AQ registry scaling to millions of ids;
+//! * [`spec`] — a naive executable specification of Algorithm 1 + 2 and
+//!   the table, and the checker that holds [`AqTable`] to it;
 //! * [`pipeline`] — the switch data plane (§4.2) as an
 //!   [`aq_netsim::SwitchPipeline`], including §6 work-conservation bypass;
 //! * [`controller`] — the control plane (§4.1): requests, grants,
@@ -58,6 +60,7 @@ pub mod feedback;
 pub mod gap;
 pub mod pipeline;
 pub mod resources;
+pub mod spec;
 pub mod table;
 
 pub use config::{AqConfig, AqInstance, CcPolicy, PackedAq, Position, Recovery, PACKED_AQ_BYTES};

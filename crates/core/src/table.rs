@@ -15,8 +15,8 @@
 //! the [`AqInstance`] itself plus the idle clock eviction orders by. There
 //! is no second representation — [`AqTable::process`] runs
 //! [`process_packet`] on the stored instance, [`AqTable::get`] and
-//! [`AqTable::iter`] lend it out, and [`AqTable::update`] hands it to a
-//! closure. The row is 128 B, wider than the switch's 15 B because the
+//! [`AqTable::iter`] lend it out, and [`AqTable::retarget`] is the one
+//! control write. The row is 128 B, wider than the switch's 15 B because the
 //! simulator keeps nanosecond clocks, 2⁻¹⁶-byte fixed point and telemetry
 //! instead of the quantized encodings of
 //! [`PackedAq`](crate::config::PackedAq); a `size_of` test pins it. State
@@ -43,11 +43,18 @@
 //! AQ (smallest last-arrival time, smallest id on ties) to make room.
 //! Occupancy never exceeds the budget at any point; the high-water mark is
 //! tracked in [`AqTable::peak_register_memory_bytes`].
+//!
+//! ## Spec shadow
+//!
+//! With the `invariants` feature on, the table keeps a
+//! [`SpecTable`](crate::spec::SpecTable) beside its rows and checks every
+//! mutation against it (see [`crate::spec`]); default builds carry no
+//! shadow.
 
 use crate::config::{AqConfig, AqInstance, PACKED_AQ_BYTES};
 use crate::feedback::{process_packet, AqVerdict};
 use aq_netsim::packet::{AqTag, Packet};
-use aq_netsim::time::Time;
+use aq_netsim::time::{Rate, Time};
 
 /// `index` value for "no AQ deployed under this id".
 const VACANT: u32 = u32::MAX;
@@ -99,8 +106,8 @@ struct Row {
     inst: AqInstance,
     /// When this AQ last saw a packet (deploy time until the first
     /// arrival). Drives [`OverflowPolicy::EvictIdle`] victim selection.
-    /// Kept beside the instance rather than in it so that `update` and
-    /// `wipe`, which rewrite the instance, cannot perturb eviction order.
+    /// Kept beside the instance rather than in it so that `wipe`, which
+    /// rewrites the instance, cannot perturb eviction order.
     last_arrival: Time,
 }
 
@@ -121,6 +128,9 @@ pub struct AqTable {
     rejected_deploys: u64,
     /// AQs evicted under [`OverflowPolicy::EvictIdle`].
     evictions: u64,
+    /// The executable spec every mutation is checked against.
+    #[cfg(feature = "invariants")]
+    spec: crate::spec::SpecTable,
 }
 
 impl AqTable {
@@ -135,6 +145,23 @@ impl AqTable {
             peak_bytes: 0,
             rejected_deploys: 0,
             evictions: 0,
+            #[cfg(feature = "invariants")]
+            spec: crate::spec::SpecTable::default(),
+        }
+    }
+
+    /// Check the mutation just made against the spec, which `op` advances
+    /// by the same step.
+    #[cfg(feature = "invariants")]
+    fn shadow(
+        &mut self,
+        op: impl FnOnce(&mut crate::spec::SpecTable, &AqTable) -> Result<(), String>,
+    ) {
+        let mut spec = std::mem::take(&mut self.spec);
+        let checked = op(&mut spec, self);
+        self.spec = spec;
+        if let Err(e) = checked {
+            panic!("invariant violated: the AQ table diverged from its spec: {e}");
         }
     }
 
@@ -145,6 +172,8 @@ impl AqTable {
     pub fn set_budget(&mut self, bytes: Option<u64>, policy: OverflowPolicy) {
         self.budget_bytes = bytes;
         self.policy = policy;
+        #[cfg(feature = "invariants")]
+        self.spec.set_budget(bytes, policy);
     }
 
     /// The configured register-memory budget, if any.
@@ -210,6 +239,15 @@ impl AqTable {
     /// # Panics
     /// Panics on the reserved id 0.
     pub fn try_deploy(&mut self, now: Time, cfg: AqConfig) -> DeployOutcome {
+        #[cfg(feature = "invariants")]
+        let spec_cfg = cfg.clone();
+        let outcome = self.admit(now, cfg);
+        #[cfg(feature = "invariants")]
+        self.shadow(|spec, table| spec.mirror_deploy(table, now, spec_cfg, &outcome));
+        outcome
+    }
+
+    fn admit(&mut self, now: Time, cfg: AqConfig) -> DeployOutcome {
         assert!(cfg.id.is_some(), "AQ id 0 is reserved for 'no AQ'");
         let idx = cfg.id.0 as usize;
         if idx >= self.index.len() {
@@ -268,13 +306,20 @@ impl AqTable {
             .min()?
             .1;
         self.evictions += 1;
-        Some(self.remove(victim).expect("victim came from the table").cfg)
+        Some(self.take(victim).expect("victim came from the table").cfg)
     }
 
     /// Remove a deployed AQ, returning its final state. The vacated dense
     /// row is back-filled by the last row (ids stay stable, dense order
     /// does not — iteration is by id, so observable order is unchanged).
     pub fn remove(&mut self, id: AqTag) -> Option<AqInstance> {
+        let out = self.take(id);
+        #[cfg(feature = "invariants")]
+        self.shadow(|spec, table| spec.mirror_remove(table, id, out.as_ref()));
+        out
+    }
+
+    fn take(&mut self, id: AqTag) -> Option<AqInstance> {
         let d = self.dense(id)?;
         let out = self.rows.swap_remove(d).inst;
         if let Some(resident) = self.rows.get(d) {
@@ -287,7 +332,7 @@ impl AqTable {
     }
 
     /// The deployed AQ with this id. Mutation goes through
-    /// [`AqTable::update`] or [`AqTable::process`].
+    /// [`AqTable::process`] and the control writes.
     pub fn get(&self, id: AqTag) -> Option<&AqInstance> {
         Some(&self.rows[self.dense(id)?].inst)
     }
@@ -298,6 +343,16 @@ impl AqTable {
     /// caller forwards untouched).
     #[inline]
     pub fn process(&mut self, id: AqTag, now: Time, pkt: &mut Packet) -> Option<AqVerdict> {
+        #[cfg(feature = "invariants")]
+        let before = pkt.clone();
+        let verdict = self.process_row(id, now, pkt);
+        #[cfg(feature = "invariants")]
+        self.shadow(|spec, table| spec.mirror_process(table, id, now, &before, verdict, pkt));
+        verdict
+    }
+
+    #[inline]
+    fn process_row(&mut self, id: AqTag, now: Time, pkt: &mut Packet) -> Option<AqVerdict> {
         let d = self.dense(id)?;
         let row = &mut self.rows[d];
         row.last_arrival = now;
@@ -306,16 +361,31 @@ impl AqTable {
         Some(verdict)
     }
 
-    /// Mutate one deployed AQ in place — the control-path escape hatch
-    /// (rate re-division, test setup). Returns the closure's result, or
-    /// `None` when the id is not deployed. The row keeps its id: a closure
-    /// rewriting `cfg.id` cannot corrupt the index.
-    pub fn update<R>(&mut self, id: AqTag, f: impl FnOnce(&mut AqInstance) -> R) -> Option<R> {
-        let d = self.dense(id)?;
+    /// The control write (weighted re-division, work conservation): from
+    /// `now` on, the AQ drains at `rate` and drops above `limit_bytes`
+    /// (`None` keeps its limit), keeping the gap it has accumulated.
+    /// Returns whether `id` is deployed.
+    pub fn retarget(&mut self, id: AqTag, now: Time, rate: Rate, limit_bytes: Option<u64>) -> bool {
+        let Some(d) = self.dense(id) else {
+            return false;
+        };
         let inst = &mut self.rows[d].inst;
-        let out = f(inst);
-        inst.cfg.id = id;
-        Some(out)
+        // The equality guard is not just an optimization: `set_rate` drains
+        // the gap to `now`, and an extra drain step truncates fixed-point
+        // sub-bytes differently than one combined drain would, perturbing
+        // byte-exact baselines.
+        if inst.cfg.rate != rate {
+            inst.set_rate(now, rate);
+        }
+        if let Some(limit) = limit_bytes {
+            inst.cfg.limit_bytes = limit;
+        }
+        #[cfg(feature = "invariants")]
+        self.shadow(|spec, table| {
+            spec.retarget(id, now, rate, limit_bytes);
+            spec.check_row(id, table)
+        });
+        true
     }
 
     /// Number of deployed AQs.
@@ -352,6 +422,8 @@ impl AqTable {
         for row in &mut self.rows {
             row.inst = row.inst.wiped(now);
         }
+        #[cfg(feature = "invariants")]
+        self.shadow(|spec, table| spec.mirror_wipe(table, now));
     }
 }
 
@@ -360,7 +432,6 @@ mod tests {
     use super::*;
     use crate::config::{CcPolicy, Recovery};
     use aq_netsim::ids::{EntityId, FlowId, NodeId};
-    use aq_netsim::time::Rate;
 
     fn cfg(id: u32) -> AqConfig {
         AqConfig {
@@ -461,22 +532,20 @@ mod tests {
     }
 
     #[test]
-    fn update_mutates_the_stored_row_and_keeps_its_id() {
+    fn retarget_writes_rate_and_limit_and_keeps_the_gap() {
         let mut t = AqTable::new();
         t.deploy(cfg(4));
+        t.process(AqTag(4), Time::ZERO, &mut pkt(1940));
         let r = Rate::from_gbps(7);
-        t.update(AqTag(4), |inst| {
-            inst.set_rate(Time::from_micros(1), r);
-            inst.cfg.id = AqTag(5);
-        })
-        .expect("deployed");
+        // 1 µs at 1 Gbit/s drains 125 B of the 2000 B gap.
+        assert!(t.retarget(AqTag(4), Time::from_micros(1), r, Some(9000)));
         let inst = t.get(AqTag(4)).unwrap();
         assert_eq!(
-            (inst.cfg.id, inst.cfg.rate, inst.gap.rate()),
-            (AqTag(4), r, r)
+            (inst.cfg.rate, inst.gap.rate(), inst.cfg.limit_bytes),
+            (r, r, 9000)
         );
-        assert!(t.get(AqTag(5)).is_none());
-        assert!(t.update(AqTag(9), |_| ()).is_none());
+        assert_eq!(inst.gap.bytes(), 1875);
+        assert!(!t.retarget(AqTag(9), Time::from_micros(1), r, None));
     }
 
     #[test]
@@ -613,14 +682,12 @@ mod tests {
     }
 
     #[test]
-    fn last_arrival_survives_update_and_wipe_round_trips() {
+    fn last_arrival_survives_retarget_and_wipe_round_trips() {
         let mut t = AqTable::new();
         t.deploy(cfg(1));
         t.process(AqTag(1), Time::from_micros(9), &mut pkt(1000));
         assert_eq!(t.last_arrival_of(AqTag(1)), Some(Time::from_micros(9)));
-        t.update(AqTag(1), |inst| {
-            inst.set_rate(Time::from_micros(10), Rate::from_gbps(2))
-        });
+        t.retarget(AqTag(1), Time::from_micros(10), Rate::from_gbps(2), None);
         assert_eq!(t.last_arrival_of(AqTag(1)), Some(Time::from_micros(9)));
         t.wipe(Time::from_micros(11));
         assert_eq!(t.last_arrival_of(AqTag(1)), Some(Time::from_micros(9)));
@@ -661,9 +728,7 @@ mod tests {
         assert_eq!(untouched(&t), (true, 0, 0));
         t.process(AqTag(1), Time::from_micros(1), &mut pkt(1000));
         assert_eq!(untouched(&t), (true, 0, 0));
-        t.update(AqTag(1), |inst| {
-            inst.set_rate(Time::from_micros(2), Rate::from_gbps(2))
-        });
+        t.retarget(AqTag(1), Time::from_micros(2), Rate::from_gbps(2), None);
         assert_eq!(untouched(&t), (true, 0, 0));
         t.remove(AqTag(1)).expect("deployed");
         t.deploy(cfg(1));

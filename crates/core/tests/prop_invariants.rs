@@ -1,182 +1,121 @@
-//! Property-based exercise of the runtime invariant layer.
+//! One AQ driven through arbitrary interleavings of arrivals, zero-Δ
+//! bursts and control writes (rate and limit retargets), held to
+//! [`aq_core::spec`] after every op: Theorem 3.2's recurrence and
+//! Algorithm 2's verdicts are checked here, not restated.
 //!
-//! The `invariant!` checks inside [`AGap`] (arrival contribution, drain
-//! monotonicity, virtual-delay consistency) fire on *every* call when the
-//! `invariants` feature is on — so driving the accumulator through
-//! arbitrary interleavings of `on_packet` / `drain_to` / `deduct` /
-//! `set_rate` is itself the assertion: any sequence that broke an
-//! invariant would panic the test. On top of that, each property restates
-//! the invariant externally so the test also guards the default build,
-//! where the internal checks compile to nothing.
-//!
-//! CI runs this suite both ways (see .github/workflows/ci.yml).
+//! Each op reaches one of the A-Gap's mutators: an arrival runs
+//! `on_packet`, a drop runs `deduct`, a retarget runs `set_rate` and so
+//! `drain_to`, and every forwarded packet reads `virtual_delay`. The spec
+//! checks the gap, the verdict and the packet's feedback. With the
+//! `invariants` feature on, the table's own spec shadow and its
+//! register-budget check fire on every op as well. CI runs this suite
+//! both ways, and 2048 cases of it in release.
 
-use aq_core::gap::AGap;
-use aq_netsim::time::{Rate, Time, NS_PER_SEC};
+mod common;
+
+use aq_core::spec::Lockstep;
+use aq_core::{AqConfig, CcPolicy};
+use aq_netsim::packet::AqTag;
+use aq_netsim::time::{Rate, Time};
+use common::{burst, cuts, pkt, QUIET_NS};
 use proptest::prelude::*;
 
-/// One step applied to the accumulator.
+/// One step applied to the AQ.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Advance by Δns and account an arrival of the given size.
-    Packet(u64, u32),
-    /// Advance by Δns and drain with no arrival.
-    Drain(u64),
-    /// Undo a just-dropped packet of the given size.
-    Deduct(u32),
-    /// Advance by Δns, then change the allocated rate to the given bps.
-    SetRate(u64, u64),
+    /// Advance by Δns and process an arrival of the given wire size
+    /// (ECN-capable or not).
+    Packet(u64, u32, bool),
+    /// Advance by Δns, then retarget to the given bps and limit (`None`
+    /// keeps the limit).
+    Retarget(u64, u64, Option<u64>),
+    /// After a quiet spell, a zero-Δ burst landing exactly on the limit
+    /// (`true`) or the ECN threshold, split at the given cut points.
+    Burst(bool, Vec<u32>),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0u64..2_000_000, 40u32..9000).prop_map(|(d, s)| Op::Packet(d, s)),
-        (0u64..2_000_000).prop_map(Op::Drain),
-        (40u32..9000).prop_map(Op::Deduct),
-        (0u64..2_000_000, 1_000_000u64..400_000_000_000).prop_map(|(d, r)| Op::SetRate(d, r)),
-    ]
+/// AQ 1 at 1 Mbit/s – 400 Gbit/s under any of the three CC policies.
+fn aq() -> impl Strategy<Value = AqConfig> {
+    let fields = (
+        1_000_000u64..400_000_000_000,
+        1_000u64..1_000_000,
+        0u8..3,
+        60u32..1_000_000,
+    );
+    fields.prop_map(|(bps, limit_bytes, cc, threshold_bytes)| AqConfig {
+        id: AqTag(1),
+        rate: Rate::from_bps(bps),
+        limit_bytes,
+        cc: match cc {
+            0 => CcPolicy::DropBased,
+            1 => CcPolicy::EcnBased { threshold_bytes },
+            _ => CcPolicy::DelayBased,
+        },
+    })
 }
 
-fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(op_strategy(), 1..150)
+/// Op sequences: a quarter retargets, a quarter bursts, the rest arrivals.
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    let fields = (
+        0u8..4,
+        0u64..2_000_000,
+        60u32..9000,
+        any::<bool>(),
+        1_000_000u64..400_000_000_000,
+        1_000u64..100_000,
+        cuts(),
+    );
+    let op = fields.prop_map(|(kind, d, size, flag, bps, limit, cuts)| match kind {
+        0 => Op::Retarget(d, bps, flag.then_some(limit)),
+        1 => Op::Burst(flag, cuts),
+        _ => Op::Packet(d, size, flag),
+    });
+    prop::collection::vec(op, 1..200)
+}
+
+/// Deploy `aq` and drive it through `ops`, every op held to the spec.
+fn run(aq: AqConfig, ops: Vec<Op>) -> Result<(), String> {
+    let (id, cc) = (aq.id, aq.cc);
+    let mut pair = Lockstep::default();
+    pair.deploy(Time::ZERO, aq)?;
+    let mut t = 0u64;
+    for op in ops {
+        let arrivals = match op {
+            Op::Packet(dns, size, ect) => {
+                t += dns;
+                vec![(size, ect)]
+            }
+            Op::Retarget(dns, bps, limit) => {
+                t += dns;
+                pair.retarget(id, Time::from_nanos(t), Rate::from_bps(bps), limit)?;
+                vec![]
+            }
+            Op::Burst(to_limit, cuts) => {
+                t += QUIET_NS;
+                let target = match (to_limit, cc) {
+                    (false, CcPolicy::EcnBased { threshold_bytes }) => u64::from(threshold_bytes),
+                    _ => pair.table.get(id).expect("deployed").cfg.limit_bytes,
+                };
+                burst(target, &cuts)
+                    .into_iter()
+                    .map(|size| (size, true))
+                    .collect()
+            }
+        };
+        for (size, ect) in arrivals {
+            pair.process(id, Time::from_nanos(t), &mut pkt(size, ect))?;
+        }
+    }
+    Ok(())
 }
 
 proptest! {
-    /// No interleaving of the four mutators violates the A-Gap invariants:
-    /// the gap stays within its arrival-driven bounds, draining never
-    /// increases it, and the clock never runs backwards.
+    /// No interleaving of arrivals, bursts and retargets moves the AQ off
+    /// the spec, under any rate, limit and CC policy: gap, verdict, mark,
+    /// virtual delay and counters, including bursts that land exactly on
+    /// a threshold.
     #[test]
-    fn agap_survives_arbitrary_op_sequences(
-        ops in ops_strategy(),
-        bps in 1_000_000u64..400_000_000_000,
-    ) {
-        let mut g = AGap::new(Rate::from_bps(bps));
-        let mut total_arrived: u64 = 0;
-        let mut t = 0u64;
-        for op in ops {
-            let before = g.bytes();
-            match op {
-                Op::Packet(dns, size) => {
-                    t += dns;
-                    let v = g.on_packet(Time::from_nanos(t), size);
-                    total_arrived = total_arrived.saturating_add(size as u64);
-                    prop_assert!(
-                        v >= size as u64,
-                        "arrival lost: gap {v} < size {size}"
-                    );
-                    prop_assert!(
-                        v <= total_arrived,
-                        "gap {v} exceeds all bytes ever arrived {total_arrived}"
-                    );
-                }
-                Op::Drain(dns) => {
-                    t += dns;
-                    g.drain_to(Time::from_nanos(t));
-                    prop_assert!(
-                        g.bytes() <= before,
-                        "drain grew the gap: {before} -> {}",
-                        g.bytes()
-                    );
-                }
-                Op::Deduct(size) => {
-                    g.deduct(size);
-                    prop_assert!(
-                        g.bytes() <= before,
-                        "deduct grew the gap: {before} -> {}",
-                        g.bytes()
-                    );
-                }
-                Op::SetRate(dns, rate_bps) => {
-                    t += dns;
-                    g.set_rate(Time::from_nanos(t), Rate::from_bps(rate_bps));
-                    prop_assert!(
-                        g.bytes() <= before,
-                        "rate change grew the gap: {before} -> {}",
-                        g.bytes()
-                    );
-                    prop_assert_eq!(g.rate().as_bps(), rate_bps);
-                }
-            }
-            prop_assert!(
-                g.last_time() <= Time::from_nanos(t),
-                "clock overshot: last_time {:?} > now {t}",
-                g.last_time()
-            );
-        }
-    }
-
-    /// `virtual_delay` is always consistent with `bytes()/rate`: the
-    /// sub-byte computation and the whole-byte view agree to within the
-    /// transmission time of a single byte (plus rounding).
-    #[test]
-    fn virtual_delay_matches_bytes_over_rate(
-        ops in ops_strategy(),
-        bps in 1_000_000u64..400_000_000_000,
-    ) {
-        let mut g = AGap::new(Rate::from_bps(bps));
-        let mut t = 0u64;
-        for op in ops {
-            match op {
-                Op::Packet(dns, size) => {
-                    t += dns;
-                    g.on_packet(Time::from_nanos(t), size);
-                }
-                Op::Drain(dns) => {
-                    t += dns;
-                    g.drain_to(Time::from_nanos(t));
-                }
-                Op::Deduct(size) => g.deduct(size),
-                Op::SetRate(dns, rate_bps) => {
-                    t += dns;
-                    g.set_rate(Time::from_nanos(t), Rate::from_bps(rate_bps));
-                }
-            }
-            let vd = g.virtual_delay().as_nanos() as u128;
-            let rate = g.rate().as_bps() as u128;
-            let from_bytes = g.bytes() as u128 * 8 * NS_PER_SEC as u128 / rate;
-            let byte_ns = 8 * NS_PER_SEC as u128 / rate;
-            prop_assert!(
-                vd <= from_bytes && from_bytes <= vd + byte_ns + 2,
-                "virtual delay {vd} ns inconsistent with {} bytes at {rate} bps",
-                g.bytes()
-            );
-        }
-    }
-
-    /// Deduct exactly reverses an arrival at the same instant (the
-    /// Algorithm 2 drop path restores the pre-arrival gap).
-    #[test]
-    fn deduct_restores_pre_arrival_gap(
-        warmup in ops_strategy(),
-        size in 40u32..9000,
-        bps in 1_000_000u64..400_000_000_000,
-    ) {
-        let mut g = AGap::new(Rate::from_bps(bps));
-        let mut t = 0u64;
-        for op in warmup {
-            match op {
-                Op::Packet(dns, s) => {
-                    t += dns;
-                    g.on_packet(Time::from_nanos(t), s);
-                }
-                Op::Drain(dns) => {
-                    t += dns;
-                    g.drain_to(Time::from_nanos(t));
-                }
-                Op::Deduct(s) => g.deduct(s),
-                Op::SetRate(dns, r) => {
-                    t += dns;
-                    g.set_rate(Time::from_nanos(t), Rate::from_bps(r));
-                }
-            }
-        }
-        let before = g.bytes();
-        g.on_packet(Time::from_nanos(t), size);
-        g.deduct(size);
-        prop_assert_eq!(
-            g.bytes(),
-            before,
-            "drop path failed to restore the gap"
-        );
+    fn aq_matches_the_spec_under_any_op_sequence(aq in aq(), ops in ops()) {
+        run(aq, ops).map_err(TestCaseError::fail)?;
     }
 }

@@ -3,9 +3,9 @@
 //! The default discipline is the paper's *physical queue* (PQ): a FIFO with
 //! a byte limit (taildrop) and an optional instantaneous-queue ECN marking
 //! threshold, exactly the drop/mark behaviour DCTCP-style data center
-//! switches expose. Alternative disciplines (HTB shaping, DRR per-flow
-//! queueing) implement [`QueueDiscipline`] in the `aq-baselines` crate and
-//! plug into the same port.
+//! switches expose. Alternative disciplines (HTB shaping) implement
+//! [`QueueDiscipline`] in the `aq-baselines` crate and plug into the same
+//! port.
 //!
 //! This module also carries a small AQM zoo used by the shared-buffer
 //! experiments: [`DisaggRedQueue`] (iRED-style disaggregated RED, where

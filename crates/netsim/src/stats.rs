@@ -777,7 +777,7 @@ impl EntityStats {
 ///
 /// Fed by the simulator at every enqueue/drop/dequeue/tx-complete, so it
 /// works for *any* [`crate::queue::QueueDiscipline`] (FIFO, HTB shaper,
-/// DRR), not just [`crate::queue::FifoQueue`]. The byte identity
+/// the AQM zoo), not just [`crate::queue::FifoQueue`]. The byte identity
 ///
 /// ```text
 /// enqueued_bytes == dequeued_bytes + dropped_bytes + resident_bytes

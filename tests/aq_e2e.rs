@@ -2,15 +2,18 @@
 //! exercised through the full stack (controller → pipeline → simulated
 //! switch → transports).
 
+use augmented_queue::core::spec::Lockstep;
 use augmented_queue::core::{
-    AqController, AqPipeline, AqRequest, BandwidthDemand, CcPolicy, LimitPolicy, Position,
-    WorkConservation,
+    AqController, AqPipeline, AqRequest, AqVerdict, BandwidthDemand, CcPolicy, LimitPolicy,
+    Position, WorkConservation,
 };
 use augmented_queue::netsim::packet::AqTag;
 use augmented_queue::netsim::queue::FifoConfig;
 use augmented_queue::netsim::time::{Duration, Rate, Time};
 use augmented_queue::netsim::topology::{dumbbell, star};
-use augmented_queue::netsim::{EntityId, Simulator};
+use augmented_queue::netsim::{
+    EntityId, NodeId, Packet, PipelineVerdict, PortId, Simulator, SwitchPipeline,
+};
 use augmented_queue::transport::{CcAlgo, DelaySignal, FlowKind};
 use augmented_queue::workloads::{add_flows, ensure_transport_hosts, goodput_gbps, long_flows};
 
@@ -513,5 +516,129 @@ fn flow_count_does_not_change_entity_shares() {
     assert!(
         ratio > 0.75,
         "1-flow vs 32-flow entities should still split evenly: {a} vs {b}"
+    );
+}
+
+/// An ingress AQ stage whose table runs in lockstep with `aq_core::spec`:
+/// every packet the simulated switch hands it is checked against
+/// Algorithm 1 + 2 as the paper states them, in a default build.
+struct SpecCheckedStage(Lockstep);
+
+impl SwitchPipeline for SpecCheckedStage {
+    fn ingress(&mut self, now: Time, pkt: &mut Packet) -> PipelineVerdict {
+        if !pkt.aq_ingress.is_some() {
+            return PipelineVerdict::Forward;
+        }
+        match self.0.process(pkt.aq_ingress, now, pkt) {
+            Ok(Some(AqVerdict::Drop)) => PipelineVerdict::Drop,
+            Ok(_) => PipelineVerdict::Forward,
+            Err(e) => panic!("at {now}: the AQ table left the spec: {e}"),
+        }
+    }
+
+    fn egress(&mut self, _: Time, _: &mut Packet, _: PortId, _: u64) -> PipelineVerdict {
+        PipelineVerdict::Forward
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+#[test]
+fn aq_table_follows_the_spec_through_a_whole_run_and_a_retarget() {
+    // Three equal-weight entities, one per CC policy (a UDP blaster under
+    // drop-based AQ, DCTCP under ECN-based, Swift under delay-based), so
+    // Algorithm 2 drops, marks and stamps delays on real traffic. At
+    // 100 ms the control plane cuts the UDP AQ to 1 Gbps, keeping its
+    // limit, and rewrites the other two unchanged; the table must stay
+    // with the spec through both kinds of write, and the cut must take
+    // hold.
+    let d = dumbbell(
+        3,
+        Rate::from_gbps(10),
+        Duration::from_micros(10),
+        FifoConfig::with_ecn(PQ_LIMIT, 65_000),
+    );
+    let mut ctl = AqController::new(
+        Rate::from_gbps(10),
+        LimitPolicy::MatchPhysicalQueue {
+            pq_limit_bytes: PQ_LIMIT,
+        },
+    );
+    let mut net = d.net;
+    ensure_transport_hosts(&mut net);
+    let udp = FlowKind::Udp {
+        rate: Rate::from_gbps(10),
+    };
+    let swift = FlowKind::Tcp(CcAlgo::Swift {
+        target: Duration::from_micros(50),
+    });
+    let ecn = CcPolicy::EcnBased {
+        threshold_bytes: 30_000,
+    };
+    let dctcp = FlowKind::Tcp(CcAlgo::Dctcp);
+    let entities = [
+        (CcPolicy::DropBased, udp, DelaySignal::MeasuredRtt, 1),
+        (ecn, dctcp, DelaySignal::MeasuredRtt, 4),
+        (CcPolicy::DelayBased, swift, DelaySignal::VirtualDelay, 4),
+    ];
+    for (e, (i, (cc, kind, signal, n))) in (1..).zip(entities.into_iter().enumerate()) {
+        let g = ctl.request(weighted_request(cc)).expect("grant");
+        let pair = [(d.left[i], d.right[i])];
+        let flows = long_flows(
+            EntityId(e),
+            &pair,
+            n,
+            kind,
+            g.id,
+            AqTag::NONE,
+            signal,
+            100 * e,
+        );
+        add_flows(&mut net, flows);
+    }
+    let configs = ctl.configs();
+    let mut stage = SpecCheckedStage(Lockstep::default());
+    for (_, cfg) in &configs {
+        stage.0.deploy(Time::ZERO, cfg.clone()).expect("deploy");
+    }
+    net.add_pipeline(d.sw_left, Box::new(stage));
+    let mut sim = Simulator::new(net);
+    fn lockstep(sim: &mut Simulator, sw: NodeId) -> &mut Lockstep {
+        let stage = sim.net.pipeline_mut::<SpecCheckedStage>(sw, 0);
+        &mut stage.expect("the spec-checked stage").0
+    }
+    let cut = Time::from_millis(100);
+    sim.run_until(cut);
+    for (_, cfg) in &configs {
+        let (rate, limit) = match cfg.cc {
+            CcPolicy::DropBased => (Rate::from_gbps(1), None),
+            _ => (cfg.rate, Some(cfg.limit_bytes)),
+        };
+        let retarget = lockstep(&mut sim, d.sw_left).retarget(cfg.id, cut, rate, limit);
+        assert_eq!(retarget, Ok(true), "aq {}", cfg.id.0);
+    }
+    sim.run_until(Time::from_millis(200));
+    let table = &lockstep(&mut sim, d.sw_left).table;
+    let rows = configs
+        .iter()
+        .map(|(_, cfg)| table.get(cfg.id).expect("row"));
+    let (drops, marks) = rows.fold((0, 0), |(dr, mk), r| (dr + r.drops, mk + r.marks));
+    assert!(drops > 0 && marks > 0, "{drops} AQ drops, {marks} AQ marks");
+    let swift = sim.stats.entity(EntityId(3)).expect("Swift entity");
+    assert!(swift.vdelay.percentile(95.0) > Some(0), "no virtual delay");
+    let goodput = |from_ms, to_ms| {
+        let (from, to) = (Time::from_millis(from_ms), Time::from_millis(to_ms));
+        goodput_gbps(&sim.stats, EntityId(1), from, to)
+    };
+    let (before, after) = (goodput(40, 100), goodput(120, 200));
+    assert!(
+        (2.8..=3.6).contains(&before),
+        "UDP got {before} of 10/3 Gbps"
+    );
+    assert!(
+        (0.8..=1.1).contains(&after),
+        "UDP got {after} Gbps after the cut to 1"
     );
 }

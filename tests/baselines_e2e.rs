@@ -1,18 +1,16 @@
-//! End-to-end behaviour of the baseline systems (PRL/DRL/DRR) inside the
+//! End-to-end behaviour of the baseline systems (PRL/DRL) inside the
 //! simulator — these are full substrates, not mocks, so they get the same
 //! black-box treatment as AQ.
 
-use augmented_queue::baselines::{
-    ClassKey, Classify, DrrQueue, ElasticSwitch, HtbShaper, VmConfig,
-};
+use augmented_queue::baselines::{ClassKey, Classify, ElasticSwitch, HtbShaper, VmConfig};
 use augmented_queue::netsim::packet::AqTag;
 use augmented_queue::netsim::queue::FifoConfig;
 use augmented_queue::netsim::time::{Duration, Rate, Time};
-use augmented_queue::netsim::topology::{dumbbell, NetBuilder};
-use augmented_queue::netsim::{EntityId, FlowId, Simulator};
+use augmented_queue::netsim::topology::dumbbell;
+use augmented_queue::netsim::{EntityId, Simulator};
+use augmented_queue::transport::CcAlgo;
 use augmented_queue::transport::DelaySignal;
 use augmented_queue::transport::FlowKind;
-use augmented_queue::transport::{CcAlgo, FlowSpec, TransportHost};
 use augmented_queue::workloads::{add_flows, ensure_transport_hosts, goodput_gbps, long_flows};
 
 #[test]
@@ -168,77 +166,4 @@ fn elastic_switch_reallocates_toward_demand_within_15ms_epochs() {
         .class_rate(ClassKey::Dst(d.right[0]))
         .expect("managed class");
     assert!(rate.as_bps() > 6_000_000_000, "class probed to {rate}");
-}
-
-#[test]
-fn drr_equalizes_flows_that_a_fifo_would_not() {
-    // One host with 1 flow vs another with 7, converging on a DRR core
-    // port: per-flow fair queueing equalizes *flows*, so the 7-flow entity
-    // gets ~7/8 — exactly why per-flow queues cannot provide entity-level
-    // guarantees (and a correctness check of the DRR discipline).
-    let mut b = NetBuilder::new();
-    let a = b.add_host();
-    let c = b.add_host();
-    let dst = b.add_host();
-    let sw = b.add_switch();
-    let big = FifoConfig::default();
-    b.connect_symmetric(a, sw, Rate::from_gbps(10), Duration::from_micros(5), big);
-    b.connect_symmetric(c, sw, Rate::from_gbps(10), Duration::from_micros(5), big);
-    // dst downlink uses DRR.
-    let _ = b.half_link(
-        sw,
-        dst,
-        Rate::from_gbps(10),
-        Duration::from_micros(5),
-        Box::new(DrrQueue::new(1500, 400_000)),
-    );
-    b.half_link(
-        dst,
-        sw,
-        Rate::from_gbps(10),
-        Duration::from_micros(5),
-        Box::new(augmented_queue::netsim::FifoQueue::new(big)),
-    );
-    let mut net = b.build();
-    ensure_transport_hosts(&mut net);
-    let mut host_a = TransportHost::new(a);
-    host_a.add_flow(FlowSpec::long_tcp(
-        FlowId(1),
-        EntityId(1),
-        a,
-        dst,
-        CcAlgo::Cubic,
-    ));
-    net.set_app(a, Box::new(host_a));
-    let mut host_c = TransportHost::new(c);
-    for i in 0..7 {
-        host_c.add_flow(FlowSpec::long_tcp(
-            FlowId(10 + i),
-            EntityId(2),
-            c,
-            dst,
-            CcAlgo::Cubic,
-        ));
-    }
-    net.set_app(c, Box::new(host_c));
-    let mut sim = Simulator::new(net);
-    sim.run_until(Time::from_millis(300));
-    let ga = goodput_gbps(
-        &sim.stats,
-        EntityId(1),
-        Time::from_millis(100),
-        Time::from_millis(300),
-    );
-    let gc = goodput_gbps(
-        &sim.stats,
-        EntityId(2),
-        Time::from_millis(100),
-        Time::from_millis(300),
-    );
-    assert!(ga + gc > 8.0, "link utilized: {ga} + {gc}");
-    let share = gc / (ga + gc);
-    assert!(
-        (0.75..=0.95).contains(&share),
-        "7 flows should take ~7/8 of a per-flow-fair link, got {share}"
-    );
 }

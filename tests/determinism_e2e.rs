@@ -10,7 +10,8 @@
 //! an ECMP fat-tree and additionally digests the rendered `RunReport`
 //! artifact bytes, pinning down the serialization path as well. Further
 //! scenarios cover the baseline disciplines (PRL's static rate limiters,
-//! DRL's ElasticSwitch agent, and a DRR core queue, all on a dumbbell):
+//! DRL's ElasticSwitch agent, and a disaggregated-RED core queue, all on
+//! a dumbbell):
 //! the sweep harness's regression gate compares AQ against the
 //! baselines, so they must honor the same byte-identical contract.
 //!
@@ -25,12 +26,11 @@ use aq_bench::{
     build_dumbbell, build_experiment, run_workload, Approach, EntitySetup, ExpConfig, LongKind,
     Traffic,
 };
-use augmented_queue::baselines::DrrQueue;
 use augmented_queue::core::{
     AqController, AqPipeline, AqRequest, BandwidthDemand, CcPolicy, LimitPolicy, Position,
 };
 use augmented_queue::netsim::packet::AqTag;
-use augmented_queue::netsim::queue::FifoConfig;
+use augmented_queue::netsim::queue::{DisaggRedConfig, DisaggRedQueue, FifoConfig};
 use augmented_queue::netsim::time::{Duration, Rate, Time};
 use augmented_queue::netsim::topology::{dumbbell, fat_tree};
 use augmented_queue::netsim::{EntityId, ShardedSim, Simulator};
@@ -229,10 +229,10 @@ fn unbalanced_entities() -> Vec<EntitySetup> {
 /// A baseline-approach dumbbell (PRL's static rate limiters or DRL's
 /// ElasticSwitch agent) digested the same way: baseline approaches must
 /// honor the same reproducibility contract as AQ, since the harness's
-/// regression gate compares AQ *against* them. When `drr_core` is set,
-/// the core port's FIFO is additionally swapped for a [`DrrQueue`] so
-/// the per-flow-queue discipline is pinned too.
-fn run_baseline_digest(approach: Approach, drr_core: bool, seed: u64) -> String {
+/// regression gate compares AQ *against* them. When `red_core` is set,
+/// the core port's FIFO is additionally swapped for a [`DisaggRedQueue`]
+/// so an AQM-zoo discipline is pinned too.
+fn run_baseline_digest(approach: Approach, red_core: bool, seed: u64) -> String {
     let mut exp = build_dumbbell(
         approach,
         &unbalanced_entities(),
@@ -241,8 +241,9 @@ fn run_baseline_digest(approach: Approach, drr_core: bool, seed: u64) -> String 
             ..Default::default()
         },
     );
-    if drr_core {
-        exp.sim.net.ports[exp.core_port.index()].queue = Box::new(DrrQueue::new(1500, 200_000));
+    if red_core {
+        exp.sim.net.ports[exp.core_port.index()].queue =
+            Box::new(DisaggRedQueue::new(DisaggRedConfig::default()));
     }
     exp.sim.run_until(Time::from_millis(30));
     let label = approach.name().to_ascii_lowercase();
@@ -548,14 +549,15 @@ fn same_seed_same_bytes_baseline_drl_dumbbell() {
 }
 
 #[test]
-fn same_seed_same_bytes_drr_core_queue() {
-    // Per-flow-queue scheduling (DRR at the core) exercises queue-internal
-    // state the FIFO paths never touch; pin its replay as well.
+fn same_seed_same_bytes_red_core_queue() {
+    // Disaggregated RED at the core carries queue-internal state (the
+    // backlog EWMA, the marking credit, pending actions) the FIFO paths
+    // never touch; pin its replay as well.
     let a = run_baseline_digest(Approach::Pq, true, 0x5176_0005);
     let b = run_baseline_digest(Approach::Pq, true, 0x5176_0005);
-    assert_eq!(a, b, "DRR-core runs (incl. run-report artifact) diverged");
+    assert_eq!(a, b, "RED-core runs (incl. run-report artifact) diverged");
     let c = run_baseline_digest(Approach::Pq, true, 0x0BAD_0D0A);
-    assert_ne!(a, c, "DRR-core digest failed to register a seed change");
+    assert_ne!(a, c, "RED-core digest failed to register a seed change");
 }
 
 #[test]
