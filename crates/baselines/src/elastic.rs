@@ -59,9 +59,7 @@ pub struct ElasticSwitch {
     /// deployment (Table 3), where the profile is "no more, no less".
     /// When clear, RA probes above guarantees for work conservation
     /// (the Fig. 6/7 deployment).
-    pub cap_to_hose: bool,
-    /// Adjustment rounds executed.
-    pub rounds: u64,
+    cap_to_hose: bool,
 }
 
 /// Multiplicative probe-up factor per interval while demand is unmet.
@@ -76,18 +74,12 @@ const HUNGRY: f64 = 0.9;
 impl ElasticSwitch {
     /// Build the agent for the given VMs with the classic 15 ms interval.
     pub fn new(vms: Vec<VmConfig>) -> ElasticSwitch {
-        ElasticSwitch::with_interval(vms, Duration::from_millis(15))
-    }
-
-    /// Build with a custom adjustment interval (ablations).
-    pub fn with_interval(vms: Vec<VmConfig>, interval: Duration) -> ElasticSwitch {
         ElasticSwitch {
             vms,
-            interval,
+            interval: Duration::from_millis(15),
             pairs: BTreeMap::new(),
             last_port_drops: Vec::new(),
             cap_to_hose: false,
-            rounds: 0,
         }
     }
 
@@ -99,7 +91,8 @@ impl ElasticSwitch {
     }
 
     /// Current limit of a managed pair, if any.
-    pub fn pair_rate(&self, src: NodeId, dst: NodeId) -> Option<Rate> {
+    #[cfg(test)]
+    fn pair_rate(&self, src: NodeId, dst: NodeId) -> Option<Rate> {
         self.pairs
             .get(&(src, dst))
             .map(|p| Rate::from_bps(p.rate_bps))
@@ -213,7 +206,6 @@ impl ElasticSwitch {
                 }
             }
         }
-        self.rounds += 1;
     }
 }
 

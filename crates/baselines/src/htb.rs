@@ -2,14 +2,14 @@
 //! limiter* (PRL) baseline.
 //!
 //! The shaper is a [`QueueDiscipline`] installed on a host's uplink port.
-//! Packets are classified into classes (by entity, by destination, or all
-//! together); each class owns a token bucket refilled at its configured
+//! Packets are classified into classes (by destination, or all together);
+//! each class owns a token bucket refilled at its configured
 //! rate, and a class may release a packet only when its bucket holds
 //! enough tokens. Classes are strict: there is **no borrowing** between
 //! them — this is precisely the non-work-conserving weakness of
 //! pre-determined limiting that the paper's Fig. 6/7 exercise.
 
-use aq_netsim::ids::{EntityId, NodeId};
+use aq_netsim::ids::NodeId;
 use aq_netsim::packet::Packet;
 use aq_netsim::queue::{DropCause, Enqueued, QueueDiscipline};
 use aq_netsim::time::{Duration, Rate, Time, NS_PER_SEC};
@@ -59,12 +59,6 @@ impl TokenBucket {
         self.last_refill = now;
     }
 
-    /// Whole tokens (bytes) available at `now`.
-    pub fn available(&mut self, now: Time) -> u64 {
-        self.refill(now);
-        self.tokens_sub / SUB
-    }
-
     /// Consume `bytes` tokens if available; returns success.
     pub fn try_consume(&mut self, now: Time, bytes: u64) -> bool {
         self.refill(now);
@@ -100,8 +94,6 @@ impl TokenBucket {
 pub enum Classify {
     /// All traffic in one class (one rate limiter for the host/VM).
     All,
-    /// One class per owning entity.
-    ByEntity,
     /// One class per destination host (ElasticSwitch-style VM-pair
     /// limiting).
     ByDst,
@@ -112,8 +104,6 @@ pub enum Classify {
 pub enum ClassKey {
     /// The single class of [`Classify::All`].
     All,
-    /// A [`Classify::ByEntity`] class.
-    Entity(EntityId),
     /// A [`Classify::ByDst`] class.
     Dst(NodeId),
 }
@@ -124,9 +114,7 @@ struct HtbClass {
     queue: VecDeque<(Packet, Time)>,
     backlog: u64,
     /// Cumulative bytes released (demand measurement for DRL).
-    pub released_bytes: u64,
-    /// Cumulative taildrops in this class.
-    pub drops: u64,
+    released_bytes: u64,
 }
 
 /// The HTB shaper discipline.
@@ -159,7 +147,6 @@ impl HtbShaper {
     fn key_for(&self, pkt: &Packet) -> ClassKey {
         match self.classify {
             Classify::All => ClassKey::All,
-            Classify::ByEntity => ClassKey::Entity(pkt.entity),
             Classify::ByDst => ClassKey::Dst(pkt.dst),
         }
     }
@@ -171,12 +158,11 @@ impl HtbShaper {
             queue: VecDeque::new(),
             backlog: 0,
             released_bytes: 0,
-            drops: 0,
         })
     }
 
     /// Set (or pre-create with) a class's rate.
-    pub fn set_class_rate(&mut self, now: Time, key: ClassKey, rate: Rate) {
+    pub(crate) fn set_class_rate(&mut self, now: Time, key: ClassKey, rate: Rate) {
         self.class_mut(key).bucket.set_rate(now, rate);
     }
 
@@ -186,7 +172,7 @@ impl HtbShaper {
     }
 
     /// Bytes released by a class so far (demand signal for DRL).
-    pub fn class_released(&self, key: ClassKey) -> u64 {
+    pub(crate) fn class_released(&self, key: ClassKey) -> u64 {
         self.classes
             .get(&key)
             .map(|c| c.released_bytes)
@@ -194,12 +180,12 @@ impl HtbShaper {
     }
 
     /// Bytes currently queued in a class (backlog = unmet demand).
-    pub fn class_backlog(&self, key: ClassKey) -> u64 {
+    pub(crate) fn class_backlog(&self, key: ClassKey) -> u64 {
         self.classes.get(&key).map(|c| c.backlog).unwrap_or(0)
     }
 
     /// Keys of all classes that have carried traffic.
-    pub fn class_keys(&self) -> Vec<ClassKey> {
+    pub(crate) fn class_keys(&self) -> Vec<ClassKey> {
         self.classes.keys().copied().collect()
     }
 }
@@ -215,7 +201,6 @@ impl QueueDiscipline for HtbShaper {
         let limit = self.per_class_limit;
         let class = self.class_mut(key);
         if class.backlog + pkt.size as u64 > limit {
-            class.drops += 1;
             return Enqueued::Dropped(pkt, DropCause::Shaper);
         }
         class.backlog += pkt.size as u64;
@@ -275,12 +260,12 @@ impl QueueDiscipline for HtbShaper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aq_netsim::ids::FlowId;
+    use aq_netsim::ids::{EntityId, FlowId};
 
-    fn pkt(entity: u32, dst: u32) -> Packet {
+    fn pkt(dst: u32) -> Packet {
         Packet::data(
             FlowId(1),
-            EntityId(entity),
+            EntityId(1),
             NodeId(0),
             NodeId(dst),
             0,
@@ -305,7 +290,8 @@ mod tests {
     fn bucket_caps_at_burst() {
         let mut b = TokenBucket::new(Rate::from_gbps(1), 2000);
         // After a long idle period, tokens cap at the burst size.
-        assert_eq!(b.available(Time::from_secs(10)), 2000);
+        assert!(b.try_consume(Time::from_secs(10), 2000));
+        assert!(!b.try_consume(Time::from_secs(10), 1));
     }
 
     #[test]
@@ -318,7 +304,7 @@ mod tests {
     fn shaper_releases_at_class_rate() {
         let mut s = HtbShaper::new(Classify::All, Rate::from_gbps(1), 1060, 1_000_000);
         for _ in 0..3 {
-            assert!(matches!(s.enqueue(Time::ZERO, pkt(1, 2)), Enqueued::Ok));
+            assert!(matches!(s.enqueue(Time::ZERO, pkt(2)), Enqueued::Ok));
         }
         // First packet: burst tokens available immediately.
         assert_eq!(s.ready_at(Time::ZERO), Some(Time::ZERO));
@@ -332,12 +318,12 @@ mod tests {
 
     #[test]
     fn classes_do_not_borrow() {
-        let mut s = HtbShaper::new(Classify::ByEntity, Rate::from_gbps(1), 1060, 1_000_000);
-        s.enqueue(Time::ZERO, pkt(1, 2));
-        s.enqueue(Time::ZERO, pkt(1, 2));
-        // Entity 1 exhausted its burst after one packet; entity 2 idle.
+        let mut s = HtbShaper::new(Classify::ByDst, Rate::from_gbps(1), 1060, 1_000_000);
+        s.enqueue(Time::ZERO, pkt(2));
+        s.enqueue(Time::ZERO, pkt(2));
+        // Destination 2 exhausted its burst after one packet; 3 is idle.
         assert!(s.dequeue(Time::ZERO).is_some());
-        // Even though entity 2's bucket is full, entity 1 cannot use it.
+        // Even though destination 3's bucket is full, 2 cannot use it.
         assert!(s.dequeue(Time::ZERO).is_none());
         let t = s.ready_at(Time::ZERO).expect("queued");
         assert_eq!(t, Time::from_nanos(8480));
@@ -346,8 +332,8 @@ mod tests {
     #[test]
     fn by_dst_classification_separates_destinations() {
         let mut s = HtbShaper::new(Classify::ByDst, Rate::from_gbps(1), 1060, 1_000_000);
-        s.enqueue(Time::ZERO, pkt(1, 2));
-        s.enqueue(Time::ZERO, pkt(1, 3));
+        s.enqueue(Time::ZERO, pkt(2));
+        s.enqueue(Time::ZERO, pkt(3));
         // Both destinations have their own burst: both release at t=0.
         assert!(s.dequeue(Time::ZERO).is_some());
         assert!(s.dequeue(Time::ZERO).is_some());
@@ -357,10 +343,10 @@ mod tests {
     #[test]
     fn per_class_buffer_taildrops() {
         let mut s = HtbShaper::new(Classify::All, Rate::from_gbps(1), 1060, 2120);
-        assert!(matches!(s.enqueue(Time::ZERO, pkt(1, 2)), Enqueued::Ok));
-        assert!(matches!(s.enqueue(Time::ZERO, pkt(1, 2)), Enqueued::Ok));
+        assert!(matches!(s.enqueue(Time::ZERO, pkt(2)), Enqueued::Ok));
+        assert!(matches!(s.enqueue(Time::ZERO, pkt(2)), Enqueued::Ok));
         assert!(matches!(
-            s.enqueue(Time::ZERO, pkt(1, 2)),
+            s.enqueue(Time::ZERO, pkt(2)),
             Enqueued::Dropped(_, DropCause::Shaper)
         ));
     }
@@ -368,8 +354,8 @@ mod tests {
     #[test]
     fn set_class_rate_applies_from_now() {
         let mut s = HtbShaper::new(Classify::All, Rate::from_gbps(1), 1060, 1_000_000);
-        s.enqueue(Time::ZERO, pkt(1, 2));
-        s.enqueue(Time::ZERO, pkt(1, 2));
+        s.enqueue(Time::ZERO, pkt(2));
+        s.enqueue(Time::ZERO, pkt(2));
         s.dequeue(Time::ZERO);
         s.set_class_rate(Time::ZERO, ClassKey::All, Rate::from_gbps(2));
         // Refill now happens at 2 Gbps: 4240 ns instead of 8480.

@@ -91,7 +91,7 @@ impl Json {
     }
 
     /// Member `key`, or an error naming `ctx` (the enclosing record).
-    pub fn member(&self, key: &str, ctx: &str) -> Result<&Json, String> {
+    pub(crate) fn member(&self, key: &str, ctx: &str) -> Result<&Json, String> {
         self.get(key)
             .ok_or_else(|| format!("{ctx}: missing `{key}`"))
     }

@@ -73,39 +73,72 @@ impl Approach {
     }
 }
 
-/// Common experiment parameters.
+/// What a caller chooses on top of a plan: the seed and whether the
+/// physical queues mark ECN. Links and queue limits are the plan's
+/// ([`ScenarioPlan::fabric`], else the default fabric).
 #[derive(Debug, Clone, Copy)]
 pub struct ExpConfig {
-    /// Per-link rate (every dumbbell link, including the core).
-    pub link: Rate,
-    /// One-way propagation per link.
-    pub prop: Duration,
-    /// Core physical-queue limit.
-    pub pq_limit: u64,
     /// Core ECN threshold (needed whenever ECN-based CC participates).
     pub ecn_threshold: Option<u64>,
     /// Workload/jitter seed.
     pub seed: u64,
 }
 
-impl ExpConfig {
+impl Default for ExpConfig {
+    fn default() -> Self {
+        ExpConfig {
+            ecn_threshold: None,
+            seed: 1,
+        }
+    }
+}
+
+/// The links and physical queues one experiment is built on.
+#[derive(Debug, Clone, Copy)]
+struct Fabric {
+    /// Rate of every link (the dumbbell core may be sliced narrower).
+    link: Rate,
+    /// One-way propagation per link.
+    prop: Duration,
+    /// Physical-queue limit of the contended ports (bytes).
+    pq_limit: u64,
+    /// ECN threshold of the contended ports (bytes).
+    ecn_threshold: Option<u64>,
+}
+
+/// The fabric of every plan without a [`FabricPlan`] of its own: 10 Gbit/s
+/// links with 10 µs of one-way propagation and 200 KB physical queues.
+///
+/// [`FabricPlan`]: aq_workloads::registry::FabricPlan
+const DEFAULT_FABRIC: Fabric = Fabric {
+    link: Rate::from_gbps(10),
+    prop: Duration::from_micros(10),
+    pq_limit: 200_000,
+    ecn_threshold: None,
+};
+
+impl Fabric {
+    /// `plan`'s fabric, marking ECN where `cfg` asks for it.
+    fn of(plan: &ScenarioPlan, cfg: ExpConfig) -> Fabric {
+        match plan.fabric {
+            Some(f) => Fabric {
+                link: f.link,
+                prop: f.prop,
+                pq_limit: f.pq_limit,
+                ecn_threshold: cfg.ecn_threshold.map(|_| f.ecn_k),
+            },
+            None => Fabric {
+                ecn_threshold: cfg.ecn_threshold,
+                ..DEFAULT_FABRIC
+            },
+        }
+    }
+
     /// The FIFO of every contended fabric port.
     fn fifo(&self) -> FifoConfig {
         FifoConfig {
             limit_bytes: self.pq_limit,
             ecn_threshold_bytes: self.ecn_threshold,
-        }
-    }
-}
-
-impl Default for ExpConfig {
-    fn default() -> Self {
-        ExpConfig {
-            link: Rate::from_gbps(10),
-            prop: Duration::from_micros(10),
-            pq_limit: 200_000,
-            ecn_threshold: None,
-            seed: 1,
         }
     }
 }
@@ -192,9 +225,9 @@ fn assign_vms(
 /// Dumbbell: each entity gets `n_vms` left-side hosts (in declaration
 /// order); the right side mirrors the left and is the destination pool of
 /// all entities. `core` is the core link's rate.
-fn dumbbell_site(entities: &[EntitySetup], cfg: ExpConfig, core: Rate) -> Site {
+fn dumbbell_site(entities: &[EntitySetup], f: Fabric, core: Rate) -> Site {
     let total_vms: usize = entities.iter().map(|e| e.n_vms).sum();
-    let d = dumbbell_asym(total_vms.max(2), cfg.link, core, cfg.prop, cfg.fifo());
+    let d = dumbbell_asym(total_vms.max(2), f.link, core, f.prop, f.fifo());
     Site {
         shard_plan: d.shard_plan(),
         entity_vms: assign_vms(entities, &d.left, None),
@@ -212,7 +245,7 @@ fn dumbbell_site(entities: &[EntitySetup], cfg: ExpConfig, core: Rate) -> Site {
 /// downlinks. AQ pipelines sit on each entity's sending ToR (each ToR
 /// polices exactly the traffic it ingresses); PRL/DRL shape at the host
 /// uplinks as in the dumbbell.
-fn fat_tree_site(entities: &[EntitySetup], cfg: ExpConfig, k: usize) -> Site {
+fn fat_tree_site(entities: &[EntitySetup], f: Fabric, k: usize) -> Site {
     let half = k / 2;
     assert!(
         entities.len() <= half,
@@ -222,7 +255,7 @@ fn fat_tree_site(entities: &[EntitySetup], cfg: ExpConfig, k: usize) -> Site {
         entities.iter().all(|e| e.n_vms <= half),
         "at most {half} hosts per ToR"
     );
-    let ft = fat_tree(k, cfg.link, cfg.prop, cfg.fifo());
+    let ft = fat_tree(k, f.link, f.prop, f.fifo());
     // Hosts are pod-major, `half` per edge switch.
     let rx_base = (k - 1) * half * half;
     let receivers: Vec<NodeId> = ft.hosts[rx_base..rx_base + half].to_vec();
@@ -241,9 +274,9 @@ fn fat_tree_site(entities: &[EntitySetup], cfg: ExpConfig, k: usize) -> Site {
 
 /// Star: the entities' VMs around one switch, every VM a potential
 /// destination of every other entity.
-fn star_site(entities: &[EntitySetup], cfg: ExpConfig) -> Site {
+fn star_site(entities: &[EntitySetup], f: Fabric) -> Site {
     let total_vms: usize = entities.iter().map(|e| e.n_vms).sum();
-    let s = star(total_vms, cfg.link, cfg.prop, cfg.fifo());
+    let s = star(total_vms, f.link, f.prop, f.fifo());
     Site {
         shard_plan: ShardPlan::single(s.net.nodes.len()),
         entity_vms: assign_vms(entities, &s.hosts, None),
@@ -277,7 +310,7 @@ fn install_rate_limiters(
     entity_vms: &[(EntityId, Vec<NodeId>)],
     share: Rate,
     hose: Option<Rate>,
-    cfg: ExpConfig,
+    link: Rate,
 ) -> Option<ElasticSwitch> {
     let total_w: u64 = entities.iter().map(|e| e.weight).sum();
     let classify = if approach == Approach::Prl {
@@ -305,7 +338,7 @@ fn install_rate_limiters(
                 out_guarantee: vm_rate,
                 // Only a hose profile constrains inbound traffic; without
                 // one, admit up to a full link inbound.
-                in_guarantee: hose.unwrap_or(cfg.link),
+                in_guarantee: hose.unwrap_or(link),
             });
         }
     }
@@ -408,7 +441,7 @@ fn start_of(plan: &ScenarioPlan, i: usize) -> Duration {
 fn deploy_aqs(
     net: &mut Network,
     plan: &ScenarioPlan,
-    cfg: ExpConfig,
+    pq_limit: u64,
     share: Rate,
     entity_vms: &[(EntityId, Vec<NodeId>)],
     aq_switch: &[NodeId],
@@ -422,7 +455,7 @@ fn deploy_aqs(
         position,
         limit_override: None,
     };
-    let mut ctl = AqController::new(share, limit_policy(plan.aq_limit, cfg.pq_limit));
+    let mut ctl = AqController::new(share, limit_policy(plan.aq_limit, pq_limit));
     let mut tags = Tags::default();
     if let Topology::Star { hose } = plan.topology {
         for (e, (_, vms)) in entities.iter().zip(entity_vms) {
@@ -516,7 +549,8 @@ fn install_traffic(
     entity_vms: &[(EntityId, Vec<NodeId>)],
     receivers: &[NodeId],
     tags: &Tags,
-    cfg: ExpConfig,
+    link: Rate,
+    seed: u64,
 ) {
     let mut flow_base = 1u32;
     for (i, (e, (_, vms))) in plan.entities.iter().zip(entity_vms).enumerate() {
@@ -531,8 +565,8 @@ fn install_traffic(
                 e.cc,
                 *n_flows,
                 *load,
-                cfg.link,
-                cfg.seed.wrapping_add(e.entity.0 as u64 * 7919),
+                link,
+                seed.wrapping_add(e.entity.0 as u64 * 7919),
             )
             .generate(flow_base),
             // Every entity replays the *same* trace (same seed): the
@@ -542,7 +576,7 @@ fn install_traffic(
             Traffic::WebSearchClosed {
                 n_flows,
                 size_scale,
-            } => ClosedWorkload::web_search(e.entity, vms.clone(), dsts, e.cc, *n_flows, cfg.seed)
+            } => ClosedWorkload::web_search(e.entity, vms.clone(), dsts, e.cc, *n_flows, seed)
                 .with_size_scale(*size_scale)
                 .generate(flow_base),
             Traffic::Long { n, kind } => {
@@ -580,7 +614,8 @@ fn install_traffic(
 fn wire(
     approach: Approach,
     plan: &ScenarioPlan,
-    cfg: ExpConfig,
+    fabric: Fabric,
+    seed: u64,
     share: Rate,
     site: Site,
 ) -> Experiment {
@@ -592,13 +627,14 @@ fn wire(
         core_port,
         shard_plan,
     } = site;
+    let link = fabric.link;
     let mut agents: Vec<Box<dyn Agent>> = Vec::new();
     let tags = match approach {
         Approach::Pq => Tags::default(),
         Approach::Aq => deploy_aqs(
             &mut net,
             plan,
-            cfg,
+            fabric.pq_limit,
             share,
             &entity_vms,
             &aq_switch,
@@ -611,18 +647,18 @@ fn wire(
             };
             let entities = &plan.entities;
             let drl =
-                install_rate_limiters(&mut net, approach, entities, &entity_vms, share, hose, cfg);
+                install_rate_limiters(&mut net, approach, entities, &entity_vms, share, hose, link);
             agents.extend(drl.map(|a| Box::new(a) as Box<dyn Agent>));
             Tags::default()
         }
     };
     ensure_transport_hosts(&mut net);
     let mut sim = Simulator::new(net);
-    sim.set_seed(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
+    sim.set_seed(seed ^ 0x9e37_79b9_7f4a_7c15);
     for agent in agents {
         sim.add_agent(agent);
     }
-    install_traffic(&mut sim, plan, &entity_vms, &receivers, &tags, cfg);
+    install_traffic(&mut sim, plan, &entity_vms, &receivers, &tags, link, seed);
     Experiment {
         sim,
         entity_vms,
@@ -647,27 +683,21 @@ pub fn build_dumbbell(approach: Approach, entities: &[EntitySetup], cfg: ExpConf
 /// faults, buffers, table budget and churn against the instantiated
 /// fabric.
 pub fn build_experiment(approach: Approach, plan: &ScenarioPlan, cfg: ExpConfig) -> Experiment {
-    let cfg = plan.fabric.map_or(cfg, |f| ExpConfig {
-        link: f.link,
-        prop: f.prop,
-        pq_limit: f.pq_limit,
-        ecn_threshold: cfg.ecn_threshold.map(|_| f.ecn_k),
-        ..cfg
-    });
-    let share = plan.fabric.and_then(|f| f.slice).unwrap_or(cfg.link);
+    let fabric = Fabric::of(plan, cfg);
+    let share = plan.fabric.and_then(|f| f.slice).unwrap_or(fabric.link);
     let site = match plan.topology {
         // A sliced fabric's core is `share` wide — except under AQ, which
         // carves its slice out of a full-rate core.
         Topology::Dumbbell if approach == Approach::Aq => {
-            dumbbell_site(&plan.entities, cfg, cfg.link)
+            dumbbell_site(&plan.entities, fabric, fabric.link)
         }
-        Topology::Dumbbell => dumbbell_site(&plan.entities, cfg, share),
-        Topology::FatTree { k } => fat_tree_site(&plan.entities, cfg, k),
-        Topology::Star { .. } => star_site(&plan.entities, cfg),
+        Topology::Dumbbell => dumbbell_site(&plan.entities, fabric, share),
+        Topology::FatTree { k } => fat_tree_site(&plan.entities, fabric, k),
+        Topology::Star { .. } => star_site(&plan.entities, fabric),
     };
-    let mut exp = wire(approach, plan, cfg, share, site);
+    let mut exp = wire(approach, plan, fabric, cfg.seed, share, site);
     if let Some(bp) = plan.buffers {
-        install_buffering(&mut exp, bp, cfg);
+        install_buffering(&mut exp, bp, fabric.pq_limit);
     }
     if !plan.faults.is_empty() {
         let faults = translate_faults(&exp, &plan.faults, cfg.seed);
@@ -677,7 +707,7 @@ pub fn build_experiment(approach: Approach, plan: &ScenarioPlan, cfg: ExpConfig)
         install_aq_budget(&mut exp, budget);
     }
     if let Some(churn) = plan.churn {
-        install_churn(&mut exp, churn, cfg);
+        install_churn(&mut exp, churn, fabric, cfg.seed);
     }
     exp
 }
@@ -752,11 +782,11 @@ fn install_aq_budget(exp: &mut Experiment, budget: PlanAqBudget) {
 /// create/destroy train per pipeline-bearing switch. Tenant AQs get a
 /// tenth of the link and the physical-queue limit — small enough that a
 /// burst of them fits the fabric, large enough to matter when enforced.
-fn install_churn(exp: &mut Experiment, churn: PlanChurn, cfg: ExpConfig) {
-    let mut plan = ChurnPlan::new(cfg.seed ^ 0xC0DE_CAFE_5EED_1234);
+fn install_churn(exp: &mut Experiment, churn: PlanChurn, fabric: Fabric, seed: u64) {
+    let mut plan = ChurnPlan::new(seed ^ 0xC0DE_CAFE_5EED_1234);
     let first = fault_at(churn.first_ms);
     let cadence = Duration::from_nanos((churn.cadence_us * 1000.0).round() as u64);
-    let rate_bps = cfg.link.as_bps() / 10;
+    let rate_bps = fabric.link.as_bps() / 10;
     for node in pipeline_switches(exp) {
         plan = plan.tenant_train(
             node,
@@ -767,7 +797,7 @@ fn install_churn(exp: &mut Experiment, churn: PlanChurn, cfg: ExpConfig) {
             churn.id_span,
             churn.target_live as u32,
             rate_bps,
-            cfg.pq_limit,
+            fabric.pq_limit,
         );
     }
     exp.sim.install_churn(plan);
@@ -778,7 +808,7 @@ fn install_churn(exp: &mut Experiment, churn: PlanChurn, cfg: ExpConfig) {
 /// approach-specific discipline) and install one shared-buffer pool per
 /// switch, sized by the plan and guarded by its admission policy. Must
 /// run before the simulator starts — the queues are still empty.
-fn install_buffering(exp: &mut Experiment, bp: BufferPlan, cfg: ExpConfig) {
+fn install_buffering(exp: &mut Experiment, bp: BufferPlan, pq_limit: u64) {
     let net = &mut exp.sim.net;
     let mut port_counts = vec![0usize; net.nodes.len()];
     for p in &net.ports {
@@ -798,11 +828,11 @@ fn install_buffering(exp: &mut Experiment, bp: BufferPlan, cfg: ExpConfig) {
             }
             net.ports[i].queue = match bp.aqm {
                 AqmKind::DisaggRed => Box::new(DisaggRedQueue::new(DisaggRedConfig {
-                    limit_bytes: cfg.pq_limit,
+                    limit_bytes: pq_limit,
                     ..DisaggRedConfig::default()
                 })),
                 AqmKind::L4sStep => Box::new(L4sStepQueue::new(L4sStepConfig {
-                    limit_bytes: cfg.pq_limit,
+                    limit_bytes: pq_limit,
                     ..L4sStepConfig::default()
                 })),
                 AqmKind::Fifo => unreachable!("guarded above"),
@@ -1022,11 +1052,11 @@ mod tests {
 
     #[test]
     fn fat_tree_aq_deploys_one_pipeline_per_sending_tor() {
-        let cfg = ExpConfig::default();
+        let f = DEFAULT_FABRIC;
         let exp = build_fat_tree(Approach::Aq, &two_long_entities(), 4);
         // Node numbering is deterministic: a twin topology yields the
         // same edge-switch ids as the one inside the experiment.
-        let twin = fat_tree(4, cfg.link, cfg.prop, cfg.fifo());
+        let twin = fat_tree(4, f.link, f.prop, f.fifo());
         let mut sim = exp.sim;
         for tor in 0..2 {
             let pipe = sim

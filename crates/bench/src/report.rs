@@ -10,7 +10,7 @@
 //! across same-seed runs (the determinism e2e digests them).
 
 use crate::json::{self, FromJson, Json};
-use aq_core::{export_aq_table, AqPipeline, AqTable};
+use aq_core::AqPipeline;
 use aq_netsim::fault::{AppliedFault, FaultTotals};
 use aq_netsim::ids::{EntityId, NodeId, PortId};
 use aq_netsim::node::NodeKind;
@@ -841,15 +841,6 @@ impl RunReport {
         });
     }
 
-    /// Capture a bare [`AqTable`] (no simulator, no hub) as one section
-    /// containing only AQ rows — the path used by table-only harnesses
-    /// like the scalability example.
-    pub fn capture_table(&mut self, label: &str, table: &AqTable, position: AqPosition) {
-        let mut hub = StatsHub::new();
-        export_aq_table(table, position, &mut hub);
-        self.capture_hub(label, Time::ZERO, 0, &hub);
-    }
-
     /// Render all artifact files as `(filename, contents)` pairs:
     /// `report.json`, `entities.csv`, `ports.csv`, `buffers.csv`,
     /// `aqs.csv`, `tables.csv`, `metrics.csv`.
@@ -880,17 +871,17 @@ impl RunReport {
     }
 
     /// Per-entity rows as CSV (one row per section × entity).
-    pub fn render_entities_csv(&self) -> String {
+    fn render_entities_csv(&self) -> String {
         rows_csv(&self.sections, |s| &s.entities)
     }
 
     /// Per-port rows as CSV (one row per section × port).
-    pub fn render_ports_csv(&self) -> String {
+    fn render_ports_csv(&self) -> String {
         rows_csv(&self.sections, |s| &s.ports)
     }
 
     /// Per-pool rows as CSV (one row per section × shared-buffer pool).
-    pub fn render_buffers_csv(&self) -> String {
+    fn render_buffers_csv(&self) -> String {
         rows_csv(&self.sections, |s| &s.buffers)
     }
 
@@ -900,7 +891,7 @@ impl RunReport {
     }
 
     /// Per-table rows as CSV (one row per section × AQ table).
-    pub fn render_tables_csv(&self) -> String {
+    fn render_tables_csv(&self) -> String {
         rows_csv(&self.sections, |s| &s.tables)
     }
 
@@ -996,11 +987,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aq_core::config::CcPolicy;
-    use aq_core::config::Position;
-    use aq_core::controller::{AqController, AqRequest, BandwidthDemand, LimitPolicy};
     use aq_netsim::ids::{EntityId, FlowId, PortId};
-    use aq_netsim::time::Rate;
 
     fn sample_hub() -> StatsHub {
         let mut hub = StatsHub::new();
@@ -1268,32 +1255,5 @@ mod tests {
                 assert_eq!(row[at], want.to_string(), "{cause:?} in CSV `{col}`");
             }
         }
-    }
-
-    #[test]
-    fn capture_table_emits_aq_rows_without_a_simulator() {
-        let mut ctl = AqController::new(
-            Rate::from_gbps(10),
-            LimitPolicy::MatchPhysicalQueue {
-                pq_limit_bytes: 150_000,
-            },
-        );
-        for _ in 0..3 {
-            ctl.request(AqRequest {
-                demand: BandwidthDemand::Weighted(1),
-                cc: CcPolicy::DropBased,
-                position: Position::Ingress,
-                limit_override: None,
-            })
-            .expect("weighted grants admit");
-        }
-        let mut table = AqTable::new();
-        for (_, cfg) in ctl.configs() {
-            table.deploy(cfg);
-        }
-        let mut r = RunReport::new("unit");
-        r.capture_table("3aqs", &table, AqPosition::Ingress);
-        assert_eq!(r.sections()[0].aqs.len(), 3);
-        assert!(r.render_aqs_csv().lines().count() == 4);
     }
 }

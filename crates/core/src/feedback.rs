@@ -35,7 +35,7 @@ pub enum AqVerdict {
 /// packet's ECN / virtual-delay fields according to the verdict. This is
 /// the only implementation: [`AqTable::process`](crate::table::AqTable::process)
 /// calls it on the row it stores.
-pub fn process_packet(aq: &mut AqInstance, now: Time, pkt: &mut Packet) -> AqVerdict {
+pub(crate) fn process_packet(aq: &mut AqInstance, now: Time, pkt: &mut Packet) -> AqVerdict {
     aq.arrived_bytes += pkt.size as u64;
     let gap = aq.gap.on_packet(now, pkt.size);
     if gap > aq.cfg.limit_bytes {

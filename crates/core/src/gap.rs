@@ -31,7 +31,7 @@
 use aq_netsim::time::{Duration, Rate, Time, NS_PER_SEC};
 
 /// Fractional bits of the fixed-point gap representation.
-pub const GAP_FRAC_BITS: u32 = 16;
+pub(crate) const GAP_FRAC_BITS: u32 = 16;
 const SUB: u64 = 1 << GAP_FRAC_BITS;
 
 /// Sub-bytes drained by rate `R` over `delta`: `Δns·bps·2¹⁶ / (8·10⁹)`,
@@ -229,16 +229,6 @@ impl DGap {
         self.bytes()
     }
 
-    /// An *empty* period ending at `now`: `D = max{0, D − Δ·R}`
-    /// (Expression 5).
-    pub fn on_empty_until(&mut self, now: Time) {
-        if now > self.last_time {
-            self.gap_sub -= drained_sub(self.rate, now - self.last_time) as i128;
-            self.last_time = now;
-        }
-        self.gap_sub = self.gap_sub.max(0);
-    }
-
     /// Current signed gap in bytes (toward zero rounding).
     #[expect(
         clippy::cast_possible_truncation,
@@ -359,14 +349,5 @@ mod tests {
         assert!(d_peaks[0] > a_peaks[0], "{d_peaks:?} vs {a_peaks:?}");
         assert!(d_peaks.windows(2).all(|w| w[1] >= w[0]) && d_peaks[3] > 1.2 * d_peaks[0]);
         assert!(a_peaks.iter().all(|r| *r == a_peaks[0]), "{a_peaks:?}");
-    }
-
-    #[test]
-    fn strawman_empty_period_floors_at_zero() {
-        let rate = Rate::from_bps(8 * GBPS);
-        let mut d = DGap::new(rate);
-        d.on_packet(Time::ZERO, 100);
-        d.on_empty_until(Time::from_micros(1));
-        assert_eq!(d.bytes(), 0);
     }
 }

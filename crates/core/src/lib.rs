@@ -66,11 +66,10 @@ pub mod table;
 pub use config::{AqConfig, AqInstance, CcPolicy, PackedAq, Position, Recovery, PACKED_AQ_BYTES};
 pub use conservation::{ReallocatorConfig, WorkConservingReallocator};
 pub use controller::{AqController, AqRequest, BandwidthDemand, Grant, GrantError, LimitPolicy};
-pub use feedback::{process_packet, AqVerdict};
-pub use gap::{AGap, DGap, GapTrack, GAP_FRAC_BITS};
+pub use feedback::AqVerdict;
+pub use gap::{AGap, DGap, GapTrack};
 pub use pipeline::{
-    export_aq_table, AqPipeline, DegradeMode, DegradeState, DegradedRow, PipelineStats,
-    WorkConservation,
+    AqPipeline, DegradeMode, DegradeState, DegradedRow, PipelineStats, WorkConservation,
 };
 pub use resources::{
     aq_program_usage, memory_for_aqs, AqFeatures, DeviceCapacity, ResourceUsage, Utilization,

@@ -44,7 +44,7 @@ use std::collections::BTreeMap;
 /// Free function (rather than a table method) so harnesses that drive an
 /// [`AqTable`] directly — without a pipeline or simulator, like the
 /// scalability example — can still publish telemetry.
-pub fn export_aq_table(table: &AqTable, position: AqPosition, hub: &mut StatsHub) {
+fn export_aq_table(table: &AqTable, position: AqPosition, hub: &mut StatsHub) {
     hub.record_aq_summaries(table.iter().map(|inst| AqSummary {
         tag: inst.cfg.id.0,
         position,
@@ -131,16 +131,10 @@ impl DegradeState {
 /// Per-pipeline counters.
 #[derive(Debug, Default, Clone)]
 pub struct PipelineStats {
-    /// Packets processed against an ingress-position AQ.
-    pub ingress_matches: u64,
-    /// Packets processed against an egress-position AQ.
-    pub egress_matches: u64,
     /// Packets dropped by AQ limits (either position).
     pub drops: u64,
     /// Packets CE-marked by AQs.
     pub marks: u64,
-    /// Egress matches skipped by the bypass-when-idle mode.
-    pub bypassed: u64,
     /// Packets dropped because their AQ was parked and the pipeline runs
     /// [`DegradeMode::Police`].
     pub overflow_drops: u64,
@@ -364,7 +358,6 @@ impl SwitchPipeline for AqPipeline {
         if !pkt.aq_ingress.is_some() {
             return PipelineVerdict::Forward;
         }
-        self.stats.ingress_matches += 1;
         Self::apply(
             &mut self.ingress_table,
             &mut self.stats,
@@ -387,10 +380,8 @@ impl SwitchPipeline for AqPipeline {
             return PipelineVerdict::Forward;
         }
         if self.work_conservation == WorkConservation::BypassWhenIdle && backlog_bytes == 0 {
-            self.stats.bypassed += 1;
             return PipelineVerdict::Forward;
         }
-        self.stats.egress_matches += 1;
         Self::apply(
             &mut self.egress_table,
             &mut self.stats,
@@ -485,7 +476,8 @@ mod tests {
             pipe.egress(Time::ZERO, &mut p, PortId(0), 0),
             PipelineVerdict::Forward
         );
-        assert_eq!(pipe.stats.ingress_matches, 0);
+        let aq = pipe.ingress_table.get(AqTag(1)).unwrap();
+        assert_eq!(aq.arrived_bytes, 0, "no AQ processed the packet");
     }
 
     #[test]
@@ -613,7 +605,8 @@ mod tests {
             pipe.egress(Time::ZERO, &mut p, PortId(0), 0),
             PipelineVerdict::Forward
         );
-        assert_eq!(pipe.stats.bypassed, 1);
+        let aq = pipe.egress_table.get(AqTag(1)).unwrap();
+        assert_eq!(aq.arrived_bytes, 0, "the AQ never saw the packet");
         // Queue built up: enforcement resumes.
         assert_eq!(
             pipe.egress(Time::ZERO, &mut p, PortId(0), 3000),

@@ -14,7 +14,7 @@
 //! row (the id is the match key, as on the switch), and each dense row is
 //! the [`AqInstance`] itself plus the idle clock eviction orders by. There
 //! is no second representation — [`AqTable::process`] runs
-//! [`process_packet`] on the stored instance, [`AqTable::get`] and
+//! `feedback::process_packet` on the stored instance, [`AqTable::get`] and
 //! [`AqTable::iter`] lend it out, and [`AqTable::retarget`] is the one
 //! control write. The row is 128 B, wider than the switch's 15 B because the
 //! simulator keeps nanosecond clocks, 2⁻¹⁶-byte fixed point and telemetry
@@ -42,7 +42,7 @@
 //! physical-queue behavior), `EvictIdle` evicts the longest-idle deployed
 //! AQ (smallest last-arrival time, smallest id on ties) to make room.
 //! Occupancy never exceeds the budget at any point; the high-water mark is
-//! tracked in [`AqTable::peak_register_memory_bytes`].
+//! tracked and exported with the table's summary.
 //!
 //! ## Spec shadow
 //!
@@ -74,7 +74,7 @@ pub enum OverflowPolicy {
 
 impl OverflowPolicy {
     /// Stable artifact label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             OverflowPolicy::RejectNew => "reject_new",
             OverflowPolicy::EvictIdle => "evict_idle",
@@ -188,7 +188,7 @@ impl AqTable {
 
     /// High-water mark of register-memory occupancy over the table's
     /// lifetime (never exceeds the budget while one is set).
-    pub fn peak_register_memory_bytes(&self) -> u64 {
+    pub(crate) fn peak_register_memory_bytes(&self) -> u64 {
         self.peak_bytes
     }
 
@@ -205,7 +205,7 @@ impl AqTable {
 
     /// When the AQ with this id last saw a packet (its deploy time until
     /// the first arrival).
-    pub fn last_arrival_of(&self, id: AqTag) -> Option<Time> {
+    pub(crate) fn last_arrival_of(&self, id: AqTag) -> Option<Time> {
         Some(self.rows[self.dense(id)?].last_arrival)
     }
 

@@ -55,7 +55,7 @@ pub struct Aggregate {
 
 impl Aggregate {
     /// Collapse one metric's per-seed observations.
-    pub fn from_samples(samples: &[f64]) -> Option<Aggregate> {
+    fn from_samples(samples: &[f64]) -> Option<Aggregate> {
         if samples.is_empty() {
             return None;
         }

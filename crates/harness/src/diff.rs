@@ -18,13 +18,13 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone)]
 pub struct Tolerances {
     /// `(prefix, relative tolerance)` pairs, first match wins.
-    pub by_prefix: Vec<(String, f64)>,
+    by_prefix: Vec<(String, f64)>,
     /// Fallback when no prefix matches.
-    pub default: f64,
+    default: f64,
     /// `(prefix, absolute slack)` pairs, first match wins; deltas with
     /// `|a − b| <= slack` never violate. Metrics without a matching prefix
     /// get zero slack (purely relative, as before).
-    pub abs_slack: Vec<(String, f64)>,
+    abs_slack: Vec<(String, f64)>,
 }
 
 impl Default for Tolerances {
@@ -55,7 +55,7 @@ impl Default for Tolerances {
 
 impl Tolerances {
     /// The relative tolerance applied to `metric`.
-    pub fn for_metric(&self, metric: &str) -> f64 {
+    fn for_metric(&self, metric: &str) -> f64 {
         self.by_prefix
             .iter()
             .find(|(prefix, _)| metric.starts_with(prefix.as_str()))
@@ -64,7 +64,7 @@ impl Tolerances {
     }
 
     /// The absolute slack applied to `metric` (0 when no prefix matches).
-    pub fn slack_for_metric(&self, metric: &str) -> f64 {
+    fn slack_for_metric(&self, metric: &str) -> f64 {
         self.abs_slack
             .iter()
             .find(|(prefix, _)| metric.starts_with(prefix.as_str()))
@@ -82,14 +82,20 @@ impl Tolerances {
     /// [`violates`](Tolerances::violates) for an observable that declares
     /// an absolute slack of its own (report columns do): the larger of the
     /// declared and the by-prefix slack applies.
-    pub fn violates_beyond(&self, metric: &str, slack: f64, baseline: f64, current: f64) -> bool {
+    pub(crate) fn violates_beyond(
+        &self,
+        metric: &str,
+        slack: f64,
+        baseline: f64,
+        current: f64,
+    ) -> bool {
         rel_delta(baseline, current) > self.for_metric(metric)
             && (baseline - current).abs() > slack.max(self.slack_for_metric(metric))
     }
 }
 
 /// Relative distance between two observations; 0 when both are ~zero.
-pub fn rel_delta(a: f64, b: f64) -> f64 {
+fn rel_delta(a: f64, b: f64) -> f64 {
     let denom = a.abs().max(b.abs());
     if denom < 1e-9 {
         0.0

@@ -138,7 +138,7 @@ pub fn extended_spec() -> SweepSpec {
 /// reports. EXPERIMENTS.md maps each artifact to its axis, its trend
 /// rules and the rows of `sweep.csv` that are its table;
 /// `baselines/expected/paper` holds the committed aggregate.
-pub fn paper_spec() -> SweepSpec {
+fn paper_spec() -> SweepSpec {
     use Approach::{Aq, Pq};
     let axis = |scenario: &str, approaches: &[Approach], grid: &[&str], seeds: &[u64]| SweepAxis {
         scenario: scenario.to_string(),
@@ -228,7 +228,7 @@ pub fn paper_spec() -> SweepSpec {
 /// The nightly wide sweep: every registered scenario × all four
 /// approaches × 5 seeds at default grids. Trend-checked only (no
 /// committed baseline — the grid is too wide to keep bytes for).
-pub fn nightly_spec() -> SweepSpec {
+fn nightly_spec() -> SweepSpec {
     let axes = aq_workloads::registry::registry()
         .iter()
         .map(|def| SweepAxis {

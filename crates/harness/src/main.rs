@@ -16,7 +16,7 @@ use aq_harness::agg::Sweep;
 use aq_harness::diff::{diff_sweeps, render_violations, Tolerances};
 use aq_harness::drill;
 use aq_harness::oracle;
-use aq_harness::sweep::{expand, run_points};
+use aq_harness::sweep::{expand, run_points, RunPoint, SweepSpec};
 use aq_harness::trends::{check_trends, DEFAULT_RULES};
 use aq_harness::{find_spec, named_specs, soak_round_spec};
 use aq_workloads::registry;
@@ -88,10 +88,7 @@ fn cmd_list() -> ExitCode {
     for def in registry::registry() {
         println!("  {:<26} {}", def.name, def.summary);
         for p in def.params {
-            println!(
-                "    --param {:<12} default {:<8} {}",
-                p.name, p.default, p.help
-            );
+            println!("    {:<20} {:<8} {}", p.name, p.default, p.help);
         }
     }
     println!("sweeps:");
@@ -102,74 +99,109 @@ fn cmd_list() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let mut spec_name = "smoke".to_string();
-    let mut jobs = 1usize;
-    let mut out: Option<PathBuf> = None;
-    let mut seeds: Option<Vec<u64>> = None;
-    let mut run_trends = true;
-    let mut timeout_s = 600u64;
+/// The flags of `run` and `soak`, at their defaults until parsed. Each
+/// command accepts only its own subset ([`RUN_FLAGS`], [`SOAK_FLAGS`]).
+#[derive(Debug, Clone, PartialEq)]
+struct Flags {
+    spec: String,
+    seeds: Option<Vec<u64>>,
+    run_trends: bool,
+    minutes: u64,
+    seed: u64,
+    jobs: usize,
+    out: Option<PathBuf>,
+    timeout_s: u64,
+}
+
+impl Default for Flags {
+    fn default() -> Self {
+        Flags {
+            spec: "smoke".to_string(),
+            seeds: None,
+            run_trends: true,
+            minutes: 10,
+            seed: 1,
+            jobs: 1,
+            out: None,
+            timeout_s: 600,
+        }
+    }
+}
+
+const RUN_FLAGS: &[&str] = &[
+    "--spec",
+    "--jobs",
+    "--out",
+    "--seeds",
+    "--timeout-s",
+    "--no-trends",
+];
+const SOAK_FLAGS: &[&str] = &["--minutes", "--seed", "--jobs", "--out", "--timeout-s"];
+
+/// Parse a command's flags; a flag outside `accepted` is unknown. The
+/// error is the usage message's first line.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<Flags, String> {
+    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(v: Option<&String>) -> Option<T> {
+        v.and_then(|v| v.parse().ok()).filter(|n| *n >= T::from(1))
+    }
+    let mut flags = Flags::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let unknown = || format!("unknown flag `{arg}`");
+        if !accepted.contains(&arg.as_str()) {
+            return Err(unknown());
+        }
         match arg.as_str() {
-            "--spec" => match it.next() {
-                Some(v) => spec_name = v.clone(),
-                None => return usage_err("--spec needs a value"),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => jobs = v,
-                _ => return usage_err("--jobs needs a positive integer"),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return usage_err("--out needs a value"),
-            },
+            "--spec" => flags.spec = it.next().ok_or("--spec needs a value")?.clone(),
             "--seeds" => {
                 let parsed: Option<Vec<u64>> = it
                     .next()
-                    .map(|v| v.split(',').map(|s| s.trim().parse().ok()).collect())
-                    .unwrap_or(None);
+                    .and_then(|v| v.split(',').map(|s| s.trim().parse().ok()).collect());
                 match parsed {
-                    Some(v) if !v.is_empty() => seeds = Some(v),
-                    _ => return usage_err("--seeds needs a comma-separated u64 list"),
+                    Some(v) if !v.is_empty() => flags.seeds = Some(v),
+                    _ => return Err("--seeds needs a comma-separated u64 list".into()),
                 }
             }
-            "--timeout-s" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => timeout_s = v,
-                _ => return usage_err("--timeout-s needs a positive integer"),
-            },
-            "--no-trends" => run_trends = false,
-            other => return usage_err(&format!("unknown flag `{other}`")),
+            "--no-trends" => flags.run_trends = false,
+            "--minutes" => {
+                flags.minutes = positive(it.next()).ok_or("--minutes needs a positive integer")?
+            }
+            "--seed" => {
+                flags.seed = (it.next().and_then(|v| v.parse().ok())).ok_or("--seed needs a u64")?
+            }
+            "--jobs" => {
+                flags.jobs = positive(it.next()).ok_or("--jobs needs a positive integer")?
+            }
+            "--out" => flags.out = Some(it.next().ok_or("--out needs a value")?.into()),
+            "--timeout-s" => {
+                flags.timeout_s =
+                    positive(it.next()).ok_or("--timeout-s needs a positive integer")?
+            }
+            _ => return Err(unknown()),
         }
     }
-    let Some(mut spec) = find_spec(&spec_name) else {
-        return usage_err(&format!("unknown sweep spec `{spec_name}`"));
-    };
-    if let Some(seeds) = seeds {
-        for axis in &mut spec.axes {
-            axis.seeds = seeds.clone();
-        }
-    }
-    let out = out.unwrap_or_else(|| Path::new("target/sweeps").join(&spec.name));
-    let points = match expand(&spec) {
-        Ok(p) => p,
-        Err(e) => return io_err(&e),
-    };
-    println!(
-        "sweep `{}`: {} runs over {} job(s) -> {}",
-        spec.name,
-        points.len(),
-        jobs,
-        out.display()
-    );
-    let timeout = std::time::Duration::from_secs(timeout_s);
-    let outcome = match run_points(&points, jobs, Some(timeout), Some(&out)) {
-        Ok(m) => m,
-        Err(e) => return io_err(&e),
-    };
+    Ok(flags)
+}
+
+/// The sweep step `run` and each `soak` round share: expand `spec`,
+/// `announce` its run count, run it under the flags' jobs and timeout,
+/// and write `sweep.{json,csv}` and the run reports under `out`. A failed
+/// run fails the step after the artifacts are written (so the failure is
+/// diffable): a partially failed sweep is never a green run.
+fn sweep_step(
+    spec: &SweepSpec,
+    flags: &Flags,
+    out: &Path,
+    announce: impl FnOnce(usize),
+) -> Result<(Vec<RunPoint>, Sweep), ExitCode> {
+    let points = expand(spec).map_err(|e| io_err(&e))?;
+    announce(points.len());
+    let timeout = std::time::Duration::from_secs(flags.timeout_s);
+    let outcome =
+        run_points(&points, flags.jobs, Some(timeout), Some(out)).map_err(|e| io_err(&e))?;
     let sweep = Sweep::from_runs(&spec.name, outcome.metrics).with_failures(outcome.failures);
-    if let Err(e) = sweep.write_to(&out) {
-        return io_err(&format!("writing sweep artifacts: {e}"));
+    if let Err(e) = sweep.write_to(out) {
+        return Err(io_err(&format!("writing sweep artifacts: {e}")));
     }
     println!(
         "wrote {} configs, {} runs: sweep.json + sweep.csv",
@@ -177,15 +209,38 @@ fn cmd_run(args: &[String]) -> ExitCode {
         sweep.runs.len()
     );
     if !sweep.failures.is_empty() {
-        // Artifacts are written (so the failure is diffable), but a
-        // partially-failed sweep is never a green run.
-        eprintln!("{} run(s) FAILED:", sweep.failures.len());
+        eprintln!("`{}`: {} run(s) FAILED:", spec.name, sweep.failures.len());
         for (key, error) in &sweep.failures {
             eprintln!("  {key}: {error}");
         }
-        return ExitCode::from(1);
+        return Err(ExitCode::from(1));
     }
-    if run_trends {
+    Ok((points, sweep))
+}
+
+fn cmd_run(args: &[String]) -> ExitCode {
+    let flags = match parse_flags(args, RUN_FLAGS) {
+        Ok(f) => f,
+        Err(e) => return usage_err(&e),
+    };
+    let Some(mut spec) = find_spec(&flags.spec) else {
+        return usage_err(&format!("unknown sweep spec `{}`", flags.spec));
+    };
+    if let Some(seeds) = &flags.seeds {
+        for axis in &mut spec.axes {
+            axis.seeds = seeds.clone();
+        }
+    }
+    let out = (flags.out.clone()).unwrap_or_else(|| Path::new("target/sweeps").join(&spec.name));
+    let announce = |n| {
+        let (name, jobs, out) = (&spec.name, flags.jobs, out.display());
+        println!("sweep `{name}`: {n} runs over {jobs} job(s) -> {out}");
+    };
+    let sweep = match sweep_step(&spec, &flags, &out, announce) {
+        Ok((_, sweep)) => sweep,
+        Err(code) => return code,
+    };
+    if flags.run_trends {
         let failures = check_trends(&sweep, DEFAULT_RULES);
         if !failures.is_empty() {
             eprintln!("trend check FAILED:");
@@ -283,74 +338,28 @@ fn cmd_check(args: &[String]) -> ExitCode {
 }
 
 fn cmd_soak(args: &[String]) -> ExitCode {
-    let mut minutes = 10u64;
-    let mut seed = 1u64;
-    let mut jobs = 1usize;
-    let mut out: Option<PathBuf> = None;
-    let mut timeout_s = 600u64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--minutes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => minutes = v,
-                _ => return usage_err("--minutes needs a positive integer"),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => seed = v,
-                None => return usage_err("--seed needs a u64"),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => jobs = v,
-                _ => return usage_err("--jobs needs a positive integer"),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return usage_err("--out needs a value"),
-            },
-            "--timeout-s" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => timeout_s = v,
-                _ => return usage_err("--timeout-s needs a positive integer"),
-            },
-            other => return usage_err(&format!("unknown flag `{other}`")),
-        }
-    }
-    let out = out.unwrap_or_else(|| PathBuf::from("target/sweeps/soak"));
-    let timeout = std::time::Duration::from_secs(timeout_s);
+    let flags = match parse_flags(args, SOAK_FLAGS) {
+        Ok(f) => f,
+        Err(e) => return usage_err(&e),
+    };
+    let out = (flags.out.clone()).unwrap_or_else(|| PathBuf::from("target/sweeps/soak"));
     let mut total_runs = 0usize;
     let mut violations: Vec<String> = Vec::new();
-    for round in 0..minutes {
-        let spec = soak_round_spec(seed, round);
-        let points = match expand(&spec) {
-            Ok(p) => p,
-            Err(e) => return io_err(&e),
-        };
+    for round in 0..flags.minutes {
+        let spec = soak_round_spec(flags.seed, round);
         let round_dir = out.join(format!("round{round}"));
-        println!(
-            "soak round {}/{}: {} runs (seed {}) -> {}",
-            round + 1,
-            minutes,
-            points.len(),
-            seed.wrapping_add(round.wrapping_mul(1000)),
-            round_dir.display()
-        );
-        let outcome = match run_points(&points, jobs, Some(timeout), Some(&round_dir)) {
-            Ok(m) => m,
-            Err(e) => return io_err(&e),
-        };
-        let sweep = Sweep::from_runs(&spec.name, outcome.metrics).with_failures(outcome.failures);
-        if let Err(e) = sweep.write_to(&round_dir) {
-            return io_err(&format!("writing sweep artifacts: {e}"));
-        }
-        if !sweep.failures.is_empty() {
-            eprintln!(
-                "soak round {round}: {} run(s) FAILED:",
-                sweep.failures.len()
+        let announce = |n| {
+            let (of, dir) = (flags.minutes, round_dir.display());
+            let seed = spec.axes[0].seeds[0];
+            println!(
+                "soak round {}/{of}: {n} runs (seed {seed}) -> {dir}",
+                round + 1
             );
-            for (key, error) in &sweep.failures {
-                eprintln!("  {key}: {error}");
-            }
-            return ExitCode::from(1);
-        }
+        };
+        let points = match sweep_step(&spec, &flags, &round_dir, announce) {
+            Ok((points, _)) => points,
+            Err(code) => return code,
+        };
         // Gate every run report of the round on the invariant oracle.
         for point in &points {
             let path = round_dir
@@ -392,4 +401,114 @@ fn usage_err(message: &str) -> ExitCode {
 fn io_err(message: &str) -> ExitCode {
     eprintln!("aq-sweep: {message}");
     ExitCode::from(2)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn no_flags_parse_to_the_defaults_and_each_flag_sets_its_field() {
+        assert_eq!(parse_flags(&[], RUN_FLAGS), Ok(Flags::default()));
+        let run = "--spec paper --jobs 2 --out o --seeds 3,4 --timeout-s 9 --no-trends";
+        let flags = parse_flags(&argv(&run.split(' ').collect::<Vec<_>>()), RUN_FLAGS);
+        let want = Flags {
+            spec: "paper".to_string(),
+            seeds: Some(vec![3, 4]),
+            run_trends: false,
+            jobs: 2,
+            out: Some(PathBuf::from("o")),
+            timeout_s: 9,
+            ..Flags::default()
+        };
+        assert_eq!(flags, Ok(want));
+        let soak = argv(&["--minutes", "3", "--seed", "7"]);
+        let flags = parse_flags(&soak, SOAK_FLAGS).unwrap();
+        assert_eq!((flags.minutes, flags.seed), (3, 7));
+    }
+
+    #[test]
+    fn zero_jobs_and_zero_timeout_are_rejected() {
+        for accepted in [RUN_FLAGS, SOAK_FLAGS] {
+            let err = parse_flags(&argv(&["--jobs", "0"]), accepted).unwrap_err();
+            assert_eq!(err, "--jobs needs a positive integer");
+            let err = parse_flags(&argv(&["--timeout-s", "0"]), accepted).unwrap_err();
+            assert_eq!(err, "--timeout-s needs a positive integer");
+        }
+        let err = parse_flags(&argv(&["--minutes", "0"]), SOAK_FLAGS).unwrap_err();
+        assert_eq!(err, "--minutes needs a positive integer");
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_rejected() {
+        for flag in RUN_FLAGS.iter().chain(SOAK_FLAGS) {
+            let accepted = if RUN_FLAGS.contains(flag) {
+                RUN_FLAGS
+            } else {
+                SOAK_FLAGS
+            };
+            let parsed = parse_flags(&argv(&[flag]), accepted);
+            assert_eq!(
+                parsed.is_err(),
+                *flag != "--no-trends",
+                "{flag}: {parsed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_flags_and_another_commands_flags_are_rejected() {
+        let err = parse_flags(&argv(&["--param", "vms", "2"]), RUN_FLAGS).unwrap_err();
+        assert_eq!(err, "unknown flag `--param`");
+        let err = parse_flags(&argv(&["--spec", "paper"]), SOAK_FLAGS).unwrap_err();
+        assert_eq!(err, "unknown flag `--spec`");
+        let err = parse_flags(&argv(&["--seed", "1"]), RUN_FLAGS).unwrap_err();
+        assert_eq!(err, "unknown flag `--seed`");
+    }
+
+    /// Flag names, numbers at and around the bounds, and junk.
+    const TOKENS: &[&str] = &[
+        "--spec",
+        "--jobs",
+        "--out",
+        "--seeds",
+        "--timeout-s",
+        "--no-trends",
+        "--minutes",
+        "--seed",
+        "--param",
+        "0",
+        "1",
+        "7",
+        "-1",
+        "18446744073709551616",
+        "1,2",
+        "1,,2",
+        ",",
+        "",
+        "-",
+        "--",
+        "smoke",
+        "x=1",
+    ];
+
+    proptest! {
+        #[test]
+        fn parsing_never_panics_and_accepts_only_positive_counts(
+            picks in prop::collection::vec(0..TOKENS.len(), 0..10),
+            soak in any::<bool>(),
+        ) {
+            let args: Vec<String> = picks.iter().map(|&i| TOKENS[i].to_string()).collect();
+            let accepted = if soak { SOAK_FLAGS } else { RUN_FLAGS };
+            if let Ok(flags) = parse_flags(&args, accepted) {
+                prop_assert!(flags.jobs >= 1 && flags.timeout_s >= 1 && flags.minutes >= 1);
+                prop_assert!(flags.seeds.as_ref().is_none_or(|s| !s.is_empty()));
+            }
+        }
+    }
 }

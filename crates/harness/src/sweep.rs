@@ -195,7 +195,6 @@ pub fn execute_run(
         ExpConfig {
             seed: point.key.seed,
             ecn_threshold: pq_ecn_for(point.approach, &plan.entities),
-            ..Default::default()
         },
     );
     let entity_ids: Vec<EntityId> = plan.entities.iter().map(|e| e.entity).collect();

@@ -121,11 +121,6 @@ impl DynamicThreshold {
         let alpha_milli = (alpha.clamp(0.0, 64.0) * 1000.0).round() as u64;
         DynamicThreshold { alpha_milli }
     }
-
-    /// The configured alpha, in per-mille.
-    pub fn alpha_milli(&self) -> u64 {
-        self.alpha_milli
-    }
 }
 
 impl AdmissionPolicy for DynamicThreshold {
@@ -160,9 +155,9 @@ impl AdmissionPolicy for DynamicThreshold {
 #[derive(Debug, Clone, Copy)]
 pub struct DelayDriven {
     /// Projected delay at/above which admitted packets are CE-marked.
-    pub mark_delay: Duration,
+    mark_delay: Duration,
     /// Projected delay above which packets are rejected.
-    pub max_delay: Duration,
+    max_delay: Duration,
 }
 
 impl DelayDriven {
@@ -272,7 +267,7 @@ impl SharedBufferPool {
 
     /// Record that a CE mark requested by [`Admission::AdmitMark`] was
     /// actually applied (the packet was ECN-capable).
-    pub fn note_mark(&mut self) {
+    pub(crate) fn note_mark(&mut self) {
         self.marks += 1;
     }
 
@@ -350,7 +345,7 @@ impl SharedBufferPool {
     }
 
     /// The installed policy's label.
-    pub fn policy_name(&self) -> &'static str {
+    pub(crate) fn policy_name(&self) -> &'static str {
         self.policy.name()
     }
 }
@@ -458,6 +453,6 @@ mod tests {
             DelayDriven::new(Duration::ZERO, Duration::ZERO).name(),
             "delay"
         );
-        assert_eq!(DynamicThreshold::new(0.5).alpha_milli(), 500);
+        assert_eq!(DynamicThreshold::new(0.5).alpha_milli, 500);
     }
 }

@@ -54,21 +54,6 @@ pub enum ChurnKind {
 }
 
 impl ChurnKind {
-    /// Stable lowercase label used in logs and serialized reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChurnKind::Create { .. } => "create",
-            ChurnKind::Destroy { .. } => "destroy",
-        }
-    }
-
-    /// The tenant/AQ id the operation targets.
-    pub fn aq(&self) -> u32 {
-        match self {
-            ChurnKind::Create { aq, .. } | ChurnKind::Destroy { aq } => *aq,
-        }
-    }
-
     /// The [`PipelineControl`] payload delivered to the switch's
     /// pipelines when this event fires.
     pub fn control(&self) -> PipelineControl {
@@ -303,14 +288,12 @@ mod tests {
     }
 
     #[test]
-    fn kinds_render_labels_and_controls() {
+    fn kinds_render_controls() {
         let c = ChurnKind::Create {
             aq: 7,
             rate_bps: 5,
             limit_bytes: 9,
         };
-        assert_eq!(c.label(), "create");
-        assert_eq!(c.aq(), 7);
         assert_eq!(
             c.control(),
             PipelineControl::Create {
@@ -320,7 +303,6 @@ mod tests {
             }
         );
         let d = ChurnKind::Destroy { aq: 3 };
-        assert_eq!(d.label(), "destroy");
         assert_eq!(d.control(), PipelineControl::Destroy { id: 3 });
     }
 
@@ -341,7 +323,7 @@ mod tests {
                     limit_bytes: 1,
                 },
             );
-        assert_eq!(plan.events[0].kind.label(), "destroy");
-        assert_eq!(plan.events[1].kind.label(), "create");
+        assert!(matches!(plan.events[0].kind, ChurnKind::Destroy { .. }));
+        assert!(matches!(plan.events[1].kind, ChurnKind::Create { .. }));
     }
 }

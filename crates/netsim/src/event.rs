@@ -40,13 +40,13 @@ use std::{cmp::Reverse, collections::BinaryHeap};
 /// tie-break, as the single-threaded reference engine. The band's high
 /// bit puts every arrival *after* all same-time non-arrival events, in
 /// both engines, regardless of push order.
-pub const SEQ_BAND_ARRIVE: u64 = 1 << 63;
+const SEQ_BAND_ARRIVE: u64 = 1 << 63;
 
 /// Bits reserved for the per-link launch counter inside an arrive seq.
 const ARRIVE_COUNT_BITS: u32 = 40;
 
 /// The intrinsic sequence number of the `count`-th packet launched onto
-/// `link` (see [`SEQ_BAND_ARRIVE`]). Same-time arrivals order by
+/// `link`, in the arrive band (bit 63). Same-time arrivals order by
 /// `(link, launch count)` — a total, engine-independent order.
 ///
 /// # Panics

@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 /// One part per million — the unit corruption probabilities are expressed
 /// in, so plans stay integer-exact (no floating point in the schedule).
-pub const PPM: u32 = 1_000_000;
+const PPM: u32 = 1_000_000;
 
 /// A single injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +82,7 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Stable lowercase label used in fault logs and serialized reports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             FaultKind::LinkDown { .. } => "link_down",
             FaultKind::LinkUp { .. } => "link_up",
@@ -95,7 +95,7 @@ impl FaultKind {
     }
 
     /// The faulted element, rendered with its id prefix (`l3`, `n7`).
-    pub fn target(&self) -> String {
+    pub(crate) fn target(&self) -> String {
         match self {
             FaultKind::LinkDown { link }
             | FaultKind::LinkUp { link }
@@ -219,7 +219,7 @@ impl FaultPlan {
     /// `index` in the plan. SplitMix64-style mixing (the same derivation
     /// `SmallRng::seed_from_u64` uses internally) keeps streams of nearby
     /// indices statistically independent.
-    pub fn stream_seed(&self, index: usize) -> u64 {
+    fn stream_seed(&self, index: usize) -> u64 {
         self.seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 }
@@ -230,9 +230,10 @@ impl FaultPlan {
 pub struct AppliedFault {
     /// Simulation time the fault fired.
     pub at: Time,
-    /// [`FaultKind::label`] of the fault.
+    /// The fault's kind as a stable lowercase label (`link_down`,
+    /// `loss_start`, `aq_reset`, …).
     pub kind: &'static str,
-    /// [`FaultKind::target`] of the fault.
+    /// The faulted element, rendered with its id prefix (`l3`, `n7`).
     pub target: String,
     /// Index of the fault in its [`FaultPlan`]. Same-time entries sort by
     /// plan order, which makes logs produced by independent shards merge

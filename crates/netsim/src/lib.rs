@@ -72,7 +72,7 @@ pub use buffer::{
 pub use fault::{AppliedFault, FaultEvent, FaultKind, FaultPlan, FaultTotals};
 pub use ids::{AgentId, EntityId, FlowId, LinkId, NodeId, PortId};
 pub use node::{HostApp, HostCtx, PipelineVerdict, SwitchPipeline};
-pub use packet::{AqTag, Ecn, Packet, TransportHeader, ACK_BYTES, HEADER_BYTES, MSS};
+pub use packet::{AqTag, Ecn, Packet, TransportHeader, HEADER_BYTES, MSS};
 pub use queue::{
     DisaggRedConfig, DisaggRedQueue, DropCause, Enqueued, FifoConfig, FifoQueue, L4sStepConfig,
     L4sStepQueue, QueueDiscipline,

@@ -14,37 +14,11 @@ pub struct Link {
     /// This link's id.
     pub id: LinkId,
     /// The output port that feeds the link.
-    pub from_port: PortId,
+    pub(crate) from_port: PortId,
     /// The node packets arrive at after propagation.
     pub to_node: NodeId,
     /// Line rate (serialization speed).
     pub rate: Rate,
     /// One-way propagation delay.
-    pub prop_delay: Duration,
-}
-
-impl Link {
-    /// Total latency for a packet of `bytes` from start of serialization to
-    /// arrival at the far node (no queueing).
-    pub fn latency(&self, bytes: u64) -> Duration {
-        self.rate.transmit_time(bytes) + self.prop_delay
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn latency_sums_serialization_and_propagation() {
-        let l = Link {
-            id: LinkId(0),
-            from_port: PortId(0),
-            to_node: NodeId(1),
-            rate: Rate::from_gbps(10),
-            prop_delay: Duration::from_micros(10),
-        };
-        // 1250 bytes at 10 Gbps = 1 us serialization.
-        assert_eq!(l.latency(1250), Duration::from_micros(11));
-    }
+    pub(crate) prop_delay: Duration,
 }

@@ -19,7 +19,7 @@ pub const MSS: u32 = 1000;
 pub const HEADER_BYTES: u32 = 60;
 
 /// Size in bytes of a pure ACK on the wire.
-pub const ACK_BYTES: u32 = 64;
+const ACK_BYTES: u32 = 64;
 
 /// ECN codepoint carried in the (simulated) IP header.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -41,7 +41,7 @@ impl Ecn {
     }
 
     /// Whether the mark has been applied.
-    pub fn is_marked(self) -> bool {
+    pub(crate) fn is_marked(self) -> bool {
         matches!(self, Ecn::CongestionExperienced)
     }
 }
@@ -285,17 +285,6 @@ impl PacketArena {
         PacketArena::default()
     }
 
-    /// An empty arena with backing storage reserved for `n` slots.
-    ///
-    /// Only the `Vec` allocation is pre-sized; slot *assignment* is
-    /// identical to a fresh arena (first alloc gets slot 0, and so on),
-    /// so pre-sizing can never change observable behavior.
-    pub fn with_capacity(n: usize) -> PacketArena {
-        let mut a = PacketArena::default();
-        a.slots.reserve(n);
-        a
-    }
-
     /// Park `pkt`, returning its handle.
     pub fn alloc(&mut self, pkt: Packet) -> PacketRef {
         match self.free.pop() {
@@ -329,11 +318,6 @@ impl PacketArena {
     pub fn live(&self) -> usize {
         self.slots.len() - self.free.len()
     }
-
-    /// Slots ever allocated (the high-water mark of in-flight packets).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]
@@ -363,50 +347,11 @@ mod tests {
         // Freed slot is reused before the arena grows.
         let c = arena.alloc(mk(2));
         assert_eq!(c, a);
-        assert_eq!(arena.capacity(), 2);
+        assert_eq!(arena.slots.len(), 2, "the freed slot was reused");
         let pb = arena.take(b);
         assert!(matches!(pb.transport, TransportHeader::Data { seq: 1, .. }));
         arena.take(c);
         assert_eq!(arena.live(), 0);
-    }
-
-    #[test]
-    fn arena_slot_assignment_ignores_reserved_capacity() {
-        // A pre-sized arena must hand out exactly the same refs, in the
-        // same order, as a fresh one — capacity is an allocator hint, not
-        // simulation state.
-        let mk = |seq| {
-            Packet::data(
-                FlowId(1),
-                EntityId(1),
-                NodeId(0),
-                NodeId(1),
-                seq,
-                MSS,
-                false,
-                Time::ZERO,
-            )
-        };
-        let mut cold = PacketArena::new();
-        let mut warm = PacketArena::with_capacity(1024);
-        let mut refs_cold = Vec::new();
-        let mut refs_warm = Vec::new();
-        for seq in 0..8 {
-            refs_cold.push(cold.alloc(mk(seq)));
-            refs_warm.push(warm.alloc(mk(seq)));
-        }
-        // Interleave frees and reallocs; the LIFO freelist must evolve
-        // identically on both sides.
-        cold.take(refs_cold[2]);
-        warm.take(refs_warm[2]);
-        cold.take(refs_cold[5]);
-        warm.take(refs_warm[5]);
-        for seq in 8..11 {
-            refs_cold.push(cold.alloc(mk(seq)));
-            refs_warm.push(warm.alloc(mk(seq)));
-        }
-        assert_eq!(refs_cold, refs_warm);
-        assert_eq!(cold.capacity(), warm.capacity());
     }
 
     #[test]

@@ -25,17 +25,17 @@ pub struct Port {
     /// Link down-transition epoch captured when the in-flight packet
     /// started serializing; if the link's epoch differs at `TxComplete`,
     /// the wire died mid-serialization and the packet is lost.
-    pub launch_downs: u64,
+    pub(crate) launch_downs: u64,
     /// A `PortWake` event is pending for this time; used to suppress
     /// duplicate wake events for shaped queues.
-    pub wake_at: Option<Time>,
+    pub(crate) wake_at: Option<Time>,
     /// Memo of the last serialization-time computation `(wire bytes,
     /// duration)`. Traffic on a port is dominated by one or two frame
     /// sizes (MSS data one way, ACKs the other), and the link rate is
     /// fixed, so this skips the `u128` division in
     /// [`crate::time::Rate::transmit_time`] for almost every packet.
     /// Pure memoization of a pure function — timings are bit-identical.
-    pub tx_memo: (u64, Duration),
+    pub(crate) tx_memo: (u64, Duration),
 }
 
 impl Port {
@@ -56,7 +56,7 @@ impl Port {
     }
 
     /// Whether the transmitter is currently serializing a packet.
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.in_flight.is_some()
     }
 

@@ -49,7 +49,8 @@ macro_rules! drop_causes {
 
         impl crate::stats::PortStats {
             /// Packets this port lost to `cause`.
-            pub fn drop_count(&self, cause: DropCause) -> u64 {
+            #[cfg(test)]
+            pub(crate) fn drop_count(&self, cause: DropCause) -> u64 {
                 match cause {
                     $(DropCause::$variant => self.$counter,)*
                 }
@@ -415,12 +416,6 @@ impl DisaggRedQueue {
         }
     }
 
-    /// Congestion actions currently decided but not yet acted on (white
-    /// box for tests).
-    pub fn pending_actions(&self) -> u64 {
-        self.pending
-    }
-
     fn check_conservation(&self) {
         crate::invariant!(
             self.enqueued_bytes == self.dequeued_bytes + self.dropped_bytes + self.backlog,
@@ -779,14 +774,14 @@ mod tests {
             assert!(matches!(q.enqueue(Time::ZERO, ect(0)), Enqueued::Ok));
         }
         assert_eq!(q.marks, 0, "the deciding packet must not pay");
-        assert!(q.pending_actions() > 0, "decision queued for later");
+        assert!(q.pending > 0, "decision queued for later");
         // The next arrival absorbs the pending action as a CE mark.
-        let pending = q.pending_actions();
+        let pending = q.pending;
         assert!(matches!(q.enqueue(Time::ZERO, ect(0)), Enqueued::Ok));
         assert_eq!(q.marks, 1);
-        assert!(q.pending_actions() >= pending - 1);
+        assert!(q.pending >= pending - 1);
         // A non-ECT arrival pays a pending action with a drop instead.
-        while q.pending_actions() == 0 {
+        while q.pending == 0 {
             q.enqueue(Time::ZERO, ect(0));
         }
         assert!(matches!(

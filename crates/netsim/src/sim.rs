@@ -40,7 +40,7 @@ pub struct Network {
     pub links: Vec<Link>,
     /// `routes[node][dst]` is the set of equal-cost next-hop ports on
     /// `node` toward `dst` (ECMP); flows hash onto one of them.
-    pub routes: Vec<Vec<Vec<PortId>>>,
+    pub(crate) routes: Vec<Vec<Vec<PortId>>>,
 }
 
 impl Network {

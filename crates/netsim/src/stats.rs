@@ -129,7 +129,7 @@ impl WindowedCounter {
     /// The number of windows needed to cover `[0, end)` — the canonical
     /// padded series length for a run that finished at `end`. Never less
     /// than the recorded bucket count, so padding cannot truncate.
-    pub fn padded_len(&self, end: Time) -> usize {
+    fn padded_len(&self, end: Time) -> usize {
         let w = self.window.as_nanos();
         #[expect(
             clippy::cast_possible_truncation,
@@ -1111,7 +1111,7 @@ impl StatsHub {
     }
 
     /// Per-entity stats, creating the slot on first touch.
-    pub fn entity_mut(&mut self, e: EntityId) -> &mut EntityStats {
+    fn entity_mut(&mut self, e: EntityId) -> &mut EntityStats {
         let idx = e.index();
         if idx >= self.entities.len() {
             self.entities.resize_with(idx + 1, || None);
@@ -1155,7 +1155,7 @@ impl StatsHub {
     }
 
     /// Per-port stats, creating the slot on first touch.
-    pub fn port_mut(&mut self, node: NodeId, port: PortId) -> &mut PortStats {
+    fn port_mut(&mut self, node: NodeId, port: PortId) -> &mut PortStats {
         let idx = port.index();
         if idx >= self.ports.len() {
             self.ports.resize_with(idx + 1, || None);
@@ -1298,12 +1298,12 @@ impl StatsHub {
     /// Attribute an AQ-pipeline (limit) drop to the output port the packet
     /// would have taken. Packet-count only: the bytes never entered the
     /// port queue.
-    pub fn on_port_aq_drop(&mut self, node: NodeId, port: PortId) {
+    pub(crate) fn on_port_aq_drop(&mut self, node: NodeId, port: PortId) {
         self.port_mut(node, port).aq_drops += 1;
     }
 
     /// Per-switch shared-buffer stats, creating the slot on first touch.
-    pub fn pool_mut(
+    fn pool_mut(
         &mut self,
         node: NodeId,
         policy: &'static str,

@@ -56,7 +56,7 @@ impl NetBuilder {
     /// Connect `a` and `b` with a full-duplex cable: `rate` and
     /// `prop_delay` apply to both directions; each direction gets a FIFO
     /// with its own config. Returns the two ports `(a_to_b, b_to_a)`.
-    pub fn connect(
+    fn connect(
         &mut self,
         a: NodeId,
         b: NodeId,
@@ -82,7 +82,8 @@ impl NetBuilder {
         (p_ab, p_ba)
     }
 
-    /// Symmetric convenience form of [`connect`](NetBuilder::connect).
+    /// A full-duplex cable whose two directions queue in the same FIFO
+    /// configuration.
     pub fn connect_symmetric(
         &mut self,
         a: NodeId,
@@ -262,10 +263,8 @@ pub struct Star {
     /// The switch at the center.
     pub switch: NodeId,
     /// `downlinks[i]` is the switch port toward `hosts[i]` (where inbound
-    /// contention appears); `uplinks[i]` is host i's port toward the switch.
+    /// contention appears).
     pub downlinks: Vec<PortId>,
-    /// Host-side uplink ports.
-    pub uplinks: Vec<PortId>,
     /// The built network.
     pub net: Network,
 }
@@ -284,19 +283,16 @@ pub fn star(n: usize, rate: Rate, prop_delay: Duration, fifo: FifoConfig) -> Sta
     };
     let mut hosts = Vec::new();
     let mut downlinks = Vec::new();
-    let mut uplinks = Vec::new();
     for _ in 0..n {
         let h = b.add_host();
-        let (up, down) = b.connect(h, switch, rate, prop_delay, edge_fifo, fifo);
+        let (_, down) = b.connect(h, switch, rate, prop_delay, edge_fifo, fifo);
         hosts.push(h);
-        uplinks.push(up);
         downlinks.push(down);
     }
     Star {
         hosts,
         switch,
         downlinks,
-        uplinks,
         net: b.build(),
     }
 }
@@ -435,7 +431,8 @@ mod tests {
             // Every other host routes via its single uplink.
             for other in &s.hosts {
                 if other != h {
-                    assert_eq!(s.net.route(*h, *other, FlowId(1)), Some(s.uplinks[i]));
+                    let up = s.net.host_uplink(*h);
+                    assert_eq!(s.net.route(*h, *other, FlowId(1)), Some(up));
                 }
             }
         }

@@ -72,20 +72,6 @@ impl Bbr {
         }
     }
 
-    /// Current bottleneck-bandwidth estimate (bytes/sec).
-    pub fn btl_bw_bytes_per_sec(&self) -> f64 {
-        self.btl_bw
-    }
-
-    /// Current mode name (diagnostics).
-    pub fn mode_name(&self) -> &'static str {
-        match self.mode {
-            Mode::Startup => "Startup",
-            Mode::Drain => "Drain",
-            Mode::ProbeBw => "ProbeBW",
-        }
-    }
-
     fn bdp_segments(&self) -> f64 {
         // Segment size is normalized out: delivery sampled in segments.
         self.btl_bw * self.rt_prop.as_secs_f64()
@@ -224,15 +210,15 @@ mod tests {
     #[test]
     fn startup_grows_exponentially_then_exits() {
         let cc = converge(100_000.0, 100, 4_000);
-        assert_ne!(cc.mode_name(), "Startup", "plateau must end startup");
-        assert!(cc.btl_bw_bytes_per_sec() > 50_000.0, "bw {}", cc.btl_bw);
+        assert_ne!(cc.mode, Mode::Startup, "plateau must end startup");
+        assert!(cc.btl_bw > 50_000.0, "bw {}", cc.btl_bw);
     }
 
     #[test]
     fn steady_state_window_tracks_the_bdp() {
         // 100k seg/s at 100 us base RTT: BDP = 10 segments.
         let cc = converge(100_000.0, 100, 20_000);
-        assert_eq!(cc.mode_name(), "ProbeBW");
+        assert_eq!(cc.mode, Mode::ProbeBw);
         let bdp = 10.0;
         assert!(
             cc.cwnd() >= 0.7 * bdp && cc.cwnd() <= 2.0 * bdp,
@@ -254,13 +240,13 @@ mod tests {
         let mut cc = converge(100_000.0, 100, 10_000);
         cc.on_timeout(Time::from_millis(100));
         assert_eq!(cc.cwnd(), 4.0);
-        assert_eq!(cc.mode_name(), "Startup");
+        assert_eq!(cc.mode, Mode::Startup);
     }
 
     #[test]
     fn probe_cycle_oscillates_the_window() {
         let mut cc = converge(100_000.0, 100, 20_000);
-        assert_eq!(cc.mode_name(), "ProbeBW");
+        assert_eq!(cc.mode, Mode::ProbeBw);
         let mut lo = f64::MAX;
         let mut hi = 0.0f64;
         let mut now = 10_000_000u64;

@@ -42,7 +42,7 @@ impl Illinois {
     /// Current additive-increase parameter α(dₐ) — the concave-down curve
     /// of the paper: α = κ₁/(κ₂ + dₐ) fitted so α(d₁·d_m) = α_max and
     /// α(d_m) = α_min.
-    pub fn alpha(&self) -> f64 {
+    fn alpha(&self) -> f64 {
         let dm = self.max_qdelay;
         if dm <= 0.0 {
             return ALPHA_MAX;
@@ -58,7 +58,7 @@ impl Illinois {
 
     /// Current multiplicative-decrease parameter β(dₐ): linear ramp from
     /// β_min below d₂·d_m to β_max above d₃·d_m.
-    pub fn beta(&self) -> f64 {
+    fn beta(&self) -> f64 {
         let dm = self.max_qdelay;
         if dm <= 0.0 {
             return BETA_MIN;

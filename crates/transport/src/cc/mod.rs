@@ -69,12 +69,12 @@ pub trait CongestionControl: Send {
 }
 
 /// Lower clamp every algorithm applies to its window.
-pub const MIN_CWND: f64 = 1.0;
+const MIN_CWND: f64 = 1.0;
 /// Upper clamp (segments) — generous enough to fill any simulated pipe.
-pub const MAX_CWND: f64 = 4096.0;
+pub(crate) const MAX_CWND: f64 = 4096.0;
 
 /// Clamp a window into the supported range.
-pub fn clamp_cwnd(w: f64) -> f64 {
+pub(crate) fn clamp_cwnd(w: f64) -> f64 {
     w.clamp(MIN_CWND, MAX_CWND)
 }
 
@@ -115,7 +115,7 @@ impl CcAlgo {
     }
 
     /// Whether flows under this algorithm negotiate ECN.
-    pub fn ecn_capable(&self) -> bool {
+    pub(crate) fn ecn_capable(&self) -> bool {
         matches!(self, CcAlgo::Dctcp)
     }
 

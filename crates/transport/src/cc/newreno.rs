@@ -21,7 +21,7 @@ impl NewReno {
     }
 
     /// Whether the flow is in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 }

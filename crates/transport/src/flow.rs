@@ -128,12 +128,6 @@ impl FlowSpec {
         self
     }
 
-    /// Use the AQ virtual delay as the delay signal (builder style).
-    pub fn with_virtual_delay(mut self) -> FlowSpec {
-        self.delay_signal = DelaySignal::VirtualDelay;
-        self
-    }
-
     /// Chain behind another flow (builder style): this flow starts when
     /// `prev` completes rather than at an absolute time.
     pub fn chained_after(mut self, prev: FlowId) -> FlowSpec {
@@ -147,7 +141,7 @@ impl FlowSpec {
     }
 
     /// Payload size of segment `seq`.
-    pub fn segment_payload(&self, seq: u64) -> u32 {
+    pub(crate) fn segment_payload(&self, seq: u64) -> u32 {
         match self.bytes {
             None => self.mss,
             Some(total) => {
@@ -205,10 +199,9 @@ mod tests {
     }
 
     #[test]
-    fn builders_set_tags_and_delay_signal() {
-        let s = spec(1000).with_aq(AqTag(3), AqTag(4)).with_virtual_delay();
+    fn with_aq_sets_both_tags() {
+        let s = spec(1000).with_aq(AqTag(3), AqTag(4));
         assert_eq!(s.aq_ingress, AqTag(3));
         assert_eq!(s.aq_egress, AqTag(4));
-        assert_eq!(s.delay_signal, DelaySignal::VirtualDelay);
     }
 }

@@ -20,7 +20,7 @@ pub mod receiver;
 pub mod sender;
 pub mod udp;
 
-pub use cc::{AckSignals, CcAlgo, CongestionControl, MAX_CWND, MIN_CWND};
+pub use cc::{AckSignals, CcAlgo, CongestionControl};
 pub use flow::{DelaySignal, FlowKind, FlowSpec};
 pub use host::TransportHost;
 pub use receiver::ReceiverFlow;

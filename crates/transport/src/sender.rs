@@ -95,7 +95,7 @@ pub struct SenderFlow {
     /// flight). The host arms real simulator timers against this.
     pub rto_deadline: Option<Time>,
     /// The deadline the host has actually armed (stale-timer suppression).
-    pub armed_rto: Option<Time>,
+    pub(crate) armed_rto: Option<Time>,
     /// All segments acknowledged (sender view).
     pub finished: bool,
     /// Cumulative retransmissions (diagnostics).
@@ -150,7 +150,8 @@ impl SenderFlow {
     }
 
     /// Smoothed RTT estimate, if any sample has been taken.
-    pub fn srtt(&self) -> Option<Duration> {
+    #[cfg(test)]
+    fn srtt(&self) -> Option<Duration> {
         (self.srtt_ns > 0.0).then(|| Duration::from_nanos(self.srtt_ns as u64))
     }
 
@@ -203,11 +204,6 @@ impl SenderFlow {
             });
         }
         self.in_flight_count += 1;
-    }
-
-    /// Whether the sender is in fast recovery.
-    pub fn in_recovery(&self) -> bool {
-        self.recovery_point.is_some()
     }
 
     /// Kick off transmission (call at the flow's start time).
@@ -664,7 +660,7 @@ mod tests {
         // SACK of 5 with cum 0 implies 0..=2 are past the FACK edge.
         ack(&mut s, 60, 0, 5);
         assert_eq!(s.recoveries, 1);
-        assert!(s.in_recovery());
+        assert!(s.recovery_point.is_some(), "in fast recovery");
     }
 
     #[test]

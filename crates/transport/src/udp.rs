@@ -48,7 +48,7 @@ impl UdpSender {
 
     /// Emit one datagram and report when the next should go out (`None`
     /// when the flow is done).
-    pub fn send_one(&mut self, ctx: &mut HostCtx<'_>) -> Option<Duration> {
+    pub(crate) fn send_one(&mut self, ctx: &mut HostCtx<'_>) -> Option<Duration> {
         if self.finished {
             return None;
         }

@@ -193,17 +193,6 @@ pub enum AdmissionKind {
     },
 }
 
-impl AdmissionKind {
-    /// Stable report label, matching the netsim policy names.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AdmissionKind::StaticPartition => "static",
-            AdmissionKind::DynamicThreshold { .. } => "dt",
-            AdmissionKind::DelayDriven { .. } => "delay",
-        }
-    }
-}
-
 /// Which queue discipline a scenario runs on switch egress ports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AqmKind {
@@ -213,17 +202,6 @@ pub enum AqmKind {
     DisaggRed,
     /// L4S-style step/ramp marking.
     L4sStep,
-}
-
-impl AqmKind {
-    /// Stable report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AqmKind::Fifo => "fifo",
-            AqmKind::DisaggRed => "disagg_red",
-            AqmKind::L4sStep => "l4s_step",
-        }
-    }
 }
 
 /// The shared-buffer layer a scenario instantiates on every switch: one
@@ -250,16 +228,6 @@ pub enum OverflowKind {
     RejectNew,
     /// Evict the longest-idle AQ to admit new demand.
     EvictIdle,
-}
-
-impl OverflowKind {
-    /// Stable report label, matching `OverflowPolicy::label`.
-    pub fn label(&self) -> &'static str {
-        match self {
-            OverflowKind::RejectNew => "reject_new",
-            OverflowKind::EvictIdle => "evict_idle",
-        }
-    }
 }
 
 /// A register-memory budget on every AQ-bearing switch table.
@@ -293,8 +261,8 @@ pub struct PlanChurn {
     pub target_live: usize,
 }
 
-/// A scenario's own fabric, where it differs from the default
-/// 10 Gbit/s / 10 µs / 200 KB dumbbell of `aq_bench::ExpConfig`.
+/// A scenario's own fabric, where it differs from `aq_bench`'s default
+/// one (10 Gbit/s links, 10 µs propagation, 200 KB physical queues).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricPlan {
     /// Rate of every link.
@@ -366,7 +334,7 @@ pub struct ScenarioPlan {
     /// When each entity's traffic starts, in entity order (empty = all at
     /// time zero). A staggered plan also distills per-phase goodputs.
     pub starts: Vec<Duration>,
-    /// Link rates and queue limits (`None` = the `ExpConfig` defaults).
+    /// Link rates and queue limits (`None` = `aq_bench`'s default fabric).
     pub fabric: Option<FabricPlan>,
     /// AQ-limit policy under the AQ approach.
     pub aq_limit: LimitKind,
@@ -494,13 +462,19 @@ impl Params {
 }
 
 /// Deterministic parameter-value formatting: integers bare, fractions at
-/// fixed precision.
+/// fixed precision. A fraction that rounds away at that precision
+/// (`2.99999999`) renders as the integer it rounds to, so the rendering
+/// parses back to a value that renders the same.
 fn fmt_param(v: f64) -> String {
     let t = v.trunc();
     if (v - t).abs() < 1e-9 {
-        format!("{}", t as i64)
+        return format!("{}", t as i64);
+    }
+    let fixed = format!("{v:.4}");
+    if fixed.ends_with(".0000") {
+        fmt_param(v.round())
     } else {
-        format!("{v:.4}")
+        fixed
     }
 }
 
@@ -1516,6 +1490,9 @@ pub fn find(name: &str) -> Option<&'static ScenarioDef> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
+    use std::ops::Range;
 
     #[test]
     fn registry_is_name_sorted_and_findable() {
@@ -1543,6 +1520,79 @@ mod tests {
         assert_eq!(parsed.canonical(), a.canonical());
         assert!(Params::parse("vms").is_err());
         assert!(Params::parse("vms=notanumber").is_err());
+    }
+
+    /// What an assignment is written in: names, `=`, `,`, and the
+    /// characters of a number (with `e` both a letter and an exponent).
+    const PARAM_ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz=,.-e0123456789  ";
+
+    /// Text over `alphabet`, `len` characters long.
+    fn text_over(alphabet: &'static [u8], len: Range<usize>) -> impl Strategy<Value = String> {
+        prop::collection::vec(any::<u8>(), len).prop_map(move |bytes| {
+            (bytes.iter())
+                .map(|b| alphabet[*b as usize % alphabet.len()] as char)
+                .collect()
+        })
+    }
+
+    fn param_text() -> impl Strategy<Value = String> {
+        text_over(PARAM_ALPHABET, 0..24)
+    }
+
+    /// The canonical form of an accepted assignment parses back to itself.
+    fn assert_canonical_is_a_fixed_point(text: &str) -> Result<(), TestCaseError> {
+        if let Ok(p) = Params::parse(text) {
+            let canonical = p.canonical();
+            let again = Params::parse(&canonical).map(|q| q.canonical());
+            prop_assert_eq!(again, Ok(canonical), "from {:?}", text);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Arbitrary text never panics the parser, and what it accepts
+        /// renders to a fixed point.
+        #[test]
+        fn parse_never_panics_and_canonical_is_a_fixed_point(text in param_text()) {
+            assert_canonical_is_a_fixed_point(&text)?;
+        }
+
+        /// The same over `name=value` text whose value is made of the
+        /// characters of a number, so that most of it parses.
+        #[test]
+        fn canonical_is_a_fixed_point_for_number_shaped_values(
+            name in text_over(b"abcxyz", 1..4),
+            value in text_over(b"0123456789.-e", 1..12),
+        ) {
+            assert_canonical_is_a_fixed_point(&format!("{name}={value}"))?;
+        }
+
+        /// Every spelling of a non-finite value is rejected, whatever the
+        /// name and wherever the assignment sits.
+        #[test]
+        fn non_finite_values_are_rejected(
+            name in param_text(),
+            which in 0..6usize,
+            first in any::<bool>(),
+        ) {
+            let name: String = name.chars().filter(|c| c.is_ascii_lowercase()).collect();
+            let value = ["inf", "-inf", "nan", "NaN", "infinity", "1e999"][which];
+            let bad = format!("{name}={value}");
+            let text = if first { format!("{bad},x=1") } else { format!("x=1,{bad}") };
+            prop_assert!(Params::parse(&text).is_err(), "{} parsed", text);
+        }
+    }
+
+    #[test]
+    fn a_fraction_that_rounds_away_renders_as_the_integer() {
+        for (text, canonical) in [
+            ("x=2.99999999", "x=3"),
+            ("x=-0.00001", "x=0"),
+            ("x=0.5", "x=0.5000"),
+        ] {
+            let p = Params::parse(text).expect("parses");
+            assert_eq!(p.canonical(), canonical, "{text}");
+        }
     }
 
     #[test]
@@ -1781,18 +1831,24 @@ mod tests {
     #[test]
     fn incast_sharedbuf_selects_admission_policies() {
         let def = find("incast_sharedbuf").expect("registered");
-        let expect = |params: &str, label: &str| {
+        let admission = |params: &str| {
             let plan = def
                 .plan(&Params::parse(params).expect("parse"))
                 .expect("plan");
             let bp = plan.buffers.expect("buffer plan");
-            assert_eq!(bp.admission.label(), label, "{params}");
             assert_eq!(bp.aqm, AqmKind::Fifo);
             assert_eq!(bp.pool_bytes, 150_000);
+            bp.admission
         };
-        expect("admission=0", "static");
-        expect("admission=1", "dt");
-        expect("admission=2", "delay");
+        assert_eq!(admission("admission=0"), AdmissionKind::StaticPartition);
+        assert!(matches!(
+            admission("admission=1"),
+            AdmissionKind::DynamicThreshold { .. }
+        ));
+        assert!(matches!(
+            admission("admission=2"),
+            AdmissionKind::DelayDriven { .. }
+        ));
         let plan = def
             .plan(&Params::parse("admission=1,dt_alpha=0.5,pool_kb=80").expect("parse"))
             .expect("plan");
@@ -1804,13 +1860,20 @@ mod tests {
     #[test]
     fn websearch_aqm_zoo_selects_disciplines() {
         let def = find("websearch_aqm_zoo").expect("registered");
-        for (v, label) in [(0.0, "fifo"), (1.0, "disagg_red"), (2.0, "l4s_step")] {
+        for (v, aqm) in [
+            (0.0, AqmKind::Fifo),
+            (1.0, AqmKind::DisaggRed),
+            (2.0, AqmKind::L4sStep),
+        ] {
             let mut p = Params::new();
             p.set("aqm", v);
             let plan = def.plan(&p).expect("plan");
             let bp = plan.buffers.expect("buffer plan");
-            assert_eq!(bp.aqm.label(), label);
-            assert_eq!(bp.admission.label(), "dt");
+            assert_eq!(bp.aqm, aqm);
+            assert!(matches!(
+                bp.admission,
+                AdmissionKind::DynamicThreshold { .. }
+            ));
             for e in &plan.entities {
                 assert_eq!(e.cc, CcAlgo::Dctcp);
                 assert!(matches!(e.traffic, Traffic::WebSearch { .. }));
@@ -1841,7 +1904,6 @@ mod tests {
             .plan(&Params::parse("policy=1,wipe_at_ms=0").expect("parse"))
             .expect("plan");
         assert_eq!(plan.aq_budget.unwrap().policy, OverflowKind::EvictIdle);
-        assert_eq!(plan.aq_budget.unwrap().policy.label(), "evict_idle");
         assert!(plan.faults.is_empty());
     }
 

@@ -8,7 +8,6 @@
 //! recipe once, so figure harnesses stay declarative.
 
 use crate::arrivals::PoissonArrivals;
-use crate::matrix::TrafficMatrix;
 use crate::websearch::FlowSizeDist;
 use aq_netsim::ids::{EntityId, FlowId, NodeId};
 use aq_netsim::packet::AqTag;
@@ -22,21 +21,21 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// The owning entity.
-    pub entity: EntityId,
+    entity: EntityId,
     /// Sending hosts (the entity's VMs).
-    pub srcs: Vec<NodeId>,
+    srcs: Vec<NodeId>,
     /// Destination candidates.
-    pub dsts: Vec<NodeId>,
+    dsts: Vec<NodeId>,
     /// Congestion control for every flow.
-    pub cc: CcAlgo,
+    cc: CcAlgo,
     /// Number of flows to generate.
-    pub n_flows: usize,
+    n_flows: usize,
     /// Offered load as a fraction of `capacity`.
-    pub load: f64,
+    load: f64,
     /// The reference link whose capacity defines the load.
-    pub capacity: Rate,
+    capacity: Rate,
     /// RNG seed (sizes, arrivals, and endpoints all derive from it).
-    pub seed: u64,
+    seed: u64,
 }
 
 impl WorkloadSpec {
@@ -72,17 +71,13 @@ impl WorkloadSpec {
     pub fn generate(&self, flow_id_base: u32) -> Vec<FlowSpec> {
         let dist = FlowSizeDist::web_search();
         let arrivals = PoissonArrivals::for_load(self.load, self.capacity, dist.mean_bytes());
-        let matrix = TrafficMatrix::UniformRandom {
-            srcs: self.srcs.clone(),
-            dsts: self.dsts.clone(),
-        };
         let mut rng = SmallRng::seed_from_u64(self.seed);
         let mut t = Time::ZERO;
         let mut flows = Vec::with_capacity(self.n_flows);
         for i in 0..self.n_flows {
             t += arrivals.next_gap(&mut rng);
             let bytes = dist.sample(&mut rng);
-            let (src, dst) = matrix.pick(&mut rng, i);
+            let (src, dst) = uniform_pair(&mut rng, &self.srcs, &self.dsts);
             flows.push(FlowSpec::sized_tcp(
                 FlowId(flow_id_base + i as u32),
                 self.entity,
@@ -97,6 +92,24 @@ impl WorkloadSpec {
     }
 }
 
+/// A uniformly random source and an independent uniformly random
+/// destination, re-drawn while they are equal: the paper's arbitrary
+/// traffic matrix, where "any source may talk to any destination".
+fn uniform_pair<R: Rng>(rng: &mut R, srcs: &[NodeId], dsts: &[NodeId]) -> (NodeId, NodeId) {
+    assert!(!srcs.is_empty() && !dsts.is_empty());
+    loop {
+        let s = srcs[rng.gen_range(0..srcs.len())];
+        let d = dsts[rng.gen_range(0..dsts.len())];
+        if s != d {
+            return (s, d);
+        }
+        assert!(
+            srcs.len() > 1 || dsts.len() > 1,
+            "uniform matrix with identical single src and dst"
+        );
+    }
+}
+
 /// A *closed-loop* per-VM replay of the web-search trace: the entity's
 /// flow list is dealt round-robin to its VMs, and each VM works through
 /// its list sequentially — the next flow starts when the previous one
@@ -106,23 +119,23 @@ impl WorkloadSpec {
 #[derive(Debug, Clone)]
 pub struct ClosedWorkload {
     /// The owning entity.
-    pub entity: EntityId,
+    entity: EntityId,
     /// The entity's sending VMs (one in-flight flow each).
-    pub srcs: Vec<NodeId>,
+    srcs: Vec<NodeId>,
     /// Destination candidates (drawn uniformly per flow).
-    pub dsts: Vec<NodeId>,
+    dsts: Vec<NodeId>,
     /// Congestion control for every flow.
-    pub cc: CcAlgo,
+    cc: CcAlgo,
     /// Total number of flows across all VMs.
-    pub n_flows: usize,
+    n_flows: usize,
     /// Flow-size multiplier. The published trace's sizes make sub-RTT
     /// flows at data-center RTTs, so a one-flow-deep closed loop becomes
     /// latency-bound and the bottleneck never saturates; scaling sizes
     /// keeps the distribution's shape while making the replay
     /// bandwidth-bound (see EXPERIMENTS.md).
-    pub size_scale: f64,
+    size_scale: f64,
     /// RNG seed.
-    pub seed: u64,
+    seed: u64,
 }
 
 impl ClosedWorkload {
@@ -316,6 +329,19 @@ mod tests {
             assert!(w[0].start <= w[1].start, "arrivals sorted");
         }
         assert!(a.iter().all(|f| f.src != f.dst));
+    }
+
+    #[test]
+    fn uniform_pairs_never_selfloop_and_cover_every_pair() {
+        let hosts = [NodeId(1), NodeId(2), NodeId(3)];
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..600 {
+            let (s, d) = uniform_pair(&mut rng, &hosts, &hosts);
+            assert_ne!(s, d);
+            seen.insert((s.0, d.0));
+        }
+        assert_eq!(seen.len(), 6, "all ordered pairs appear");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use rand::Rng;
 
 /// Empirical CDF knots `(flow size in bytes, cumulative probability)`.
-pub const WEB_SEARCH_CDF: &[(u64, f64)] = &[
+const WEB_SEARCH_CDF: &[(u64, f64)] = &[
     (1_000, 0.00),
     (5_000, 0.15),
     (10_000, 0.30),
@@ -30,34 +30,21 @@ pub const WEB_SEARCH_CDF: &[(u64, f64)] = &[
 
 /// A sampler over an empirical flow-size CDF.
 #[derive(Debug, Clone)]
-pub struct FlowSizeDist {
-    knots: Vec<(u64, f64)>,
+pub(crate) struct FlowSizeDist {
+    knots: &'static [(u64, f64)],
 }
 
 impl FlowSizeDist {
     /// The web-search distribution.
-    pub fn web_search() -> FlowSizeDist {
+    pub(crate) fn web_search() -> FlowSizeDist {
         FlowSizeDist {
-            knots: WEB_SEARCH_CDF.to_vec(),
+            knots: WEB_SEARCH_CDF,
         }
-    }
-
-    /// A custom distribution from CDF knots (must start at probability
-    /// 0.0, end at 1.0, and be non-decreasing in both coordinates).
-    #[expect(clippy::float_cmp, reason = "end knots must be literally 0.0 and 1.0")]
-    pub fn from_knots(knots: Vec<(u64, f64)>) -> FlowSizeDist {
-        assert!(knots.len() >= 2, "need at least two knots");
-        assert_eq!(knots[0].1, 0.0, "first knot must be at p=0");
-        assert_eq!(knots[knots.len() - 1].1, 1.0, "last knot must be at p=1");
-        for w in knots.windows(2) {
-            assert!(w[0].0 <= w[1].0 && w[0].1 <= w[1].1, "knots must be sorted");
-        }
-        FlowSizeDist { knots }
     }
 
     /// Mean flow size implied by the CDF (log-linear interpolation), in
     /// bytes. Used to convert a target load into an arrival rate.
-    pub fn mean_bytes(&self) -> f64 {
+    pub(crate) fn mean_bytes(&self) -> f64 {
         // Integrate the piecewise size: for each CDF segment, use the
         // geometric midpoint of its size range (consistent with log-linear
         // inverse sampling).
@@ -74,7 +61,7 @@ impl FlowSizeDist {
     }
 
     /// Draw one flow size.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen();
         for w in self.knots.windows(2) {
             if u <= w[1].1 {
@@ -154,11 +141,5 @@ mod tests {
             (0..100).map(|_| d.sample(&mut rng)).collect()
         };
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "first knot")]
-    fn malformed_knots_are_rejected() {
-        FlowSizeDist::from_knots(vec![(10, 0.5), (20, 1.0)]);
     }
 }
