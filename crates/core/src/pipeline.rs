@@ -311,27 +311,20 @@ impl AqPipeline {
         }
         // Parked. Under `EvictIdle`, demand re-admits: this arrival makes
         // the flow the most-recently-active, so it may displace whichever
-        // deployed AQ has been idle longest. (Under `RejectNew` we do not
-        // retry per packet — that would inflate `rejected_deploys` by the
-        // packet rate; the flow stays degraded until a row frees up and a
-        // control-plane deploy re-admits it.)
+        // deployed AQ has been idle longest; a budget below one row
+        // rejects it, and `admit` re-parks the same config. (Under
+        // `RejectNew` we do not retry per packet — that would inflate
+        // `rejected_deploys` by the packet rate; the flow stays degraded
+        // until a row frees up and a control-plane deploy re-admits it.)
         if table.policy() == OverflowPolicy::EvictIdle {
             let cfg = degrade.parked[&tag.0].clone();
-            match table.try_deploy(now, cfg) {
-                DeployOutcome::Deployed | DeployOutcome::Replaced => {
-                    degrade.parked.remove(&tag.0);
-                    degrade.readmissions += 1;
-                    let verdict = table.process(tag, now, pkt).expect("row just deployed");
-                    return Self::settle(verdict, stats);
-                }
-                DeployOutcome::Evicted(victim) => {
-                    degrade.parked.remove(&tag.0);
-                    degrade.parked.insert(victim.id.0, victim);
-                    degrade.readmissions += 1;
-                    let verdict = table.process(tag, now, pkt).expect("row just deployed");
-                    return Self::settle(verdict, stats);
-                }
-                DeployOutcome::Rejected => {} // sub-row budget: stay degraded
+            if !matches!(
+                Self::admit(table, degrade, now, cfg),
+                DeployOutcome::Rejected
+            ) {
+                degrade.readmissions += 1;
+                let verdict = table.process(tag, now, pkt).expect("row just deployed");
+                return Self::settle(verdict, stats);
             }
         }
         let row = degrade.degraded.entry(tag.0).or_default();

@@ -20,6 +20,8 @@ use aq_harness::sweep::{expand, run_points, RunPoint, SweepSpec};
 use aq_harness::trends::{check_trends, DEFAULT_RULES};
 use aq_harness::{find_spec, named_specs, soak_round_spec};
 use aq_workloads::registry;
+use std::fmt;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -60,41 +62,81 @@ USAGE:
 
 EXIT CODES: 0 ok, 1 gate violation, 2 usage/I-O error.";
 
+/// Standard output of every command. A closed pipe (`aq-sweep list |
+/// head -1`) ends the output silently and leaves the exit code to the
+/// command; any other write error is reported on stderr and exits 2.
+struct Out {
+    stdout: io::Stdout,
+    /// Set by the first failed write; nothing is written after it.
+    failed: Option<io::Error>,
+}
+
+/// Write one line to an [`Out`].
+macro_rules! say {
+    ($out:expr, $($arg:tt)*) => {
+        $out.line(format_args!($($arg)*))
+    };
+}
+
+impl Out {
+    fn line(&mut self, args: fmt::Arguments) {
+        if self.failed.is_none() {
+            self.failed = writeln!(self.stdout, "{args}").err();
+        }
+    }
+
+    /// The exit code of a command that returned `code`.
+    fn finish(mut self, code: ExitCode) -> ExitCode {
+        if self.failed.is_none() {
+            self.failed = self.stdout.flush().err();
+        }
+        match self.failed {
+            Some(e) if e.kind() != io::ErrorKind::BrokenPipe => io_err(&format!("stdout: {e}")),
+            _ => code,
+        }
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    match cmd.as_str() {
-        "list" => cmd_list(),
-        "run" => cmd_run(&args[1..]),
-        "diff" => cmd_diff(&args[1..]),
-        "check" => cmd_check(&args[1..]),
-        "soak" => cmd_soak(&args[1..]),
+    let mut out = Out {
+        stdout: io::stdout(),
+        failed: None,
+    };
+    let code = match cmd.as_str() {
+        "list" => cmd_list(&mut out),
+        "run" => cmd_run(&mut out, &args[1..]),
+        "diff" => cmd_diff(&mut out, &args[1..]),
+        "check" => cmd_check(&mut out, &args[1..]),
+        "soak" => cmd_soak(&mut out, &args[1..]),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            say!(out, "{USAGE}");
             ExitCode::SUCCESS
         }
         other => {
             eprintln!("aq-sweep: unknown command `{other}`\n{USAGE}");
             ExitCode::from(2)
         }
-    }
+    };
+    out.finish(code)
 }
 
-fn cmd_list() -> ExitCode {
-    println!("scenarios:");
+fn cmd_list(out: &mut Out) -> ExitCode {
+    say!(out, "scenarios:");
     for def in registry::registry() {
-        println!("  {:<26} {}", def.name, def.summary);
+        say!(out, "  {:<26} {}", def.name, def.summary);
         for p in def.params {
-            println!("    {:<20} {:<8} {}", p.name, p.default, p.help);
+            say!(out, "    {:<20} {:<8} {}", p.name, p.default, p.help);
         }
     }
-    println!("sweeps:");
+    say!(out, "sweeps:");
     for spec in named_specs() {
         let n = expand(&spec).map(|p| p.len()).unwrap_or(0);
-        println!("  {:<16} {} runs", spec.name, n);
+        say!(out, "  {:<16} {} runs", spec.name, n);
     }
     ExitCode::SUCCESS
 }
@@ -183,19 +225,21 @@ fn parse_flags(args: &[String], accepted: &[&str]) -> Result<Flags, String> {
     Ok(flags)
 }
 
-/// The sweep step `run` and each `soak` round share: expand `spec`,
-/// `announce` its run count, run it under the flags' jobs and timeout,
-/// and write `sweep.{json,csv}` and the run reports under `out`. A failed
-/// run fails the step after the artifacts are written (so the failure is
-/// diffable): a partially failed sweep is never a green run.
+/// The sweep step `run` and each `soak` round share: expand `spec`, print
+/// the line `announce` makes of its run count, run it under the flags'
+/// jobs and timeout, and write `sweep.{json,csv}` and the run reports
+/// under `out`. A failed run fails the step after the artifacts are
+/// written (so the failure is diffable): a partially failed sweep is never
+/// a green run.
 fn sweep_step(
+    stdout: &mut Out,
     spec: &SweepSpec,
     flags: &Flags,
     out: &Path,
-    announce: impl FnOnce(usize),
+    announce: impl FnOnce(usize) -> String,
 ) -> Result<(Vec<RunPoint>, Sweep), ExitCode> {
     let points = expand(spec).map_err(|e| io_err(&e))?;
-    announce(points.len());
+    say!(stdout, "{}", announce(points.len()));
     let timeout = std::time::Duration::from_secs(flags.timeout_s);
     let outcome =
         run_points(&points, flags.jobs, Some(timeout), Some(out)).map_err(|e| io_err(&e))?;
@@ -203,7 +247,8 @@ fn sweep_step(
     if let Err(e) = sweep.write_to(out) {
         return Err(io_err(&format!("writing sweep artifacts: {e}")));
     }
-    println!(
+    say!(
+        stdout,
         "wrote {} configs, {} runs: sweep.json + sweep.csv",
         sweep.configs.len(),
         sweep.runs.len()
@@ -218,7 +263,7 @@ fn sweep_step(
     Ok((points, sweep))
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
+fn cmd_run(stdout: &mut Out, args: &[String]) -> ExitCode {
     let flags = match parse_flags(args, RUN_FLAGS) {
         Ok(f) => f,
         Err(e) => return usage_err(&e),
@@ -234,9 +279,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let out = (flags.out.clone()).unwrap_or_else(|| Path::new("target/sweeps").join(&spec.name));
     let announce = |n| {
         let (name, jobs, out) = (&spec.name, flags.jobs, out.display());
-        println!("sweep `{name}`: {n} runs over {jobs} job(s) -> {out}");
+        format!("sweep `{name}`: {n} runs over {jobs} job(s) -> {out}")
     };
-    let sweep = match sweep_step(&spec, &flags, &out, announce) {
+    let sweep = match sweep_step(stdout, &spec, &flags, &out, announce) {
         Ok((_, sweep)) => sweep,
         Err(code) => return code,
     };
@@ -249,12 +294,12 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
             return ExitCode::from(1);
         }
-        println!("trend check passed ({} rules)", DEFAULT_RULES.len());
+        say!(stdout, "trend check passed ({} rules)", DEFAULT_RULES.len());
     }
     ExitCode::SUCCESS
 }
 
-fn cmd_diff(args: &[String]) -> ExitCode {
+fn cmd_diff(out: &mut Out, args: &[String]) -> ExitCode {
     let mut force_drill = false;
     let mut dirs = Vec::new();
     for arg in args {
@@ -289,7 +334,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     let field_diffs = if both_have_runs {
         match drill::drill_down(baseline_dir, current_dir, &tol) {
             Ok((diffs, compared)) => {
-                println!("drill-down: {compared} run pair(s) compared");
+                say!(out, "drill-down: {compared} run pair(s) compared");
                 diffs
             }
             Err(e) => return io_err(&e),
@@ -299,7 +344,8 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     };
 
     if violations.is_empty() && field_diffs.is_empty() {
-        println!(
+        say!(
+            out,
             "diff clean: {} configs, {} runs match `{}` within tolerances",
             current.configs.len(),
             current.runs.len(),
@@ -316,7 +362,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     ExitCode::from(1)
 }
 
-fn cmd_check(args: &[String]) -> ExitCode {
+fn cmd_check(out: &mut Out, args: &[String]) -> ExitCode {
     let [dir] = args else {
         return usage_err("check needs exactly: SWEEP_DIR");
     };
@@ -326,7 +372,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
     };
     let failures = check_trends(&sweep, DEFAULT_RULES);
     if failures.is_empty() {
-        println!("trend check passed ({} rules)", DEFAULT_RULES.len());
+        say!(out, "trend check passed ({} rules)", DEFAULT_RULES.len());
         ExitCode::SUCCESS
     } else {
         eprintln!("trend check FAILED:");
@@ -337,7 +383,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_soak(args: &[String]) -> ExitCode {
+fn cmd_soak(stdout: &mut Out, args: &[String]) -> ExitCode {
     let flags = match parse_flags(args, SOAK_FLAGS) {
         Ok(f) => f,
         Err(e) => return usage_err(&e),
@@ -351,12 +397,12 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         let announce = |n| {
             let (of, dir) = (flags.minutes, round_dir.display());
             let seed = spec.axes[0].seeds[0];
-            println!(
+            format!(
                 "soak round {}/{of}: {n} runs (seed {seed}) -> {dir}",
                 round + 1
-            );
+            )
         };
-        let points = match sweep_step(&spec, &flags, &round_dir, announce) {
+        let points = match sweep_step(stdout, &spec, &flags, &round_dir, announce) {
             Ok((points, _)) => points,
             Err(code) => return code,
         };
@@ -382,7 +428,10 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         }
     }
     if violations.is_empty() {
-        println!("soak clean: oracle passed on {total_runs} run report(s)");
+        say!(
+            stdout,
+            "soak clean: oracle passed on {total_runs} run report(s)"
+        );
         ExitCode::SUCCESS
     } else {
         eprintln!("soak ORACLE VIOLATIONS ({}):", violations.len());

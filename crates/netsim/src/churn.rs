@@ -32,46 +32,6 @@ use crate::ids::NodeId;
 use crate::node::PipelineControl;
 use crate::time::{Duration, Time};
 
-/// A single control-plane operation in a churn schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChurnKind {
-    /// Ask the target switch's pipelines to provision per-tenant state
-    /// under `aq` (an AQ deploy).
-    Create {
-        /// The tenant/AQ id to provision.
-        aq: u32,
-        /// Allocated rate in bit/s.
-        rate_bps: u64,
-        /// Enforcement limit in bytes.
-        limit_bytes: u64,
-    },
-    /// Ask the target switch's pipelines to tear down the per-tenant
-    /// state under `aq`.
-    Destroy {
-        /// The tenant/AQ id to remove.
-        aq: u32,
-    },
-}
-
-impl ChurnKind {
-    /// The [`PipelineControl`] payload delivered to the switch's
-    /// pipelines when this event fires.
-    pub fn control(&self) -> PipelineControl {
-        match *self {
-            ChurnKind::Create {
-                aq,
-                rate_bps,
-                limit_bytes,
-            } => PipelineControl::Create {
-                id: aq,
-                rate_bps,
-                limit_bytes,
-            },
-            ChurnKind::Destroy { aq } => PipelineControl::Destroy { id: aq },
-        }
-    }
-}
-
 /// A churn operation scheduled at an absolute simulation time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnEvent {
@@ -79,8 +39,8 @@ pub struct ChurnEvent {
     pub at: Time,
     /// The switch whose pipelines receive it.
     pub node: NodeId,
-    /// What happens.
-    pub kind: ChurnKind,
+    /// What the switch's pipelines receive.
+    pub op: PipelineControl,
 }
 
 /// A seeded, ordered schedule of control-plane churn to inject into one
@@ -134,8 +94,8 @@ impl ChurnPlan {
     }
 
     /// Schedule one operation.
-    pub fn event(mut self, at: Time, node: NodeId, kind: ChurnKind) -> ChurnPlan {
-        self.events.push(ChurnEvent { at, node, kind });
+    pub fn event(mut self, at: Time, node: NodeId, op: PipelineControl) -> ChurnPlan {
+        self.events.push(ChurnEvent { at, node, op });
         self
     }
 
@@ -175,8 +135,8 @@ impl ChurnPlan {
             self.events.push(ChurnEvent {
                 at,
                 node,
-                kind: ChurnKind::Create {
-                    aq: base + k % span,
+                op: PipelineControl::Create {
+                    id: base + k % span,
                     rate_bps,
                     limit_bytes,
                 },
@@ -185,8 +145,8 @@ impl ChurnPlan {
                 self.events.push(ChurnEvent {
                     at,
                     node,
-                    kind: ChurnKind::Destroy {
-                        aq: base + (k - target) % span,
+                    op: PipelineControl::Destroy {
+                        id: base + (k - target) % span,
                     },
                 });
             }
@@ -249,12 +209,12 @@ mod tests {
         let mut live = std::collections::BTreeSet::new();
         let mut peak = 0;
         for ev in &plan.events {
-            match ev.kind {
-                ChurnKind::Create { aq, .. } => {
-                    live.insert(aq);
+            match ev.op {
+                PipelineControl::Create { id, .. } => {
+                    live.insert(id);
                 }
-                ChurnKind::Destroy { aq } => {
-                    assert!(live.remove(&aq), "destroyed a tenant never created");
+                PipelineControl::Destroy { id } => {
+                    assert!(live.remove(&id), "destroyed a tenant never created");
                 }
             }
             peak = peak.max(live.len());
@@ -279,31 +239,12 @@ mod tests {
         let created: Vec<u32> = plan
             .events
             .iter()
-            .filter_map(|e| match e.kind {
-                ChurnKind::Create { aq, .. } => Some(aq),
+            .filter_map(|e| match e.op {
+                PipelineControl::Create { id, .. } => Some(id),
                 _ => None,
             })
             .collect();
         assert_eq!(created, [50, 51, 52, 53, 50, 51, 52, 53, 50, 51]);
-    }
-
-    #[test]
-    fn kinds_render_controls() {
-        let c = ChurnKind::Create {
-            aq: 7,
-            rate_bps: 5,
-            limit_bytes: 9,
-        };
-        assert_eq!(
-            c.control(),
-            PipelineControl::Create {
-                id: 7,
-                rate_bps: 5,
-                limit_bytes: 9
-            }
-        );
-        let d = ChurnKind::Destroy { aq: 3 };
-        assert_eq!(d.control(), PipelineControl::Destroy { id: 3 });
     }
 
     #[test]
@@ -312,18 +253,18 @@ mod tests {
             .event(
                 Time::from_millis(1),
                 NodeId(0),
-                ChurnKind::Destroy { aq: 1 },
+                PipelineControl::Destroy { id: 1 },
             )
             .event(
                 Time::from_millis(1),
                 NodeId(0),
-                ChurnKind::Create {
-                    aq: 2,
+                PipelineControl::Create {
+                    id: 2,
                     rate_bps: 1,
                     limit_bytes: 1,
                 },
             );
-        assert!(matches!(plan.events[0].kind, ChurnKind::Destroy { .. }));
-        assert!(matches!(plan.events[1].kind, ChurnKind::Create { .. }));
+        assert!(matches!(plan.events[0].op, PipelineControl::Destroy { .. }));
+        assert!(matches!(plan.events[1].op, PipelineControl::Create { .. }));
     }
 }

@@ -11,9 +11,11 @@
 //!   link down/up and flap trains, stochastic corruption, switch state
 //!   wipes, host blackouts);
 //! * [`packet`] — packets with transport, ECN, and AQ header fields;
-//! * [`queue`] — the physical FIFO queue (taildrop + ECN threshold), the
-//!   [`queue::QueueDiscipline`] trait alternative disciplines implement,
-//!   and the AQM zoo ([`queue::DisaggRedQueue`], [`queue::L4sStepQueue`]);
+//! * [`queue`] — the [`queue::QueueDiscipline`] trait alternative
+//!   disciplines implement, and one taildrop FIFO ([`queue::Fifo`]) with
+//!   three arrival rules: the physical queue's ECN threshold
+//!   ([`queue::FifoQueue`]) and the AQM zoo ([`queue::DisaggRedQueue`],
+//!   [`queue::L4sStepQueue`]);
 //! * [`buffer`] — the per-switch shared buffer pool and its pluggable
 //!   admission policies (static partition, dynamic threshold,
 //!   delay-driven);

@@ -7,14 +7,16 @@
 //! [`QueueDiscipline`] in the `aq-baselines` crate and plug into the same
 //! port.
 //!
-//! This module also carries a small AQM zoo used by the shared-buffer
-//! experiments: [`DisaggRedQueue`] (iRED-style disaggregated RED, where
-//! the congestion *decision* made on one arrival is *acted on* at a later
-//! arrival) and [`L4sStepQueue`] (L4S-style step/ramp instantaneous
-//! marking). Both are deterministic: where classic RED would draw a
-//! random number, these accumulate the marking probability in a
-//! fixed-point credit and fire when it crosses one — error-diffusion
-//! dithering, bit-identical across runs.
+//! The PQ and the AQM zoo of the shared-buffer experiments are one FIFO,
+//! [`Fifo`], with three arrival rules ([`MarkRule`]) that pass, CE-mark or
+//! drop an arrival under the byte limit: [`EcnThreshold`] ([`FifoQueue`],
+//! the PQ), [`DisaggRed`] ([`DisaggRedQueue`]: iRED-style disaggregated
+//! RED, where the congestion *decision* made on one arrival is *acted on*
+//! at a later arrival) and [`L4sStep`] ([`L4sStepQueue`]: L4S-style
+//! step/ramp instantaneous marking). The last two are deterministic: where
+//! classic RED would draw a random number, they accumulate the marking
+//! probability in a fixed-point credit and fire when it crosses one —
+//! error-diffusion dithering, bit-identical across runs.
 
 use crate::packet::Packet;
 use crate::time::Time;
@@ -158,6 +160,169 @@ pub trait QueueDiscipline: Send {
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
+/// What a [`MarkRule`] does with an arrival that fits under the byte limit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MarkVerdict {
+    /// Buffer the packet as it arrived.
+    Pass,
+    /// CE-mark the packet and buffer it. Only for ECN-capable arrivals.
+    Mark,
+    /// Drop the packet ([`DropCause::RedNonEct`]). Only for non-ECT
+    /// arrivals.
+    Drop,
+}
+
+/// The arrival rule of a [`Fifo`]: the one place the physical queue and
+/// the AQMs differ.
+pub trait MarkRule: Send + 'static {
+    /// The fate of an arrival that passed the taildrop check, given the
+    /// pre-arrival `backlog` in bytes and whether the packet is
+    /// ECN-capable (`ect`).
+    fn on_arrival(&mut self, backlog: u64, ect: bool) -> MarkVerdict;
+}
+
+/// A FIFO with a taildrop byte limit whose arrivals pass through rule
+/// `R`. The packet store, the byte account and dequeue (with queueing
+/// delay stamped onto the packet) are the same for every rule.
+pub struct Fifo<R> {
+    limit_bytes: u64,
+    rule: R,
+    buf: VecDeque<(Packet, Time)>,
+    backlog: u64,
+    /// Cumulative drops: taildrops plus the rule's non-ECT drops.
+    pub drops: u64,
+    /// Cumulative CE marks the rule applied.
+    pub marks: u64,
+    /// Cumulative bytes offered to [`QueueDiscipline::enqueue`]
+    /// (accepted or not).
+    pub enqueued_bytes: u64,
+    /// Cumulative bytes handed back out by [`QueueDiscipline::dequeue`].
+    pub dequeued_bytes: u64,
+    /// Cumulative bytes of rejected packets.
+    pub dropped_bytes: u64,
+}
+
+impl<R: MarkRule> Fifo<R> {
+    fn with_rule(limit_bytes: u64, rule: R) -> Fifo<R> {
+        Fifo {
+            limit_bytes,
+            rule,
+            buf: VecDeque::new(),
+            backlog: 0,
+            drops: 0,
+            marks: 0,
+            enqueued_bytes: 0,
+            dequeued_bytes: 0,
+            dropped_bytes: 0,
+        }
+    }
+
+    fn reject(&mut self, pkt: Packet, cause: DropCause) -> Enqueued {
+        self.drops += 1;
+        self.dropped_bytes += pkt.size as u64;
+        self.check_conservation();
+        Enqueued::Dropped(pkt, cause)
+    }
+
+    /// Byte conservation: every byte ever offered is either still
+    /// resident, was handed out, or was dropped — the buffer neither
+    /// creates nor destroys bytes.
+    fn check_conservation(&self) {
+        crate::invariant!(
+            self.enqueued_bytes == self.dequeued_bytes + self.dropped_bytes + self.backlog,
+            "FIFO byte conservation broken: enqueued={} dequeued={} dropped={} backlog={}",
+            self.enqueued_bytes,
+            self.dequeued_bytes,
+            self.dropped_bytes,
+            self.backlog,
+        );
+        crate::invariant!(
+            self.backlog <= self.limit_bytes,
+            "backlog {} exceeds taildrop limit {}",
+            self.backlog,
+            self.limit_bytes,
+        );
+    }
+}
+
+impl<R: MarkRule> QueueDiscipline for Fifo<R> {
+    fn enqueue(&mut self, now: Time, mut pkt: Packet) -> Enqueued {
+        let size = pkt.size as u64;
+        self.enqueued_bytes += size;
+        if self.backlog + size > self.limit_bytes {
+            return self.reject(pkt, DropCause::Taildrop);
+        }
+        let ect = pkt.ecn.can_mark();
+        let verdict = self.rule.on_arrival(self.backlog, ect);
+        crate::invariant!(
+            verdict == MarkVerdict::Pass || (verdict == MarkVerdict::Mark) == ect,
+            "rule returned {verdict:?} for an arrival with ect={ect}",
+        );
+        match verdict {
+            MarkVerdict::Pass => {}
+            MarkVerdict::Mark => {
+                pkt.ecn = crate::packet::Ecn::CongestionExperienced;
+                self.marks += 1;
+            }
+            MarkVerdict::Drop => return self.reject(pkt, DropCause::RedNonEct),
+        }
+        self.backlog += size;
+        self.buf.push_back((pkt, now));
+        self.check_conservation();
+        Enqueued::Ok
+    }
+
+    fn ready_at(&mut self, now: Time) -> Option<Time> {
+        (!self.buf.is_empty()).then_some(now)
+    }
+
+    fn dequeue(&mut self, now: Time) -> Option<Packet> {
+        let (mut pkt, enq_at) = self.buf.pop_front()?;
+        crate::invariant!(
+            self.backlog >= pkt.size as u64,
+            "dequeue of {} bytes from a backlog of only {}",
+            pkt.size,
+            self.backlog,
+        );
+        self.backlog -= pkt.size as u64;
+        self.dequeued_bytes += pkt.size as u64;
+        pkt.pq_delay_ns += now.since(enq_at).as_nanos();
+        self.check_conservation();
+        Some(pkt)
+    }
+
+    fn backlog_bytes(&self) -> u64 {
+        self.backlog
+    }
+
+    fn backlog_pkts(&self) -> usize {
+        self.buf.len()
+    }
+
+    fn ecn_marks(&self) -> u64 {
+        self.marks
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
+/// Error-diffusion dither along the ramp `[lo, hi)`: add the probability
+/// `(x − lo) / (hi − lo)` to `credit` (in 1/1000ths) and fire each time it
+/// crosses one. Below `lo`, or on an empty ramp, nothing accrues.
+fn ramp(credit: &mut u64, x: u64, lo: u64, hi: u64) -> bool {
+    if x < lo || hi <= lo {
+        return false;
+    }
+    *credit += (x - lo) * 1000 / (hi - lo);
+    let fire = *credit >= 1000;
+    if fire {
+        *credit -= 1000;
+    }
+    fire
+}
+
 /// Configuration of a physical FIFO queue.
 #[derive(Clone, Copy, Debug)]
 pub struct FifoConfig {
@@ -193,146 +358,36 @@ impl FifoConfig {
     }
 }
 
-/// The physical FIFO queue (the paper's "PQ").
-pub struct FifoQueue {
-    cfg: FifoConfig,
-    buf: VecDeque<(Packet, Time)>,
-    backlog: u64,
-    /// Cumulative taildrop count (reported through port stats as well; kept
-    /// here for white-box tests).
-    pub drops: u64,
-    /// Cumulative CE marks applied by this queue.
-    pub marks: u64,
-    /// Cumulative bytes offered to [`QueueDiscipline::enqueue`]
-    /// (accepted or not).
-    pub enqueued_bytes: u64,
-    /// Cumulative bytes handed back out by [`QueueDiscipline::dequeue`].
-    pub dequeued_bytes: u64,
-    /// Cumulative bytes of rejected (taildropped / non-ECT-at-K) packets.
-    pub dropped_bytes: u64,
+/// The physical queue's rule: at or above the instantaneous threshold `K`
+/// ([`FifoConfig::ecn_threshold_bytes`]) mark ECT arrivals and drop
+/// non-ECT ones; below it, or with no `K`, pass.
+pub struct EcnThreshold(Option<u64>);
+
+impl MarkRule for EcnThreshold {
+    fn on_arrival(&mut self, backlog: u64, ect: bool) -> MarkVerdict {
+        let verdict = match self.0 {
+            Some(k) if backlog >= k && ect => MarkVerdict::Mark,
+            Some(k) if backlog >= k => MarkVerdict::Drop,
+            _ => MarkVerdict::Pass,
+        };
+        // A mark applied here is legitimate only at or above K.
+        crate::invariant!(
+            verdict != MarkVerdict::Mark || self.0.is_some_and(|k| backlog >= k),
+            "CE mark applied below threshold: backlog={} K={:?}",
+            backlog,
+            self.0,
+        );
+        verdict
+    }
 }
+
+/// The physical FIFO queue (the paper's "PQ").
+pub type FifoQueue = Fifo<EcnThreshold>;
 
 impl FifoQueue {
     /// An empty FIFO with the given configuration.
     pub fn new(cfg: FifoConfig) -> FifoQueue {
-        FifoQueue {
-            cfg,
-            buf: VecDeque::new(),
-            backlog: 0,
-            drops: 0,
-            marks: 0,
-            enqueued_bytes: 0,
-            dequeued_bytes: 0,
-            dropped_bytes: 0,
-        }
-    }
-
-    /// Current configuration.
-    pub fn config(&self) -> FifoConfig {
-        self.cfg
-    }
-
-    /// Byte conservation: every byte ever offered is either still
-    /// resident, was handed out, or was dropped — the buffer neither
-    /// creates nor destroys bytes.
-    fn check_conservation(&self) {
-        crate::invariant!(
-            self.enqueued_bytes == self.dequeued_bytes + self.dropped_bytes + self.backlog,
-            "FIFO byte conservation broken: enqueued={} dequeued={} dropped={} backlog={}",
-            self.enqueued_bytes,
-            self.dequeued_bytes,
-            self.dropped_bytes,
-            self.backlog,
-        );
-        crate::invariant!(
-            self.backlog <= self.cfg.limit_bytes,
-            "backlog {} exceeds taildrop limit {}",
-            self.backlog,
-            self.cfg.limit_bytes,
-        );
-    }
-}
-
-impl QueueDiscipline for FifoQueue {
-    fn enqueue(&mut self, now: Time, mut pkt: Packet) -> Enqueued {
-        self.enqueued_bytes += pkt.size as u64;
-        if self.backlog + pkt.size as u64 > self.cfg.limit_bytes {
-            self.drops += 1;
-            self.dropped_bytes += pkt.size as u64;
-            return Enqueued::Dropped(pkt, DropCause::Taildrop);
-        }
-        let marked_upstream = pkt.ecn.is_marked();
-        if let Some(k) = self.cfg.ecn_threshold_bytes {
-            // RED-style threshold on instantaneous arrival queue depth:
-            // mark ECT packets, drop non-ECT ones.
-            if self.backlog >= k {
-                if pkt.ecn.can_mark() {
-                    pkt.ecn = crate::packet::Ecn::CongestionExperienced;
-                    self.marks += 1;
-                } else {
-                    self.drops += 1;
-                    self.dropped_bytes += pkt.size as u64;
-                    self.check_conservation();
-                    return Enqueued::Dropped(pkt, DropCause::RedNonEct);
-                }
-            }
-        }
-        // A mark applied *here* (not carried in from an upstream hop) is
-        // legitimate only at or above the instantaneous threshold K.
-        crate::invariant!(
-            marked_upstream
-                || !pkt.ecn.is_marked()
-                || self
-                    .cfg
-                    .ecn_threshold_bytes
-                    .is_some_and(|k| self.backlog >= k),
-            "CE mark applied below threshold: backlog={} K={:?}",
-            self.backlog,
-            self.cfg.ecn_threshold_bytes,
-        );
-        self.backlog += pkt.size as u64;
-        self.buf.push_back((pkt, now));
-        self.check_conservation();
-        Enqueued::Ok
-    }
-
-    fn ready_at(&mut self, now: Time) -> Option<Time> {
-        if self.buf.is_empty() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
-    fn dequeue(&mut self, now: Time) -> Option<Packet> {
-        let (mut pkt, enq_at) = self.buf.pop_front()?;
-        crate::invariant!(
-            self.backlog >= pkt.size as u64,
-            "dequeue of {} bytes from a backlog of only {}",
-            pkt.size,
-            self.backlog,
-        );
-        self.backlog -= pkt.size as u64;
-        self.dequeued_bytes += pkt.size as u64;
-        pkt.pq_delay_ns += now.since(enq_at).as_nanos();
-        self.check_conservation();
-        Some(pkt)
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        self.backlog
-    }
-
-    fn backlog_pkts(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn ecn_marks(&self) -> u64 {
-        self.marks
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+        Fifo::with_rule(cfg.limit_bytes, EcnThreshold(cfg.ecn_threshold_bytes))
     }
 }
 
@@ -363,153 +418,69 @@ impl Default for DisaggRedConfig {
 /// iRED-style *disaggregated* RED: the congestion decision and the
 /// congestion action are split in time.
 ///
-/// The **decide** stage runs on every arrival: it updates an EWMA of the
-/// backlog and, while the average sits in `[min, max)`, accrues marking
-/// probability `(avg − min) / (max − min)` into a fixed-point credit
-/// (at/above `max` a full action accrues per arrival). Each time the
-/// credit crosses 1.0 a *pending action* is queued — but nothing happens
-/// to the packet that triggered it.
+/// The **decide** stage runs on every arrival that passed the taildrop
+/// check: it updates an EWMA of the pre-arrival backlog and, while the
+/// average sits in `[min, max)`, accrues marking probability
+/// `(avg − min) / (max − min)` into a fixed-point credit (at/above `max` a
+/// full action accrues per arrival). Each time the credit crosses 1.0 a
+/// *pending action* is queued — but nothing happens to the packet that
+/// triggered it.
 ///
-/// The **act** stage runs first on every arrival: if actions are pending,
-/// the arriving packet absorbs one — CE-marked if ECN-capable, dropped
+/// The **act** stage runs first: if actions are pending, the arriving
+/// packet absorbs one — CE-marked if ECN-capable, dropped
 /// ([`DropCause::RedNonEct`]) if not. The packet that pays is therefore
 /// never the packet that tripped the decision, which is the disaggregation
 /// iRED introduces to move RED's random-drop work off the enqueue critical
 /// path.
-pub struct DisaggRedQueue {
+pub struct DisaggRed {
     cfg: DisaggRedConfig,
-    buf: VecDeque<(Packet, Time)>,
-    backlog: u64,
     /// EWMA of the backlog (the RED average queue).
     avg: u64,
     /// Fixed-point marking credit, in 1/1000ths of an action.
-    credit_milli: u64,
+    credit: u64,
     /// Congestion actions decided but not yet applied.
     pending: u64,
-    /// Cumulative drops (taildrop + non-ECT actions).
-    pub drops: u64,
-    /// Cumulative CE marks applied by the act stage.
-    pub marks: u64,
-    /// Cumulative bytes offered to [`QueueDiscipline::enqueue`].
-    pub enqueued_bytes: u64,
-    /// Cumulative bytes handed back out by [`QueueDiscipline::dequeue`].
-    pub dequeued_bytes: u64,
-    /// Cumulative bytes of rejected packets.
-    pub dropped_bytes: u64,
 }
+
+impl MarkRule for DisaggRed {
+    fn on_arrival(&mut self, backlog: u64, ect: bool) -> MarkVerdict {
+        // Act stage: an earlier decision is paid for by this arrival.
+        let verdict = match (self.pending, ect) {
+            (0, _) => MarkVerdict::Pass,
+            (_, true) => MarkVerdict::Mark,
+            (_, false) => MarkVerdict::Drop,
+        };
+        self.pending = self.pending.saturating_sub(1);
+        // Decide stage, dithered deterministically.
+        let shift = self.cfg.ewma_shift;
+        if backlog >= self.avg {
+            self.avg += (backlog - self.avg) >> shift;
+        } else {
+            self.avg -= (self.avg - backlog) >> shift;
+        }
+        let (min, max) = (self.cfg.min_thresh_bytes, self.cfg.max_thresh_bytes);
+        if self.avg >= max || ramp(&mut self.credit, self.avg, min, max) {
+            self.pending += 1;
+        }
+        verdict
+    }
+}
+
+/// The iRED-style disaggregated RED queue ([`DisaggRed`]).
+pub type DisaggRedQueue = Fifo<DisaggRed>;
 
 impl DisaggRedQueue {
     /// An empty disaggregated-RED queue with the given configuration.
     pub fn new(cfg: DisaggRedConfig) -> DisaggRedQueue {
-        DisaggRedQueue {
-            cfg,
-            buf: VecDeque::new(),
-            backlog: 0,
-            avg: 0,
-            credit_milli: 0,
-            pending: 0,
-            drops: 0,
-            marks: 0,
-            enqueued_bytes: 0,
-            dequeued_bytes: 0,
-            dropped_bytes: 0,
-        }
-    }
-
-    fn check_conservation(&self) {
-        crate::invariant!(
-            self.enqueued_bytes == self.dequeued_bytes + self.dropped_bytes + self.backlog,
-            "DisaggRed byte conservation broken: enqueued={} dequeued={} dropped={} backlog={}",
-            self.enqueued_bytes,
-            self.dequeued_bytes,
-            self.dropped_bytes,
-            self.backlog,
-        );
-    }
-
-    /// Decide stage: fold the pre-arrival backlog into the EWMA and queue
-    /// pending actions per the RED probability, dithered deterministically.
-    fn decide(&mut self) {
-        let b = self.backlog;
-        if b >= self.avg {
-            self.avg += (b - self.avg) >> self.cfg.ewma_shift;
-        } else {
-            self.avg -= (self.avg - b) >> self.cfg.ewma_shift;
-        }
-        let (min, max) = (self.cfg.min_thresh_bytes, self.cfg.max_thresh_bytes);
-        if self.avg >= max {
-            self.pending += 1;
-        } else if self.avg >= min && max > min {
-            self.credit_milli += (self.avg - min) * 1000 / (max - min);
-            if self.credit_milli >= 1000 {
-                self.credit_milli -= 1000;
-                self.pending += 1;
-            }
-        }
-    }
-}
-
-impl QueueDiscipline for DisaggRedQueue {
-    fn enqueue(&mut self, now: Time, mut pkt: Packet) -> Enqueued {
-        self.enqueued_bytes += pkt.size as u64;
-        if self.backlog + pkt.size as u64 > self.cfg.limit_bytes {
-            self.drops += 1;
-            self.dropped_bytes += pkt.size as u64;
-            self.check_conservation();
-            return Enqueued::Dropped(pkt, DropCause::Taildrop);
-        }
-        // Act stage: an earlier decision is paid for by this arrival.
-        if self.pending > 0 {
-            self.pending -= 1;
-            if pkt.ecn.can_mark() {
-                pkt.ecn = crate::packet::Ecn::CongestionExperienced;
-                self.marks += 1;
-            } else {
-                self.drops += 1;
-                self.dropped_bytes += pkt.size as u64;
-                self.decide();
-                self.check_conservation();
-                return Enqueued::Dropped(pkt, DropCause::RedNonEct);
-            }
-        }
-        self.decide();
-        self.backlog += pkt.size as u64;
-        self.buf.push_back((pkt, now));
-        self.check_conservation();
-        Enqueued::Ok
-    }
-
-    fn ready_at(&mut self, now: Time) -> Option<Time> {
-        if self.buf.is_empty() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
-    fn dequeue(&mut self, now: Time) -> Option<Packet> {
-        let (mut pkt, enq_at) = self.buf.pop_front()?;
-        self.backlog -= pkt.size as u64;
-        self.dequeued_bytes += pkt.size as u64;
-        pkt.pq_delay_ns += now.since(enq_at).as_nanos();
-        self.check_conservation();
-        Some(pkt)
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        self.backlog
-    }
-
-    fn backlog_pkts(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn ecn_marks(&self) -> u64 {
-        self.marks
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+        Fifo::with_rule(
+            cfg.limit_bytes,
+            DisaggRed {
+                cfg,
+                avg: 0,
+                credit: 0,
+                pending: 0,
+            },
+        )
     }
 }
 
@@ -538,122 +509,34 @@ impl Default for L4sStepConfig {
 
 /// L4S-style immediate marking: ECT arrivals are CE-marked on the
 /// *instantaneous* backlog, with a linear ramp between `step_low` and
-/// `step_high` (deterministically dithered, like [`DisaggRedQueue`]) and a
-/// hard step at `step_high`. Non-ECT traffic is never marked — it only
-/// taildrops at the limit, mirroring how an L4S queue treats classic
-/// traffic that cannot understand the finer-grained signal.
-pub struct L4sStepQueue {
+/// `step_high` (deterministically dithered, like [`DisaggRed`]) and a
+/// hard step at `step_high`. Non-ECT traffic is never marked and accrues
+/// no ramp credit — it only taildrops at the limit, mirroring how an L4S
+/// queue treats classic traffic that cannot understand the finer-grained
+/// signal.
+pub struct L4sStep {
     cfg: L4sStepConfig,
-    buf: VecDeque<(Packet, Time)>,
-    backlog: u64,
     /// Fixed-point ramp credit, in 1/1000ths of a mark.
-    credit_milli: u64,
-    /// Cumulative taildrops.
-    pub drops: u64,
-    /// Cumulative CE marks.
-    pub marks: u64,
-    /// Cumulative bytes offered to [`QueueDiscipline::enqueue`].
-    pub enqueued_bytes: u64,
-    /// Cumulative bytes handed back out by [`QueueDiscipline::dequeue`].
-    pub dequeued_bytes: u64,
-    /// Cumulative bytes of rejected packets.
-    pub dropped_bytes: u64,
+    credit: u64,
 }
+
+impl MarkRule for L4sStep {
+    fn on_arrival(&mut self, backlog: u64, ect: bool) -> MarkVerdict {
+        let (low, high) = (self.cfg.step_low_bytes, self.cfg.step_high_bytes);
+        if ect && (backlog >= high.max(low) || ramp(&mut self.credit, backlog, low, high)) {
+            return MarkVerdict::Mark;
+        }
+        MarkVerdict::Pass
+    }
+}
+
+/// The L4S-style step/ramp marking queue ([`L4sStep`]).
+pub type L4sStepQueue = Fifo<L4sStep>;
 
 impl L4sStepQueue {
     /// An empty L4S step queue with the given configuration.
     pub fn new(cfg: L4sStepConfig) -> L4sStepQueue {
-        L4sStepQueue {
-            cfg,
-            buf: VecDeque::new(),
-            backlog: 0,
-            credit_milli: 0,
-            drops: 0,
-            marks: 0,
-            enqueued_bytes: 0,
-            dequeued_bytes: 0,
-            dropped_bytes: 0,
-        }
-    }
-
-    fn check_conservation(&self) {
-        crate::invariant!(
-            self.enqueued_bytes == self.dequeued_bytes + self.dropped_bytes + self.backlog,
-            "L4sStep byte conservation broken: enqueued={} dequeued={} dropped={} backlog={}",
-            self.enqueued_bytes,
-            self.dequeued_bytes,
-            self.dropped_bytes,
-            self.backlog,
-        );
-    }
-
-    /// Whether an ECT arrival seeing `backlog` bytes should be marked.
-    fn should_mark(&mut self, backlog: u64) -> bool {
-        let (low, high) = (self.cfg.step_low_bytes, self.cfg.step_high_bytes);
-        if backlog >= high.max(low) {
-            return true;
-        }
-        if backlog >= low && high > low {
-            self.credit_milli += (backlog - low) * 1000 / (high - low);
-            if self.credit_milli >= 1000 {
-                self.credit_milli -= 1000;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-impl QueueDiscipline for L4sStepQueue {
-    fn enqueue(&mut self, now: Time, mut pkt: Packet) -> Enqueued {
-        self.enqueued_bytes += pkt.size as u64;
-        if self.backlog + pkt.size as u64 > self.cfg.limit_bytes {
-            self.drops += 1;
-            self.dropped_bytes += pkt.size as u64;
-            self.check_conservation();
-            return Enqueued::Dropped(pkt, DropCause::Taildrop);
-        }
-        if pkt.ecn.can_mark() && self.should_mark(self.backlog) {
-            pkt.ecn = crate::packet::Ecn::CongestionExperienced;
-            self.marks += 1;
-        }
-        self.backlog += pkt.size as u64;
-        self.buf.push_back((pkt, now));
-        self.check_conservation();
-        Enqueued::Ok
-    }
-
-    fn ready_at(&mut self, now: Time) -> Option<Time> {
-        if self.buf.is_empty() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
-    fn dequeue(&mut self, now: Time) -> Option<Packet> {
-        let (mut pkt, enq_at) = self.buf.pop_front()?;
-        self.backlog -= pkt.size as u64;
-        self.dequeued_bytes += pkt.size as u64;
-        pkt.pq_delay_ns += now.since(enq_at).as_nanos();
-        self.check_conservation();
-        Some(pkt)
-    }
-
-    fn backlog_bytes(&self) -> u64 {
-        self.backlog
-    }
-
-    fn backlog_pkts(&self) -> usize {
-        self.buf.len()
-    }
-
-    fn ecn_marks(&self) -> u64 {
-        self.marks
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
+        Fifo::with_rule(cfg.limit_bytes, L4sStep { cfg, credit: 0 })
     }
 }
 
@@ -774,14 +657,14 @@ mod tests {
             assert!(matches!(q.enqueue(Time::ZERO, ect(0)), Enqueued::Ok));
         }
         assert_eq!(q.marks, 0, "the deciding packet must not pay");
-        assert!(q.pending > 0, "decision queued for later");
+        assert!(q.rule.pending > 0, "decision queued for later");
         // The next arrival absorbs the pending action as a CE mark.
-        let pending = q.pending;
+        let pending = q.rule.pending;
         assert!(matches!(q.enqueue(Time::ZERO, ect(0)), Enqueued::Ok));
         assert_eq!(q.marks, 1);
-        assert!(q.pending >= pending - 1);
+        assert!(q.rule.pending >= pending - 1);
         // A non-ECT arrival pays a pending action with a drop instead.
-        while q.pending == 0 {
+        while q.rule.pending == 0 {
             q.enqueue(Time::ZERO, ect(0));
         }
         assert!(matches!(

@@ -18,12 +18,12 @@
 //!    hands the packet to the app.
 
 use crate::buffer::{Admission, SharedBufferPool};
-use crate::churn::{ChurnEvent, ChurnKind, ChurnPlan, ChurnState, ChurnTotals};
+use crate::churn::{ChurnEvent, ChurnPlan, ChurnState, ChurnTotals};
 use crate::event::{arrive_seq, EventKind, EventQueue};
 use crate::fault::{AppliedFault, FaultEvent, FaultKind, FaultPlan, FaultState, FaultTotals};
 use crate::ids::{AgentId, LinkId, NodeId, PortId};
 use crate::link::Link;
-use crate::node::{HostApp, HostCtx, Node, NodeKind, PipelineVerdict};
+use crate::node::{HostApp, HostCtx, Node, NodeKind, PipelineControl, PipelineVerdict};
 use crate::packet::{Packet, PacketArena, TransportHeader};
 use crate::port::Port;
 use crate::queue::{DropCause, Enqueued};
@@ -724,17 +724,16 @@ impl Simulator {
     /// pipeline of the target switch receives the control payload through
     /// its [`on_control`](crate::node::SwitchPipeline::on_control) hook.
     fn apply_churn(&mut self, index: usize) {
-        let ChurnEvent { node, kind, .. } = self.churn.plan.events[index];
-        let op = kind.control();
+        let ChurnEvent { node, op, .. } = self.churn.plan.events[index];
         if let NodeKind::Switch { pipelines, .. } = &mut self.net.nodes[node.index()].kind {
             for pipe in pipelines.iter_mut() {
                 pipe.on_control(self.now, &op);
             }
         }
         self.churn.totals.applied += 1;
-        match kind {
-            ChurnKind::Create { .. } => self.churn.totals.creates += 1,
-            ChurnKind::Destroy { .. } => self.churn.totals.destroys += 1,
+        match op {
+            PipelineControl::Create { .. } => self.churn.totals.creates += 1,
+            PipelineControl::Destroy { .. } => self.churn.totals.destroys += 1,
         }
     }
 

@@ -1,9 +1,13 @@
 //! Property tests for the simulator substrate: exact unit arithmetic,
-//! FIFO conservation, delay percentiles, and end-to-end determinism.
+//! FIFO conservation and marking, delay percentiles, and end-to-end
+//! determinism.
 
 use aq_netsim::ids::{EntityId, FlowId, NodeId};
-use aq_netsim::packet::Packet;
-use aq_netsim::queue::{Enqueued, FifoConfig, FifoQueue, QueueDiscipline};
+use aq_netsim::packet::{Ecn, Packet};
+use aq_netsim::queue::{
+    DisaggRedConfig, DisaggRedQueue, DropCause, Enqueued, Fifo, FifoConfig, FifoQueue,
+    L4sStepConfig, L4sStepQueue, MarkRule, QueueDiscipline,
+};
 use aq_netsim::stats::{DelayRecorder, WindowedCounter};
 use aq_netsim::time::{Duration, Rate, Time, NS_PER_SEC};
 use proptest::prelude::*;
@@ -31,6 +35,97 @@ fn delay(b: u8) -> u64 {
         0..=191 => u64::from(b) * 1_009,
         _ => [edge - 1, edge, edge + 1, u64::MAX][usize::from(b % 4)],
     }
+}
+
+/// Drive `q` through `ops` and then drain it. An op `(0, _, _)` dequeues;
+/// any other offers a packet of that payload, ECN-capable or not. After
+/// every op: the backlog is within `limit`, the white-box counters
+/// conserve bytes, packets leave in arrival order, each packet leaves
+/// with the codepoint its arrival earned (CE exactly when `marks` moved
+/// on its arrival, never on non-ECT traffic) so `marks` equals the CE
+/// count among drained and resident packets, a taildrop happens exactly
+/// when the packet does not fit, and a fitting packet is dropped only
+/// when non-ECT and only by a rule that may (`red_drops`).
+fn drive<R: MarkRule>(
+    mut q: Fifo<R>,
+    limit: u64,
+    ops: &[(u8, u32, bool)],
+    red_drops: bool,
+) -> Result<(), TestCaseError> {
+    // Resident packets: (uid, ECN-capable, marked on arrival).
+    let mut resident = std::collections::VecDeque::new();
+    let (mut offered, mut drops, mut ce_drained) = (0u64, 0u64, 0u64);
+    let drain = std::iter::repeat_n((0, 0, false), ops.len());
+    for (uid, (op, payload, ect)) in ops.iter().copied().chain(drain).enumerate() {
+        if op == 0 {
+            if let Some(p) = q.dequeue(Time::ZERO) {
+                let (uid, ect, marked) = resident.pop_front().ok_or_else(|| {
+                    TestCaseError::fail("dequeued from a queue that should be empty")
+                })?;
+                prop_assert_eq!(p.uid, uid, "arrival order");
+                let want = match (ect, marked) {
+                    (false, _) => Ecn::NotCapable,
+                    (true, false) => Ecn::Capable,
+                    (true, true) => Ecn::CongestionExperienced,
+                };
+                prop_assert_eq!(p.ecn, want, "codepoint of packet {}", uid);
+                ce_drained += u64::from(marked);
+            }
+        } else {
+            let mut p = Packet::data(
+                FlowId(1),
+                EntityId(1),
+                NodeId(0),
+                NodeId(1),
+                0,
+                payload,
+                false,
+                Time::ZERO,
+            );
+            p.uid = uid as u64;
+            p.ecn = if ect { Ecn::Capable } else { Ecn::NotCapable };
+            let (size, fits, marks) = (
+                p.size as u64,
+                q.backlog_bytes() + p.size as u64 <= limit,
+                q.marks,
+            );
+            offered += size;
+            match q.enqueue(Time::ZERO, p) {
+                Enqueued::Ok => {
+                    prop_assert!(fits, "accepted a packet over the limit");
+                    prop_assert!(q.marks - marks <= u64::from(ect), "marked a non-ECT packet");
+                    resident.push_back((uid as u64, ect, q.marks > marks));
+                }
+                Enqueued::Dropped(_, cause) => {
+                    drops += 1;
+                    prop_assert_eq!(q.marks, marks, "marked a dropped packet");
+                    match cause {
+                        DropCause::Taildrop => prop_assert!(!fits, "taildropped a fitting packet"),
+                        DropCause::RedNonEct => {
+                            prop_assert!(
+                                fits && red_drops && !ect,
+                                "RedNonEct drop of size {}",
+                                size
+                            )
+                        }
+                        other => prop_assert!(false, "a FIFO returned {:?}", other),
+                    }
+                }
+            }
+        }
+        prop_assert!(q.backlog_bytes() <= limit);
+        prop_assert_eq!(q.enqueued_bytes, offered);
+        prop_assert_eq!(
+            q.enqueued_bytes,
+            q.dequeued_bytes + q.dropped_bytes + q.backlog_bytes()
+        );
+        prop_assert_eq!(q.backlog_pkts(), resident.len());
+        prop_assert_eq!(q.drops, drops);
+        let ce_resident = resident.iter().filter(|r| r.2).count() as u64;
+        prop_assert_eq!(q.marks, ce_drained + ce_resident);
+    }
+    prop_assert_eq!(q.backlog_bytes(), 0);
+    Ok(())
 }
 
 /// A recorder holding `delay(b)` for each byte.
@@ -200,39 +295,40 @@ proptest! {
         prop_assert_eq!(Rate::from_bps(bps).bytes_in(Duration::from_nanos(ns)), expect);
     }
 
-    /// A FIFO conserves packets in order and never exceeds its byte limit.
+    /// Every discipline over the one FIFO — the PQ without and with `K`,
+    /// disaggregated RED, L4S with a ramp and as a pure step — conserves
+    /// bytes, keeps arrival order and its limit, and marks only what its
+    /// `marks` counter owns, under interleaved enqueues and dequeues of
+    /// ECT and non-ECT packets (see [`drive`]).
     #[test]
     fn fifo_conserves_order_and_limit(
-        sizes in prop::collection::vec(40u32..9000, 1..200),
+        rule in 0u8..5,
         limit in 10_000u64..500_000,
+        a in 0u64..500_000,
+        b in 0u64..500_000,
+        ewma_shift in 0u32..5,
+        ops in prop::collection::vec((0u8..4, 40u32..9000, any::<bool>()), 1..300),
     ) {
-        let mut q = FifoQueue::new(FifoConfig {
-            limit_bytes: limit,
-            ecn_threshold_bytes: None,
-        });
-        let mut accepted = Vec::new();
-        for (uid, payload) in sizes.iter().enumerate() {
-            let mut p = Packet::data(
-                FlowId(1),
-                EntityId(1),
-                NodeId(0),
-                NodeId(1),
-                0,
-                *payload,
-                false,
-                Time::ZERO,
-            );
-            p.uid = uid as u64;
-            match q.enqueue(Time::ZERO, p) {
-                Enqueued::Ok => accepted.push(uid as u64),
-                Enqueued::Dropped(..) => {}
+        let (lo, hi) = (a % limit, b % limit);
+        let fifo = |k| FifoQueue::new(FifoConfig { limit_bytes: limit, ecn_threshold_bytes: k });
+        let l4s = |step_low_bytes, step_high_bytes| {
+            L4sStepQueue::new(L4sStepConfig { limit_bytes: limit, step_low_bytes, step_high_bytes })
+        };
+        match rule {
+            0 => drive(fifo(None), limit, &ops, false)?,
+            1 => drive(fifo(Some(lo)), limit, &ops, true)?,
+            2 => {
+                let red = DisaggRedConfig {
+                    limit_bytes: limit,
+                    min_thresh_bytes: lo,
+                    max_thresh_bytes: hi,
+                    ewma_shift,
+                };
+                drive(DisaggRedQueue::new(red), limit, &ops, true)?
             }
-            prop_assert!(q.backlog_bytes() <= limit);
+            3 => drive(l4s(lo, lo + 1 + hi), limit, &ops, false)?,
+            _ => drive(l4s(lo, hi % (lo + 1)), limit, &ops, false)?,
         }
-        let drained: Vec<u64> =
-            std::iter::from_fn(|| q.dequeue(Time::ZERO)).map(|p| p.uid).collect();
-        prop_assert_eq!(accepted, drained);
-        prop_assert_eq!(q.backlog_bytes(), 0);
     }
 
     /// Windowed counters conserve bytes: the bucket sum equals the total
